@@ -64,14 +64,7 @@ class Preconditioner:
     ):
         self.mesh = mesh
         free = mesh.free_mask
-        if coeff is None:
-            A = mesh.energy_stiffness()
-        else:
-            w_act = sp.diags(mesh.weights * ~mesh.excluded_mask * coeff)
-            A = None
-            for op in mesh.gradient_ops():
-                Aa = op.T @ w_act @ op
-                A = Aa if A is None else A + Aa
+        A = mesh.energy_stiffness(coeff)
         diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
         op = (A + sp.diags(mesh.weights * diag)).tocsr()
         self.op = op[free][:, free]

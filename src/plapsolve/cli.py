@@ -18,12 +18,14 @@ violation, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import hashlib
 import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +39,8 @@ from .potentials import (
     Potential,
     Weight,
     admissibility_report,
-    validate_exponents,
+    evaluate_potential,
+    evaluate_weight,
 )
 from .solver import ContinuationBoundError, EpsSchedule, SolveReport, continuation_solve
 from .spectra import (
@@ -84,11 +87,44 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+_EXPR_NODES = (
+    ast.Expression, ast.Name, ast.Load, ast.Constant, ast.Call,
+    ast.UnaryOp, ast.UAdd, ast.USub,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+)
+
+
+def _check_expression(expr: str, names) -> ast.Expression:
+    """Parse ``expr`` and admit only arithmetic on numbers and ``names``,
+    comparisons, and calls of the functions in ``_EXPR_ENV``; raises
+    ``ValueError`` (``SyntaxError`` when it does not parse) otherwise."""
+    tree = ast.parse(expr, mode="eval")
+    for node in ast.walk(tree):
+        if not isinstance(node, _EXPR_NODES):
+            raise ValueError(f"{type(node).__name__} is not allowed")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ValueError(f"constant {node.value!r} is not a number")
+            # float arithmetic overflows where integer powers would grow without bound
+            node.value = float(node.value)
+        elif isinstance(node, ast.Name) and node.id not in names:
+            raise ValueError(f"unknown name {node.id!r}")
+        elif isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and callable(_EXPR_ENV.get(node.func.id)) and not node.keywords
+        ):
+            raise ValueError(f"call of {ast.unparse(node.func)!r} is not allowed")
+    return tree
+
+
 def evaluate_expression(expr: str, mesh: Mesh) -> np.ndarray:
     """Evaluate a coordinate expression at the mesh nodes.
 
     Coordinates are available as ``x, y, z, w`` (first four axes) and
-    ``x0 .. x9``; ``r`` is the distance to the origin.
+    ``x0 .. x9``; ``r`` is the distance to the origin.  The expression may
+    use numbers, these names and the constants and functions of
+    ``_EXPR_ENV``, arithmetic, and comparisons; anything else is a
+    :class:`ConfigError`.
     """
     env = dict(_EXPR_ENV)
     pts = mesh.points
@@ -99,7 +135,8 @@ def evaluate_expression(expr: str, mesh: Mesh) -> np.ndarray:
         env[f"x{a}"] = pts[:, a]
     env["r"] = np.linalg.norm(pts, axis=1)
     try:
-        vals = eval(expr, {"__builtins__": {}}, env)  # noqa: S307 - restricted env
+        code = compile(_check_expression(expr, env), "<expression>", "eval")
+        vals = eval(code, {"__builtins__": {}}, env)  # noqa: S307 - checked syntax tree
     except Exception as exc:
         raise ConfigError([f"expression {expr!r}: {exc}"]) from exc
     return np.broadcast_to(np.asarray(vals, dtype=float), (mesh.n_nodes,)).copy()
@@ -465,6 +502,19 @@ def parse_config(text: str) -> RunConfig:
 # builders
 
 
+@contextmanager
+def _config_errors():
+    """Report a ``ValueError`` raised while building the problem from a parsed
+    config as a :class:`ConfigError`: the config asked for something the
+    constructors refuse."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
 def _build_domain(cfg: RunConfig) -> Domain:
     d = cfg.domain
     bounds = [tuple(b) for b in d["bounds"]]
@@ -478,6 +528,7 @@ def _build_domain(cfg: RunConfig) -> Domain:
     return Domain(kind, tuple(bounds))
 
 
+@_config_errors()
 def _build_mesh(cfg: RunConfig) -> Mesh:
     dom = _build_domain(cfg)
     m = cfg.mesh
@@ -489,6 +540,7 @@ def _build_mesh(cfg: RunConfig) -> Mesh:
     )
 
 
+@_config_errors()
 def _omega_mesh(cfg: RunConfig) -> Mesh:
     """Cross-section mesh of a strip config (the bounded axes only)."""
     d = cfg.domain
@@ -499,36 +551,46 @@ def _omega_mesh(cfg: RunConfig) -> Mesh:
 
 
 def _build_potential(cfg: RunConfig, mesh: Mesh) -> Potential:
+    """The configured potential, evaluated once on ``mesh`` so that a
+    potential the mesh cannot carry is a config error."""
     pot = cfg.physics["potential"]
     p = cfg.physics["p"]
     kind = pot["kind"]
-    if kind == "zero":
-        return Potential.zero()
-    if kind == "quadratic_hardy":
-        return Potential.quadratic_hardy(mesh.domain.dims)
-    if kind == "hardy_p":
-        return Potential.hardy(mesh.domain.dims, p)
-    if kind == "cylindrical_hardy":
-        return Potential.cylindrical_hardy(pot["k_axes"], p)
-    if kind == "constant":
-        value = pot["value"]
-        if value == "lambda1_omega":
-            omega = _omega_mesh(cfg)
-            value = rayleigh_min(
-                omega, p, tol=1e-10, max_iter=3000, seed=cfg.solver["seed"],
-                stall_window=120, stall_factor=0.95,
-            ).value
-        return Potential.constant(value)
-    return Potential.tabulated(evaluate_expression(pot["expr"], mesh))
+    value = pot.get("value")
+    if value == "lambda1_omega":
+        value = rayleigh_min(
+            _omega_mesh(cfg), p, tol=1e-10, max_iter=3000, seed=cfg.solver["seed"],
+            stall_window=120, stall_factor=0.95,
+        ).value
+    with _config_errors():
+        if kind == "zero":
+            V = Potential.zero()
+        elif kind == "quadratic_hardy":
+            V = Potential.quadratic_hardy(mesh.domain.dims)
+        elif kind == "hardy_p":
+            V = Potential.hardy(mesh.domain.dims, p)
+        elif kind == "cylindrical_hardy":
+            V = Potential.cylindrical_hardy(pot["k_axes"], p)
+        elif kind == "constant":
+            V = Potential.constant(value)
+        else:
+            V = Potential.tabulated(evaluate_expression(pot["expr"], mesh))
+        evaluate_potential(V, mesh)
+    return V
 
 
-def _build_weight(cfg: RunConfig) -> Weight:
+@_config_errors()
+def _build_weight(cfg: RunConfig, mesh: Mesh) -> Weight:
     wt = cfg.physics["weight"]
     if wt["kind"] == "constant":
-        return Weight.constant(wt["value"])
-    return Weight.cylinder_decay(wt["value"], wt.get("p", cfg.physics["p"]))
+        W = Weight.constant(wt["value"])
+    else:
+        W = Weight.cylinder_decay(wt["value"], wt.get("p", cfg.physics["p"]))
+    evaluate_weight(W, mesh)
+    return W
 
 
+@_config_errors()
 def _build_forcing(cfg: RunConfig, mesh: Mesh) -> ForcingTerm:
     forcing = cfg.physics["forcing"]
     if forcing["kind"] == "zero":
@@ -569,7 +631,7 @@ class RunArtifact:
 
 def _run_admissibility(cfg: RunConfig, mesh: Mesh) -> AdmissibilityReport:
     V = _build_potential(cfg, mesh)
-    W = _build_weight(cfg)
+    W = _build_weight(cfg, mesh)
     return admissibility_report(
         V,
         mesh,
@@ -589,7 +651,7 @@ def _run_solve(cfg: RunConfig, artifact: RunArtifact, override: bool) -> None:
         artifact.exit_code = 2
         return
     V = _build_potential(cfg, mesh)
-    W = _build_weight(cfg)
+    W = _build_weight(cfg, mesh)
     f = _build_forcing(cfg, mesh)
     s = cfg.solver
     params = EnergyParams(p=cfg.physics["p"], q=cfg.physics["q"], delta=s["delta0"])
@@ -743,8 +805,9 @@ def _run_blowup(cfg: RunConfig, artifact: RunArtifact) -> None:
 def run(config: RunConfig, override_admissibility: bool = False) -> RunArtifact:
     """Execute the configured pipeline and return the artifact.
 
-    Never raises for solver-level failures; they are recorded on the artifact
-    with the corresponding exit code (2 violations, 3 solver failure).
+    Never raises for run failures; they are recorded on the artifact with
+    the corresponding exit code (1 a config the problem cannot be built
+    from, 2 violations, 3 solver failure).
     """
     artifact = RunArtifact(config=config)
     t0 = time.perf_counter()
@@ -763,6 +826,9 @@ def run(config: RunConfig, override_admissibility: bool = False) -> RunArtifact:
             if artifact.admissibility.violations:
                 artifact.failure = "admissibility violations"
                 artifact.exit_code = 2
+    except ConfigError as exc:
+        artifact.failure = f"{type(exc).__name__}: {exc}"
+        artifact.exit_code = 1
     except (IndefiniteEnergyError, ContinuationBoundError, ValueError, RuntimeError) as exc:
         artifact.failure = f"{type(exc).__name__}: {exc}"
         artifact.exit_code = 3

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._descent import Preconditioner, armijo_backtrack
-from .grid import DiscreteFunction, Mesh, gradient, integrate
+from .grid import DiscreteFunction, Mesh, integrate
 from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
 
 __all__ = [
@@ -130,12 +130,8 @@ class ForcingTerm:
                 self._plain_rep = w_act * dens
             else:
                 r = np.zeros(mesh.n_nodes)
-                ops = mesh.gradient_ops()
                 for u_n, lam in self._components:
-                    g = np.column_stack([op @ u_n.values for op in ops])
-                    for a, op in enumerate(ops):
-                        r += op.T @ (w_act * g[:, a])
-                    r -= lam * w_act * u_n.values
+                    r += mesh.grad_adjoint(w_act * mesh.grad(u_n.values)) - lam * w_act * u_n.values
                 self._plain_rep = r
         return self._plain_rep
 
@@ -160,8 +156,8 @@ class ForcingTerm:
             return integrate(np.abs(dens) ** pc, mesh) ** (1.0 / pc)
         total = 0.0
         for u_n, lam in self._components:
-            g = gradient(u_n)
-            gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+            _, s = _grad_square(mesh, u_n.values)
+            gn = np.sqrt(s)
             total += integrate(gn ** pc, mesh) ** (1.0 / pc)
             total += abs(lam) * integrate(np.abs(u_n.values) ** pc, mesh) ** (1.0 / pc)
         return total
@@ -177,9 +173,9 @@ class ForcingTerm:
 
 
 def _grad_square(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ops = mesh.gradient_ops()
-    g = np.column_stack([op @ values for op in ops])
-    return g, np.einsum("ij,ij->i", g, g)
+    """Gradient ``g`` of shape (dims, n_nodes) and its pointwise square ``|g|^2``."""
+    g = mesh.grad(values)
+    return g, np.einsum("ai,ai->i", g, g)
 
 
 def _flux_coeff(s: np.ndarray, p: float, delta: float) -> np.ndarray:
@@ -201,23 +197,21 @@ def _dirichlet_gradient_rep(mesh: Mesh, g: np.ndarray, s: np.ndarray, p: float, 
     """Plain-dot representation of the first variation of
     ``(1/p) int (|grad u|^2 + delta^2)^(p/2)``."""
     w_act = mesh.weights * ~mesh.excluded_mask
-    coeff = _flux_coeff(s, p, delta)
-    r = np.zeros(mesh.n_nodes)
-    for a, op in enumerate(mesh.gradient_ops()):
-        r += op.T @ (w_act * coeff * g[:, a])
-    return r
+    return mesh.grad_adjoint(w_act * _flux_coeff(s, p, delta) * g)
 
 
 def q_v(u: DiscreteFunction, V: Potential, params: EnergyParams) -> float:
     """Energy gap ``int |grad u|^p - int V |u|^p``; the p-Dirichlet energy
     when V = 0, and p-homogeneous in u."""
-    mesh = u.mesh
-    _, s = _grad_square(mesh, u.values)
-    p = params.p
+    v_vals = evaluate_potential(V, u.mesh) if V.kind != "zero" else None
+    return _q_v_arrays(u.mesh, u.values, v_vals, params.p)
+
+
+def _q_v_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None, p: float) -> float:
+    _, s = _grad_square(mesh, values)
     out = integrate(s ** (p / 2.0), mesh)
-    if V.kind != "zero":
-        v_vals = evaluate_potential(V, mesh)
-        out -= integrate(v_vals * np.abs(u.values) ** p, mesh)
+    if v_vals is not None:
+        out -= integrate(v_vals * np.abs(values) ** p, mesh)
     return out
 
 
@@ -304,11 +298,9 @@ def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
     p = params.p
     g_a, s_a = _grad_square(mesh, u_a.values)
     g_b, s_b = _grad_square(mesh, u_b.values)
-    flux = _flux_coeff(s_a, p, 0.0)[:, None] * g_a - _flux_coeff(s_b, p, 0.0)[:, None] * g_b
-    diff = truncate(u_a.values - u_b.values)
-    ops = mesh.gradient_ops()
-    g_t = np.column_stack([op @ diff for op in ops])
-    integrand = cutoff.values * np.einsum("ij,ij->i", flux, g_t)
+    flux = _flux_coeff(s_a, p, 0.0) * g_a - _flux_coeff(s_b, p, 0.0) * g_b
+    g_t = mesh.grad(truncate(u_a.values - u_b.values))
+    integrand = cutoff.values * np.einsum("ai,ai->i", flux, g_t)
     return integrate(integrand, mesh)
 
 
@@ -362,13 +354,6 @@ def dual_norm(
     v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
     pre = Preconditioner(mesh, shift=1.0)
 
-    def energy(values: np.ndarray) -> float:
-        _, s = _grad_square(mesh, values)
-        out = integrate(s ** (p / 2.0), mesh)
-        if v_vals is not None:
-            out -= integrate(v_vals * np.abs(values) ** p, mesh)
-        return out
-
     def check_definite(qv: float, values: np.ndarray) -> None:
         if qv <= 0.0 and np.any(values):
             raise IndefiniteEnergyError(
@@ -384,12 +369,12 @@ def dual_norm(
         from .sampling import bump_family
 
         u = next(bump_family(mesh, 1, seed)).values
-    qv = energy(u)
+    qv = _q_v_arrays(mesh, u, v_vals, p)
     check_definite(qv, u)
     u = u / qv ** (1.0 / p)
 
     def quotient(values: np.ndarray) -> float:
-        qv = energy(values)
+        qv = _q_v_arrays(mesh, values, v_vals, p)
         check_definite(qv, values)
         if qv == 0.0:
             return 0.0
@@ -399,7 +384,7 @@ def dual_norm(
     step = 1.0
     since_improved = 0
     for _ in range(budget):
-        qv = energy(u)
+        qv = _q_v_arrays(mesh, u, v_vals, p)
         check_definite(qv, u)
         pairing = float(r @ u)
         g, s = _grad_square(mesh, u)
@@ -424,7 +409,7 @@ def dual_norm(
         if taken is None:
             break
         step = min(max(taken * 2.0, 1e-6), 4.0)
-        qv_new = energy(u_new)
+        qv_new = _q_v_arrays(mesh, u_new, v_vals, p)
         check_definite(qv_new, u_new)
         u = u_new / qv_new ** (1.0 / p)
         if -neg_val > best * (1.0 + rel_tol):

@@ -10,7 +10,7 @@ compactly supported test functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,7 +204,7 @@ class Mesh:
         self.free_mask = ~self.constrained_mask
         self.interior_mask = self.free_mask
 
-        self._grad_ops: tuple[sp.csr_matrix, ...] | None = None
+        self._grad: sp.csr_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
 
     @property
@@ -216,83 +216,65 @@ class Mesh:
         """Per-node distance to the singular set (origin in the singular axes)."""
         return np.linalg.norm(self.points[:, self.singular_axes], axis=1)
 
-    def gradient_ops(self) -> tuple[sp.csr_matrix, ...]:
-        """Per-axis sparse difference operators.
+    def _grad_op(self) -> sp.csr_matrix:
+        if self._grad is None:
+            self._grad = self._build_grad_op()
+        return self._grad
+
+    def _build_grad_op(self) -> sp.csr_matrix:
+        """Stacked ``(dims * n_nodes, n_nodes)`` difference operator; row
+        ``a * n_nodes + i`` is the axis-``a`` derivative at node ``i``.
 
         Centered where both neighbor values are usable, one-sided where the
         stencil would leave the grid or cross an excluded node, zero rows at
         excluded nodes.  Exact for affine fields away from masks.
         """
-        if self._grad_ops is None:
-            self._grad_ops = tuple(self._build_grad_op(a) for a in range(self.domain.dims))
-        return self._grad_ops
+        nd, shape, n = self.domain.dims, self.shape, self.n_nodes
+        index = np.int32 if 2 * nd * n < 2**31 else np.int64
+        idx = np.arange(n, dtype=index).reshape(shape)
+        active = ~self.excluded_mask.reshape(shape)
+        # row (axis, i) runs from cols[axis, i, 0] to cols[axis, i, 1], a
+        # neighbor where it is usable and the node itself otherwise, over
+        # steps[axis, i] grid steps; a row with no step stays empty
+        cols = np.empty((nd, n, 2), dtype=index)
+        steps = np.empty((nd, n), dtype=np.int8)
+        for axis in range(nd):
+            pos = np.arange(shape[axis]).reshape([-1 if b == axis else 1 for b in range(nd)])
+            left_ok = np.roll(active, 1, axis) & (pos > 0)
+            right_ok = np.roll(active, -1, axis) & (pos < shape[axis] - 1)
+            cols[axis, :, 0] = np.where(left_ok, np.roll(idx, 1, axis), idx).ravel()
+            cols[axis, :, 1] = np.where(right_ok, np.roll(idx, -1, axis), idx).ravel()
+            steps[axis] = (left_ok.astype(np.int8) + right_ok).ravel()
+        use = (steps > 0) & ~self.excluded_mask
+        inv = 1.0 / (steps * self.spacing[:, None])[use]
+        indptr = np.zeros(nd * n + 1, dtype=index)
+        np.cumsum(2 * use.ravel(), out=indptr[1:])
+        data = np.column_stack([-inv, inv]).ravel()
+        return sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
 
-    def _build_grad_op(self, axis: int) -> sp.csr_matrix:
-        nd = self.domain.dims
-        shape = self.shape
-        h = self.spacing[axis]
-        idx = np.arange(self.n_nodes).reshape(shape)
-        exc = self.excluded_mask.reshape(shape)
+    def grad(self, values: np.ndarray) -> np.ndarray:
+        """Per-axis derivatives of nodal ``values``, shape ``(dims,) + values.shape``."""
+        return (self._grad_op() @ values).reshape(self.domain.dims, *np.shape(values))
 
-        def axsl(s):
-            sl = [slice(None)] * nd
-            sl[axis] = s
-            return tuple(sl)
+    def grad_adjoint(self, flux: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`grad` applied to a ``(dims, n_nodes)`` flux."""
+        return self._grad_op().T @ np.ravel(flux)
 
-        left_nbr = np.full(shape, -1, dtype=np.int64)
-        left_nbr[axsl(slice(1, None))] = idx[axsl(slice(0, -1))]
-        right_nbr = np.full(shape, -1, dtype=np.int64)
-        right_nbr[axsl(slice(0, -1))] = idx[axsl(slice(1, None))]
-
-        left_ok = np.zeros(shape, dtype=bool)
-        left_ok[axsl(slice(1, None))] = ~exc[axsl(slice(0, -1))]
-        right_ok = np.zeros(shape, dtype=bool)
-        right_ok[axsl(slice(0, -1))] = ~exc[axsl(slice(1, None))]
-
-        active = ~exc
-        centered = (active & left_ok & right_ok).ravel()
-        fwd = (active & ~left_ok & right_ok).ravel()
-        bwd = (active & left_ok & ~right_ok).ravel()
-        idx = idx.ravel()
-        left_nbr = left_nbr.ravel()
-        right_nbr = right_nbr.ravel()
-
-        rows = [idx[centered], idx[centered], idx[fwd], idx[fwd], idx[bwd], idx[bwd]]
-        cols = [
-            right_nbr[centered],
-            left_nbr[centered],
-            right_nbr[fwd],
-            idx[fwd],
-            idx[bwd],
-            left_nbr[bwd],
-        ]
-        vals = [
-            np.full(centered.sum(), 0.5 / h),
-            np.full(centered.sum(), -0.5 / h),
-            np.full(fwd.sum(), 1.0 / h),
-            np.full(fwd.sum(), -1.0 / h),
-            np.full(bwd.sum(), 1.0 / h),
-            np.full(bwd.sum(), -1.0 / h),
-        ]
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_nodes, self.n_nodes),
-        )
-        return mat.tocsr()
-
-    def energy_stiffness(self) -> sp.csr_matrix:
-        """Quadratic form of the discrete Dirichlet energy,
-        ``sum_a D_a^T diag(active weights) D_a``; the exact Hessian of
-        ``(1/2) int |grad u|^2`` in this discretization.
+    def energy_stiffness(self, coeff: np.ndarray | None = None) -> sp.csr_matrix:
+        """Quadratic form ``G^T diag(active weights * coeff) G`` of the discrete
+        weighted Dirichlet energy; at ``coeff = None`` the exact Hessian of
+        ``(1/2) int |grad u|^2`` in this discretization, cached.
         """
-        if self._stiffness is None:
-            w_act = sp.diags(self.weights * ~self.excluded_mask)
-            A = None
-            for op in self.gradient_ops():
-                Aa = op.T @ w_act @ op
-                A = Aa if A is None else A + Aa
-            self._stiffness = A.tocsr()
-        return self._stiffness
+        if coeff is None and self._stiffness is not None:
+            return self._stiffness
+        w = self.weights * ~self.excluded_mask
+        if coeff is not None:
+            w = w * coeff
+        G = self._grad_op()
+        A = (G.T @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
+        if coeff is None:
+            self._stiffness = A
+        return A
 
 
 def build_mesh(
@@ -345,9 +327,6 @@ class DiscreteFunction:
         """Sample ``fn`` at the mesh nodes; ``fn`` maps (n, dims) points to values."""
         return cls(mesh, np.asarray(fn(mesh.points), dtype=float))
 
-    def copy_with(self, values: np.ndarray) -> "DiscreteFunction":
-        return DiscreteFunction(self.mesh, values)
-
     def __add__(self, other: "DiscreteFunction") -> "DiscreteFunction":
         self._check_mesh(other)
         return DiscreteFunction(self.mesh, self.values + other.values)
@@ -368,8 +347,7 @@ class DiscreteFunction:
 
 def gradient(u: DiscreteFunction) -> np.ndarray:
     """Per-node gradient of ``u`` as an (n_nodes, dims) array."""
-    ops = u.mesh.gradient_ops()
-    return np.column_stack([op @ u.values for op in ops])
+    return u.mesh.grad(u.values).T
 
 
 def divergence(field: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -377,11 +355,7 @@ def divergence(field: np.ndarray, mesh: Mesh) -> np.ndarray:
     field = np.asarray(field, dtype=float)
     if field.shape != (mesh.n_nodes, mesh.domain.dims):
         raise ValueError(f"expected shape {(mesh.n_nodes, mesh.domain.dims)}, got {field.shape}")
-    ops = mesh.gradient_ops()
-    out = np.zeros(mesh.n_nodes)
-    for a, op in enumerate(ops):
-        out += op @ field[:, a]
-    return out
+    return np.einsum("aia->i", mesh.grad(field))
 
 
 def integrate(field: np.ndarray, mesh: Mesh) -> float:

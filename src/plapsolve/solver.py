@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .energy import (
     cauchy_diagnostic,
     dual_norm,
     q_v,
-    residual_norm,
     sobolev_norm,
     y_norm,
 )
@@ -226,7 +225,8 @@ def minimize_phi(
 
         d = -pre.apply(g)
         slope = float((w * g) @ d)
-        if slope >= 0.0:
+        preconditioned = slope < 0.0
+        if not preconditioned:
             d = -g
             slope = -float(integrate(g * g, mesh))
         objective = lambda vals: _phi_arrays(mesh, vals, v_vals, f, params_k)
@@ -234,7 +234,7 @@ def minimize_phi(
         taken, u_new, phi_new = armijo_backtrack(
             objective, u, d, phi_u, slope, init_step=step, noise=noise
         )
-        if taken is None and d is not g:
+        if taken is None and preconditioned:
             failures += 1
             d = -g
             slope = -float(integrate(g * g, mesh))

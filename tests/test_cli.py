@@ -100,6 +100,31 @@ class TestExpression:
         with pytest.raises(ConfigError):
             evaluate_expression("nope(x)", mesh)
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "[c for c in ().__class__.__base__.__subclasses__()]",
+            "().__class__.__base__.__subclasses__()",
+            "x.__class__",
+            "x[0]",
+            "(lambda: 1)()",
+            "'text'",
+            "sin(x, out=x)",
+            "x if 1 else 0",
+            "9**9**9**9",
+        ],
+    )
+    def test_rejects_escapes_and_runaway_powers(self, expr):
+        mesh = build_mesh(interval(0.0, 1.0), [11])
+        with pytest.raises(ConfigError, match="expression"):
+            evaluate_expression(expr, mesh)
+
+    def test_comparisons_and_calls(self):
+        mesh = build_mesh(interval(0.0, 1.0), [11])
+        x = mesh.points[:, 0]
+        vals = evaluate_expression("where(x > 0.5, -x, maximum(x, 0.2)) + (r <= 0.3)", mesh)
+        assert np.array_equal(vals, np.where(x > 0.5, -x, np.maximum(x, 0.2)) + (x <= 0.3))
+
 
 class TestRunAndEmit:
     def test_solve_pipeline(self, tmp_path):
@@ -208,6 +233,29 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "physics, mesh",
+        [
+            ({"forcing": {"kind": "expression", "expr": "nope(x)"}}, None),
+            ({"potential": {"kind": "tabulated", "expr": "x - 2"}}, None),
+            (
+                {"potential": {"kind": "quadratic_hardy"}, "forcing": {"kind": "zero"}},
+                {"domain": {"kind": "box", "bounds": [[-1.0, 1.0]] * 3}, "mesh": {"nodes_per_axis": [5, 5, 5]}},
+            ),
+            ({"weight": {"kind": "cylinder_decay", "value": 0.45}}, None),
+        ],
+        ids=["unknown_function", "negative_tabulated_potential", "uncapped_singular_node", "strip_weight_off_strip"],
+    )
+    def test_config_derived_run_error_exits_one(self, tmp_path, capsys, physics, mesh):
+        cfg = json.loads(json.dumps(SMALL_SOLVE))
+        cfg["physics"].update(physics)
+        cfg.update(mesh or {})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "failed: ConfigError" in capsys.readouterr().out
 
     def test_cli_sweep(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

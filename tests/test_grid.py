@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from plapsolve import (
     DiscreteFunction,
@@ -141,9 +142,7 @@ class TestGradient:
     def test_affine_exact_at_interior(self):
         mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [9, 9])
         vals = mesh.points[:, 0].copy()
-        ops = mesh.gradient_ops()
-        g0 = ops[0] @ vals
-        g1 = ops[1] @ vals
+        g0, g1 = mesh.grad(vals)
         inner = mesh.interior_mask
         assert np.allclose(g0[inner], 1.0, atol=1e-13)
         assert np.allclose(g1[inner], 0.0, atol=1e-13)
@@ -170,12 +169,115 @@ class TestGradient:
         mesh = build_mesh(
             box((-1.0, 1.0), (-1.0, 1.0)), [17, 17], singular_cap_radius=0.3
         )
-        op = mesh.gradient_ops()[0]
-        excluded = np.where(mesh.excluded_mask)[0]
-        csr = op.tocsr()
-        for row in np.where(~mesh.excluded_mask)[0]:
-            cols = csr.indices[csr.indptr[row]:csr.indptr[row + 1]]
-            assert not np.any(np.isin(cols, excluded))
+        rows = _stacked_rows(mesh)
+        kept = ~mesh.excluded_mask
+        assert not np.any(rows[:, kept][:, :, mesh.excluded_mask])
+
+
+def _reference_grad_ops(mesh):
+    """Per-axis difference operators assembled axis by axis, the reference
+    for the stacked operator behind ``Mesh.grad``."""
+    nd, shape, n = mesh.domain.dims, mesh.shape, mesh.n_nodes
+    exc = mesh.excluded_mask.reshape(shape)
+    ops = []
+    for axis in range(nd):
+        h = mesh.spacing[axis]
+        idx = np.arange(n).reshape(shape)
+
+        def axsl(s):
+            sl = [slice(None)] * nd
+            sl[axis] = s
+            return tuple(sl)
+
+        left_nbr = np.full(shape, -1, dtype=np.int64)
+        left_nbr[axsl(slice(1, None))] = idx[axsl(slice(0, -1))]
+        right_nbr = np.full(shape, -1, dtype=np.int64)
+        right_nbr[axsl(slice(0, -1))] = idx[axsl(slice(1, None))]
+        left_ok = np.zeros(shape, dtype=bool)
+        left_ok[axsl(slice(1, None))] = ~exc[axsl(slice(0, -1))]
+        right_ok = np.zeros(shape, dtype=bool)
+        right_ok[axsl(slice(0, -1))] = ~exc[axsl(slice(1, None))]
+
+        active = ~exc
+        centered = (active & left_ok & right_ok).ravel()
+        fwd = (active & ~left_ok & right_ok).ravel()
+        bwd = (active & left_ok & ~right_ok).ravel()
+        idx, left_nbr, right_nbr = idx.ravel(), left_nbr.ravel(), right_nbr.ravel()
+        rows = [idx[centered], idx[centered], idx[fwd], idx[fwd], idx[bwd], idx[bwd]]
+        cols = [right_nbr[centered], left_nbr[centered], right_nbr[fwd], idx[fwd], idx[bwd], left_nbr[bwd]]
+        vals = [
+            np.full(centered.sum(), 0.5 / h),
+            np.full(centered.sum(), -0.5 / h),
+            np.full(fwd.sum(), 1.0 / h),
+            np.full(fwd.sum(), -1.0 / h),
+            np.full(bwd.sum(), 1.0 / h),
+            np.full(bwd.sum(), -1.0 / h),
+        ]
+        mat = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        ops.append(mat.tocsr())
+    return ops
+
+
+def _stacked_rows(mesh):
+    """Dense rows of the stacked gradient operator, shape (dims, n_nodes, n_nodes)."""
+    return mesh.grad(np.eye(mesh.n_nodes))
+
+
+STACKED_MESHES = {
+    "punctured_3d": lambda: build_mesh(
+        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9]
+    ),
+    "capped_4d_strip": lambda: build_mesh(
+        strip([(0.0, 1.0)], 3, 1.5), [5, 5, 7, 5], singular_cap_radius=0.45, singular_axes=(1, 2)
+    ),
+}
+
+
+@pytest.fixture(params=sorted(STACKED_MESHES))
+def stacked_mesh(request):
+    mesh = STACKED_MESHES[request.param]()
+    assert mesh.excluded_mask.any()
+    return mesh
+
+
+class TestStackedGradient:
+    def test_matches_per_axis_reference_row_for_row(self, stacked_mesh):
+        rows = _stacked_rows(stacked_mesh)
+        for a, op in enumerate(_reference_grad_ops(stacked_mesh)):
+            assert np.array_equal(rows[a], op.toarray()), f"axis {a}"
+
+    def test_public_gradient_layout(self, stacked_mesh):
+        vals = np.random.default_rng(3).standard_normal(stacked_mesh.n_nodes)
+        g = gradient(DiscreteFunction(stacked_mesh, vals))
+        ref = np.column_stack([op @ DiscreteFunction(stacked_mesh, vals).values
+                               for op in _reference_grad_ops(stacked_mesh)])
+        assert g.shape == (stacked_mesh.n_nodes, stacked_mesh.domain.dims)
+        assert np.array_equal(g, ref)
+
+    def test_adjoint_identity(self, stacked_mesh):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(stacked_mesh.n_nodes)
+        flux = rng.standard_normal((stacked_mesh.domain.dims, stacked_mesh.n_nodes))
+        lhs = float(np.sum(stacked_mesh.grad(u) * flux))
+        rhs = float(u @ stacked_mesh.grad_adjoint(flux))
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+    @pytest.mark.parametrize("with_coeff", [False, True])
+    def test_stiffness_matches_per_axis_sum(self, stacked_mesh, with_coeff):
+        mesh = stacked_mesh
+        coeff = np.random.default_rng(9).uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
+        w = mesh.weights * ~mesh.excluded_mask * (1.0 if coeff is None else coeff)
+        ref = sum(op.T @ sp.diags(w) @ op for op in _reference_grad_ops(mesh)).toarray()
+        got = mesh.energy_stiffness(coeff).toarray()
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_stiffness_cached_only_without_coeff(self, stacked_mesh):
+        mesh = stacked_mesh
+        assert mesh.energy_stiffness() is mesh.energy_stiffness()
+        ones = np.ones(mesh.n_nodes)
+        assert mesh.energy_stiffness(ones) is not mesh.energy_stiffness(ones)
 
 
 class TestIntegrate:

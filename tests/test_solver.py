@@ -53,6 +53,27 @@ class TestMinimizePhi:
         assert np.max(np.abs(result.u.values)) <= 1e-8
         assert result.converged
 
+    def test_failed_steepest_descent_search_counts_once(self, monkeypatch):
+        # the preconditioned direction points uphill, so the first search
+        # already runs along -g; its failure must not be retried along -g
+        import plapsolve._descent
+        import plapsolve.solver
+
+        calls = []
+
+        def failing_search(objective, x, direction, *args, **kwargs):
+            calls.append(direction)
+            return None, None, None
+
+        monkeypatch.setattr(plapsolve._descent.Preconditioner, "apply", lambda self, g: -g)
+        monkeypatch.setattr(plapsolve.solver, "armijo_backtrack", failing_search)
+        mesh = build_mesh(interval(0.0, 1.0), [21])
+        f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.warns(RuntimeWarning, match="line search stalled"):
+            result = minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, EnergyParams(p=2.0, eps=0.5))
+        assert len(calls) == 1
+        assert result.linesearch_failures == 1
+
     def test_linear_solve_oracle(self):
         # p = 2, V = 0, eps = 0.5: must match the hand-assembled direct solve
         n = 401
