@@ -11,11 +11,21 @@ import scipy.sparse as sp
 from .grid import Mesh
 
 
+# Inner relative residual of a preconditioner solve, by the role its
+# direction plays.  A descent metric only has to contract the error, so
+# preconditioned inverse iteration and the dual-norm ascent tolerate a loose
+# solve (Knyazev & Neymeyr, Linear Algebra Appl. 358, 2003).  The p = 2 solve
+# in ``minimize_phi`` is an exact Newton step and fails at the loose value.
+METRIC_RTOL = 1e-4
+NEWTON_RTOL = 1e-10
+CG_ITERS = 300
+
+
 def conjugate_gradient(
     A: sp.spmatrix,
     b: np.ndarray,
-    maxiter: int = 200,
-    rel_tol: float = 1e-8,
+    maxiter: int,
+    rel_tol: float,
 ) -> np.ndarray:
     """Plain CG from a zero start; deterministic for fixed inputs."""
     x = np.zeros_like(b)
@@ -47,18 +57,19 @@ class Preconditioner:
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-node ``coeff`` turns it into the lagged-coefficient metric of the
-    degenerate problem.  Applied through a fixed budget of conjugate-gradient
-    iterations, so the action is deterministic.  Maps a nodal gradient (the
-    quadrature-dual representation of a first variation) to a descent
-    direction.
+    degenerate problem.  Applied through at most ``CG_ITERS`` conjugate-gradient
+    iterations, stopped at relative residual ``rtol`` (``METRIC_RTOL`` or
+    ``NEWTON_RTOL`` by role), so the action is deterministic.  Maps a nodal
+    gradient (the quadrature-dual representation of a first variation) to a
+    descent direction.
     """
 
     def __init__(
         self,
         mesh: Mesh,
+        *,
+        rtol: float,
         shift: float = 1.0,
-        cg_iters: int = 300,
-        cg_tol: float = 1e-10,
         coeff: np.ndarray | None = None,
         mass_coeff: np.ndarray | None = None,
     ):
@@ -69,13 +80,12 @@ class Preconditioner:
         op = (A + sp.diags(mesh.weights * diag)).tocsr()
         self.op = op[free][:, free]
         self.free = free
-        self.cg_iters = cg_iters
-        self.cg_tol = cg_tol
+        self.rtol = rtol
 
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]
         d = np.zeros(self.mesh.n_nodes)
-        d[self.free] = conjugate_gradient(self.op, rhs, self.cg_iters, self.cg_tol)
+        d[self.free] = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol)
         return d
 
 

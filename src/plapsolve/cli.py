@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import cProfile
 import csv
 import hashlib
 import json
@@ -629,9 +630,7 @@ class RunArtifact:
         }
 
 
-def _run_admissibility(cfg: RunConfig, mesh: Mesh) -> AdmissibilityReport:
-    V = _build_potential(cfg, mesh)
-    W = _build_weight(cfg, mesh)
+def _run_admissibility(cfg: RunConfig, mesh: Mesh, V: Potential, W: Weight) -> AdmissibilityReport:
     return admissibility_report(
         V,
         mesh,
@@ -645,13 +644,13 @@ def _run_admissibility(cfg: RunConfig, mesh: Mesh) -> AdmissibilityReport:
 
 def _run_solve(cfg: RunConfig, artifact: RunArtifact, override: bool) -> None:
     mesh = _build_mesh(cfg)
-    artifact.admissibility = _run_admissibility(cfg, mesh)
+    V = _build_potential(cfg, mesh)
+    W = _build_weight(cfg, mesh)
+    artifact.admissibility = _run_admissibility(cfg, mesh, V, W)
     if artifact.admissibility.violations and not override:
         artifact.failure = "admissibility violations; rerun with --override-admissibility to proceed"
         artifact.exit_code = 2
         return
-    V = _build_potential(cfg, mesh)
-    W = _build_weight(cfg, mesh)
     f = _build_forcing(cfg, mesh)
     s = cfg.solver
     params = EnergyParams(p=cfg.physics["p"], q=cfg.physics["q"], delta=s["delta0"])
@@ -822,7 +821,9 @@ def run(config: RunConfig, override_admissibility: bool = False) -> RunArtifact:
             _run_blowup(config, artifact)
         else:
             mesh = _build_mesh(config)
-            artifact.admissibility = _run_admissibility(config, mesh)
+            artifact.admissibility = _run_admissibility(
+                config, mesh, _build_potential(config, mesh), _build_weight(config, mesh)
+            )
             if artifact.admissibility.violations:
                 artifact.failure = "admissibility violations"
                 artifact.exit_code = 2
@@ -1023,6 +1024,11 @@ def main(argv=None) -> int:
         help="proceed with solves even if the admissibility check records violations",
     )
     parser.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...", help="fan out runs over a config key")
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="write a cProfile of each run and its report emission to profile.pstats in the run directory",
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -1058,9 +1064,17 @@ def main(argv=None) -> int:
                 print(f"config error: {err}", file=sys.stderr)
             return 1
 
-    def execute(cfg: RunConfig) -> int:
+    def run_and_emit(cfg: RunConfig) -> tuple[RunArtifact, list[Path]]:
         artifact = run(cfg, override_admissibility=args.override_admissibility)
-        files = emit_reports(artifact, args.out)
+        return artifact, emit_reports(artifact, args.out)
+
+    def execute(cfg: RunConfig) -> int:
+        if args.profile:
+            profiler = cProfile.Profile()
+            artifact, files = profiler.runcall(run_and_emit, cfg)
+            profiler.dump_stats(files[0].parent / "profile.pstats")
+        else:
+            artifact, files = run_and_emit(cfg)
         run_dir = files[0].parent
         status = "failed: " + artifact.failure if artifact.failure else "ok"
         print(f"[{cfg.subcommand}] {run_dir} {status}")
@@ -1068,7 +1082,9 @@ def main(argv=None) -> int:
 
     if len(configs) == 1:
         return execute(configs[0])
-    with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
+    # one profiled run at a time, so each profile holds only its own run
+    workers = 1 if args.profile else min(4, len(configs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         codes = list(pool.map(execute, configs))
     return max(codes)
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._descent import Preconditioner, armijo_backtrack
+from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack
 from .grid import DiscreteFunction, Mesh, integrate
 from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
 
@@ -230,9 +230,12 @@ def phi(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams)
 
 
 def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None,
-                f: ForcingTerm, params: EnergyParams) -> float:
+                f: ForcingTerm, params: EnergyParams,
+                gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """:func:`phi` on raw arrays; ``gs`` is ``_grad_square(mesh, values)`` when
+    the caller already has it."""
     p, eps, delta = params.p, params.eps, params.delta
-    _, s = _grad_square(mesh, values)
+    _, s = _grad_square(mesh, values) if gs is None else gs
     smoothed = (s + delta * delta) ** (p / 2.0) - delta**p
     total = integrate(smoothed, mesh) / p
     mass = np.abs(values) ** p
@@ -258,9 +261,11 @@ def phi_gradient(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: Ener
 
 
 def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None,
-                         f: ForcingTerm, params: EnergyParams) -> np.ndarray:
+                         f: ForcingTerm, params: EnergyParams,
+                         gs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """:func:`phi_gradient` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
     p, eps, delta = params.p, params.eps, params.delta
-    g, s = _grad_square(mesh, values)
+    g, s = _grad_square(mesh, values) if gs is None else gs
     nodal = _dirichlet_gradient_rep(mesh, g, s, p, delta) / mesh.weights
     mass_grad = _power_mass(values, p)
     if v_vals is not None:
@@ -352,7 +357,7 @@ def dual_norm(
     if not np.any(r):
         return 0.0
     v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
-    pre = Preconditioner(mesh, shift=1.0)
+    pre = Preconditioner(mesh, rtol=METRIC_RTOL)
 
     def check_definite(qv: float, values: np.ndarray) -> None:
         if qv <= 0.0 and np.any(values):

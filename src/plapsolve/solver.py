@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._descent import Preconditioner, armijo_backtrack, lagged_coefficient, mass_curvature
+from ._descent import NEWTON_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient, mass_curvature
 from .energy import (
     EnergyParams,
     ForcingTerm,
@@ -168,10 +168,10 @@ def minimize_phi(
         # the Hessian is u-independent at p = 2; with the potential folded in
         # the preconditioned step is an exact Newton step
         mass_coeff = None if v_vals is None else -(1.0 - params.eps) * v_vals
-        pre = Preconditioner(mesh, shift=shift, mass_coeff=mass_coeff)
+        pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift, mass_coeff=mass_coeff)
         manage_pre = False
     else:
-        pre = Preconditioner(mesh, shift=shift)
+        pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift)
     pre_refresh = 5
     w = mesh.weights
 
@@ -181,7 +181,8 @@ def minimize_phi(
     floor = _coercivity_floor(f, params)
 
     u = start.values.copy()
-    phi_start = _phi_arrays(mesh, u, v_vals, f, params.with_delta(delta_floor))
+    gs = _grad_square(mesh, u)
+    phi_start = _phi_arrays(mesh, u, v_vals, f, params.with_delta(delta_floor), gs)
     failures = 0
     increase_max = -np.inf
     step = 1.0
@@ -194,13 +195,13 @@ def minimize_phi(
         iterations = k + 1
         delta = delta_floor if delta0 == 0.0 else max(delta_floor, delta0 * 0.5**k)
         params_k = params.with_delta(delta)
-        phi_u = _phi_arrays(mesh, u, v_vals, f, params_k)
+        phi_u = _phi_arrays(mesh, u, v_vals, f, params_k, gs)
         if phi_u < floor - 1e-9 - 1e-6 * abs(floor):
             raise IndefiniteEnergyError(
                 f"objective {phi_u:.6e} fell below its coercivity floor {floor:.6e}; "
                 "the energy form is indefinite on this mesh"
             )
-        g = _phi_gradient_arrays(mesh, u, v_vals, f, params_k)
+        g = _phi_gradient_arrays(mesh, u, v_vals, f, params_k, gs)
         res = np.sqrt(max(integrate(g * g, mesh), 0.0))
         if res <= tol and delta <= delta_floor:
             converged = True
@@ -215,11 +216,11 @@ def minimize_phi(
         ):
             break
         if manage_pre and k % pre_refresh == 0:
-            _, s_now = _grad_square(mesh, u)
             pre = Preconditioner(
                 mesh,
+                rtol=NEWTON_RTOL,
                 shift=shift,
-                coeff=lagged_coefficient(s_now, params.p),
+                coeff=lagged_coefficient(gs[1], params.p),
                 mass_coeff=mass_curvature(u, params.p, params.eps),
             )
 
@@ -253,11 +254,12 @@ def minimize_phi(
         increase_max = max(increase_max, phi_new - phi_u)
         step = min(max(taken * 2.0, 1e-10), 4.0)
         u = u_new
+        gs = _grad_square(mesh, u)
 
     params_final = params.with_delta(delta_floor if delta0 != 0.0 else 0.0)
-    g_final = _phi_gradient_arrays(mesh, u, v_vals, f, params_final)
+    g_final = _phi_gradient_arrays(mesh, u, v_vals, f, params_final, gs)
     res_final = np.sqrt(max(integrate(g_final * g_final, mesh), 0.0))
-    phi_final = _phi_arrays(mesh, u, v_vals, f, params_final)
+    phi_final = _phi_arrays(mesh, u, v_vals, f, params_final, gs)
     if res_final <= tol:
         converged = True
     return MinimizeResult(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._descent import Preconditioner, armijo_backtrack, lagged_coefficient
+from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient
 from .energy import _dirichlet_gradient_rep, _grad_square, _power_mass
 from .grid import DiscreteFunction, Mesh, build_mesh, integrate, strip
 from .potentials import hardy_constant
@@ -101,7 +101,7 @@ def _quotient_descent(
     quotient never increases.  Returns (value, values, iterations, residual).
     """
     w_mass = np.ones(mesh.n_nodes) if mass_weight is None else mass_weight
-    pre = Preconditioner(mesh, shift=1.0)
+    pre = Preconditioner(mesh, rtol=METRIC_RTOL)
     pre_refresh = 12
     free = mesh.free_mask
 
@@ -123,27 +123,26 @@ def _quotient_descent(
     def masses(values):
         return integrate(w_mass * np.abs(values) ** p, mesh)
 
-    def dirichlet(values):
-        _, s = _grad_square(mesh, values)
-        return integrate(s ** (p / 2.0), mesh)
-
-    def quotient(values):
+    def quotient_of(values, s):
         m = masses(values)
         if m <= 1e-300:
             return np.inf
-        return dirichlet(values) / m
+        return integrate(s ** (p / 2.0), mesh) / m
+
+    def quotient(values):
+        return quotient_of(values, _grad_square(mesh, values)[1])
 
     u = u / masses(u) ** (1.0 / p)
-    lam = dirichlet(u)
+    g, s = _grad_square(mesh, u)
+    lam = integrate(s ** (p / 2.0), mesh)  # the p-mass is one here
     step = 1.0
     iterations = 0
     res = np.inf
     res_window: list[float] = []
     for k in range(max_iter):
         iterations = k + 1
-        g, s = _grad_square(mesh, u)
         if p != 2.0 and k % pre_refresh == 0:
-            pre = Preconditioner(mesh, shift=1.0, coeff=lagged_coefficient(s, p))
+            pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=lagged_coefficient(s, p))
         k_grad = p * _dirichlet_gradient_rep(mesh, g, s, p, 0.0) / mesh.weights
         m_grad = p * w_mass * _power_mass(u, p)
         gq = k_grad - lam * m_grad
@@ -169,7 +168,8 @@ def _quotient_descent(
             break
         step = min(max(taken * 2.0, 1e-10), 1.0)
         u = u_new / masses(u_new) ** (1.0 / p)
-        lam = quotient(u)
+        g, s = _grad_square(mesh, u)
+        lam = quotient_of(u, s)
     return lam, u, iterations, res
 
 

@@ -1,6 +1,7 @@
 """Config parsing, the run pipeline, report emission, and exit codes."""
 
 import json
+import pstats
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,21 @@ class TestMain:
         run_dir = next((tmp_path / "a").iterdir())
         echoed = json.loads((run_dir / "config.json").read_text())
         assert echoed["solver"]["seed"] == 7
+
+
+    def test_profile_writes_pstats_and_changes_nothing_else(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_SOLVE))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "plain")]) == 0
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "prof"), "--profile"]) == 0
+        (plain,) = (tmp_path / "plain").iterdir()
+        (prof,) = (tmp_path / "prof").iterdir()
+        stats = pstats.Stats(str(prof / "profile.pstats"))
+        assert any(name == "continuation_solve" for _, _, name in stats.stats)
+        assert sorted(f.name for f in prof.iterdir()) == sorted([f.name for f in plain.iterdir()] + ["profile.pstats"])
+        for f in plain.iterdir():
+            if f.name != "summary.json":  # carries wall time and timestamp
+                assert f.read_bytes() == (prof / f.name).read_bytes(), f.name
 
 
 class TestPresets:

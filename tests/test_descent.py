@@ -1,0 +1,87 @@
+"""Preconditioner roles: the inner tolerance each role meets, descent
+directions from truncated solves, determinism, and no sparse factorization
+on the metric paths."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import plapsolve
+from plapsolve._descent import METRIC_RTOL, NEWTON_RTOL, Preconditioner, lagged_coefficient
+from plapsolve.energy import _grad_square
+from plapsolve.grid import build_mesh, punctured_box, strip
+
+MESHES = {
+    "punctured_3d": lambda: build_mesh(
+        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [13, 13, 13]
+    ),
+    "strip_2d": lambda: build_mesh(strip([(0.0, 1.0)], 1, 2.0), [17, 33]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(MESHES))
+def mesh(request):
+    return MESHES[request.param]()
+
+
+def _problem(mesh, lagged):
+    """A nodal gradient and, when ``lagged``, the p = 1.5 lagged coefficient of
+    a rough field, whose contrast makes the inner solve harder."""
+    rng = np.random.default_rng(4)
+    u = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+    g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+    coeff = lagged_coefficient(_grad_square(mesh, u)[1], 1.5) if lagged else None
+    return g, coeff
+
+
+@pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+@pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric", "newton"])
+def test_apply_meets_its_roles_residual(mesh, lagged, rtol):
+    g, coeff = _problem(mesh, lagged)
+    pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
+    d = pre.apply(g)
+    b = (mesh.weights * g)[pre.free]
+    assert np.linalg.norm(b - pre.op @ d[pre.free]) <= rtol * np.linalg.norm(b)
+    assert not np.any(d[~pre.free])
+
+
+@pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+def test_truncated_solve_is_a_descent_direction(mesh, lagged):
+    g, coeff = _problem(mesh, lagged)
+    d = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g)
+    assert float((mesh.weights * g) @ d) > 0.0
+
+
+@pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+def test_applies_are_deterministic(mesh, lagged):
+    g, coeff = _problem(mesh, lagged)
+    pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff)
+    first = pre.apply(g)
+    assert np.array_equal(first, pre.apply(g))
+    assert np.array_equal(first, Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g))
+
+
+def test_metric_paths_import_no_factorization():
+    # importing scipy.sparse.linalg alone raises peak RSS by about 8 MB
+    code = """
+import sys
+import numpy as np
+import plapsolve.cli
+from plapsolve import EnergyParams, ForcingTerm, Potential, build_mesh, dual_norm, interval, rayleigh_min
+mesh = build_mesh(interval(0.0, 1.0), [41])
+rayleigh_min(mesh, 2.5, tol=1e-6, max_iter=50)
+f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+dual_norm(f, Potential.zero(), EnergyParams(p=2.0), budget=5)
+print(sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
+"""
+    src = str(Path(plapsolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
