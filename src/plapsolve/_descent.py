@@ -121,25 +121,23 @@ def armijo_backtrack(
     f0: float,
     slope: float,
     init_step: float = 1.0,
-    shrink: float = 0.5,
-    c1: float = 1e-4,
-    min_step: float = 1e-14,
     noise: float = 0.0,
 ):
     """Backtracking line search for sufficient decrease.
 
+    Halves the step until ``f_new <= f0 + 1e-4 * step * slope + noise``.
     Returns (step, x_new, f_new) on success or (None, None, None) when no
-    acceptable step at least ``min_step`` exists.  ``slope`` must be the
+    acceptable step of at least 1e-14 exists.  ``slope`` must be the
     directional derivative at ``x`` and should be negative.  ``noise`` relaxes
     the acceptance by an absolute amount, which keeps well-scaled steps
     acceptable once objective differences fall below the floating-point
     resolution of the objective itself.
     """
     step = init_step
-    while step >= min_step:
+    while step >= 1e-14:
         x_new = x + step * direction
         f_new = objective(x_new)
-        if np.isfinite(f_new) and f_new <= f0 + c1 * step * slope + noise:
+        if np.isfinite(f_new) and f_new <= f0 + 1e-4 * step * slope + noise:
             return step, x_new, f_new
-        step *= shrink
+        step *= 0.5
     return None, None, None

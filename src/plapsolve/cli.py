@@ -5,8 +5,8 @@ Subcommands: ``solve`` (admissibility gate then continuation), ``eigen``
 ``certify`` (the inequality suite), ``blowup`` (the divergent-forcing
 construction), and ``admissibility`` (the report alone).
 
-Configs are JSON documents; unknown keys are errors and every validation
-error names the offending key.  Reports land in a directory named from the
+Configs are JSON documents; unknown keys are errors, and every validation
+error names its config section.  Reports land in a directory named from the
 config hash: delimited tables (one row per record), a JSON summary, the
 config echo, and the solution field.  Identical configs byte-reproduce all
 numeric outputs.
@@ -25,16 +25,15 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, presets
 from .energy import EnergyParams, ForcingTerm, IndefiniteEnergyError
-from .grid import Domain, DiscreteFunction, Mesh, build_mesh
+from .grid import Domain, DiscreteFunction, Mesh, build_mesh, strip
 from .potentials import (
     AdmissibilityReport,
     Potential,
@@ -43,8 +42,9 @@ from .potentials import (
     evaluate_potential,
     evaluate_weight,
 )
-from .solver import ContinuationBoundError, EpsSchedule, SolveReport, continuation_solve
+from .solver import ContinuationBoundError, EpsSchedule, SolveReport, StageRecord, continuation_solve
 from .spectra import (
+    BlowupRow,
     CertificationRecord,
     blowup_demo,
     cylinder_eigen_check,
@@ -185,13 +185,13 @@ _DEFAULT_BLOWUP = {
     "z_nodes_per_unit": 8.0,
     "seed": 0,
 }
-_DEFAULT_OUTPUT = {"directory": "runs", "formats": ["csv", "json"], "field_format": "bin"}
-_DEFAULT_PHYSICS = {
-    "p": 2.0,
-    "q": None,
-    "potential": {"kind": "zero"},
-    "weight": {"kind": "constant", "value": 1.0},
-    "forcing": {"kind": "zero"},
+_DEFAULT_OUTPUT = {"directory": "runs", "field_format": "bin"}
+_DEFAULT_WEIGHT = {"kind": "constant", "value": 1.0}
+# the keys a domain kind adds: {key: (kind, integer or number, default)}
+_DOMAIN_KEYS = {
+    "m_axes": ("strip", True, 1),
+    "truncation_length": ("strip", False, None),
+    "puncture_radius": ("punctured_box", False, 0.0),
 }
 
 
@@ -232,145 +232,133 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _validate_domain(data: dict, errors: list[str]) -> dict | None:
-    allowed = {"kind", "bounds", "m_axes", "truncation_length", "puncture_radius"}
-    _check_keys("domain", data, allowed, errors)
-    kind = data.get("kind")
-    if kind not in ("interval", "box", "strip", "punctured_box"):
-        errors.append(f"domain.kind: must be one of interval, box, strip, punctured_box, got {kind!r}")
+def _built(section: str, errors: list[str], build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or None with the constructor's refusal
+    recorded as ``section: message``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{section}: {exc}")
         return None
+
+
+def _domain(d: dict, cross_section: bool = False) -> Domain:
+    """The configured domain; with ``cross_section``, a box over its bounded axes."""
+    bounds = tuple(tuple(b) for b in d["bounds"])
+    if cross_section or d["kind"] in ("interval", "box"):
+        return Domain("interval" if len(bounds) == 1 else "box", bounds)
+    if d["kind"] == "strip":
+        return strip(bounds, d["m_axes"], d["truncation_length"])
+    return Domain(d["kind"], bounds, puncture_radius=d.get("puncture_radius", 0.0))
+
+
+def _potential(pot: dict, p: float, dims: int | None) -> Potential:
+    """The configured potential on a ``dims``-dimensional domain; a tabulated
+    potential has no table until a mesh evaluates its expression."""
+    kind = pot["kind"]
+    if kind == "zero":
+        return Potential.zero()
+    if kind == "quadratic_hardy":
+        return Potential.quadratic_hardy(dims)
+    if kind == "hardy_p":
+        return Potential.hardy(dims, p)
+    if kind == "cylindrical_hardy":
+        return Potential.cylindrical_hardy(pot["k_axes"], p)
+    if kind == "constant":
+        return Potential.constant(pot["value"])
+    return Potential(kind)
+
+
+def _weight(wt: dict) -> Weight:
+    if wt["kind"] == "cylinder_decay":
+        return Weight.cylinder_decay(wt["value"], wt["p"])
+    return Weight(wt["kind"], wt["value"])
+
+
+def _validate_domain(data: dict, errors: list[str]) -> dict | None:
+    _check_keys("domain", data, {"kind", "bounds", *_DOMAIN_KEYS}, errors)
+    n_errors = len(errors)
+    kind = data.get("kind")
     bounds = data.get("bounds")
     if not isinstance(bounds, list) or not bounds or not all(
-        isinstance(b, list) and len(b) == 2 for b in bounds
+        isinstance(b, list) and len(b) == 2 and all(isinstance(v, (int, float)) for v in b) for b in bounds
     ):
-        errors.append("domain.bounds: must be a nonempty list of [lo, hi] pairs")
+        errors.append("domain.bounds: must be a nonempty list of [lo, hi] number pairs")
         return None
     out = {"kind": kind, "bounds": [[float(lo), float(hi)] for lo, hi in bounds]}
-    for a, (lo, hi) in enumerate(out["bounds"]):
-        if not lo < hi:
-            errors.append(f"domain.bounds[{a}]: lo must be below hi")
-    if kind == "strip":
-        m_axes = data.get("m_axes", 1)
-        length = data.get("truncation_length")
-        if not isinstance(m_axes, int) or m_axes < 1:
-            errors.append("domain.m_axes: must be a positive integer")
-        if not isinstance(length, (int, float)) or length <= 0:
-            errors.append("domain.truncation_length: must be a positive number")
+    for key, (owner, integer, default) in _DOMAIN_KEYS.items():
+        value = data.get(key, default)
+        if kind != owner:
+            if key in data:
+                errors.append(f"domain.{key}: only valid for {owner} domains")
+        elif not isinstance(value, int if integer else (int, float)):
+            errors.append(f"domain.{key}: must be {'an integer' if integer else 'a number'}")
         else:
-            out["m_axes"] = int(m_axes)
-            out["truncation_length"] = float(length)
-    elif "m_axes" in data or "truncation_length" in data:
-        errors.append("domain.m_axes: only valid for strip domains")
-    if kind == "punctured_box":
-        radius = data.get("puncture_radius", 0.0)
-        if not isinstance(radius, (int, float)) or radius < 0:
-            errors.append("domain.puncture_radius: must be a nonnegative number")
-        else:
-            out["puncture_radius"] = float(radius)
-    elif "puncture_radius" in data:
-        errors.append("domain.puncture_radius: only valid for punctured_box domains")
-    return out
+            out[key] = int(value) if integer else float(value)
+    return None if len(errors) > n_errors else out
 
 
-def _validate_mesh(data: dict, domain: dict | None, errors: list[str]) -> dict | None:
-    allowed = {"nodes_per_axis", "singular_cap_radius", "singular_axes"}
-    _check_keys("mesh", data, allowed, errors)
+def _validate_mesh(data: dict, errors: list[str]) -> dict | None:
+    _check_keys("mesh", data, {"nodes_per_axis", "singular_cap_radius", "singular_axes"}, errors)
+    n_errors = len(errors)
     nodes = data.get("nodes_per_axis")
-    if not isinstance(nodes, list) or not all(isinstance(n, int) and n >= 3 for n in nodes):
-        errors.append("mesh.nodes_per_axis: must be a list of integers, each at least 3")
-        return None
-    out = {"nodes_per_axis": list(nodes)}
-    if domain is not None:
-        dims = len(domain["bounds"]) + (domain.get("m_axes", 0) if domain["kind"] == "strip" else 0)
-        if len(nodes) != dims:
-            errors.append(
-                f"mesh.nodes_per_axis: expected {dims} entries for this domain, got {len(nodes)}"
-            )
     cap = data.get("singular_cap_radius", 0.0)
-    if not isinstance(cap, (int, float)) or cap < 0:
-        errors.append("mesh.singular_cap_radius: must be a nonnegative number")
-    else:
-        out["singular_cap_radius"] = float(cap)
     axes = data.get("singular_axes")
-    if axes is not None and (
-        not isinstance(axes, list) or not all(isinstance(a, int) and a >= 0 for a in axes)
-    ):
-        errors.append("mesh.singular_axes: must be a list of nonnegative axis indices")
-    else:
-        out["singular_axes"] = axes if axes is None else list(axes)
-    return out
+    if not isinstance(nodes, list) or not all(isinstance(n, int) for n in nodes):
+        errors.append("mesh.nodes_per_axis: must be a list of integers")
+    if not isinstance(cap, (int, float)):
+        errors.append("mesh.singular_cap_radius: must be a number")
+    if axes is not None and (not isinstance(axes, list) or not all(isinstance(a, int) for a in axes)):
+        errors.append("mesh.singular_axes: must be a list of axis indices")
+    if len(errors) > n_errors:
+        return None
+    return {
+        "nodes_per_axis": list(nodes),
+        "singular_cap_radius": float(cap),
+        "singular_axes": axes if axes is None else list(axes),
+    }
+
+
+def _number(section: str, data: dict, key: str, default, errors: list[str]) -> float:
+    """``data[key]`` (or ``default``) as a float; a non-number is an error."""
+    value = data.get(key, default)
+    if isinstance(value, (int, float)):
+        return float(value)
+    errors.append(f"{section}.{key}: must be a number")
+    return default
 
 
 def _validate_physics(data: dict, errors: list[str]) -> dict:
-    allowed = {"p", "q", "potential", "weight", "forcing"}
-    _check_keys("physics", data, allowed, errors)
-    out = json.loads(json.dumps(_DEFAULT_PHYSICS))
-    p = data.get("p", out["p"])
-    if not isinstance(p, (int, float)) or not p > 1:
-        errors.append(f"physics.p: must exceed 1, got {p!r}")
-        p = 2.0
-    q = data.get("q", None)
-    if q is None:
-        q = float(p)
-    elif not isinstance(q, (int, float)):
-        errors.append("physics.q: must be a number")
-        q = float(p)
-    else:
-        q = float(q)
-        if not q > 1:
-            errors.append(f"physics.q: must exceed 1, got {q}")
-        if not q <= p:
-            errors.append(f"physics.q: must not exceed p={p}, got {q}")
-        if not p - 1 < q:
-            errors.append(f"physics.q: must exceed p - 1 = {p - 1}, got {q}")
-    out["p"], out["q"] = float(p), q
+    _check_keys("physics", data, {"p", "q", "potential", "weight", "forcing"}, errors)
+    out = {"p": _number("physics", data, "p", 2.0, errors)}
+    out["q"] = _number("physics", data, "q", out["p"], errors) if data.get("q") is not None else out["p"]
 
     pot = data.get("potential", {"kind": "zero"})
-    pot_allowed = {"kind", "value", "k_axes", "expr"}
-    _check_keys("physics.potential", pot, pot_allowed, errors)
-    kind = pot.get("kind", "zero")
-    if kind not in ("zero", "quadratic_hardy", "hardy_p", "cylindrical_hardy", "constant", "tabulated"):
-        errors.append(f"physics.potential.kind: unknown kind {kind!r}")
-        kind = "zero"
-    norm_pot = {"kind": kind}
-    if kind == "constant":
+    _check_keys("physics.potential", pot, {"kind", "value", "k_axes", "expr"}, errors)
+    norm_pot = out["potential"] = {"kind": pot.get("kind", "zero")}
+    if norm_pot["kind"] == "constant":
         value = pot.get("value", 0.0)
         if value == "lambda1_omega":
-            norm_pot["value"] = "lambda1_omega"
-        elif isinstance(value, (int, float)) and value >= 0:
-            norm_pot["value"] = float(value)
+            norm_pot["value"] = value
         else:
-            errors.append("physics.potential.value: must be a nonnegative number or 'lambda1_omega'")
-    elif kind == "cylindrical_hardy":
-        k_axes = pot.get("k_axes")
-        if not isinstance(k_axes, int) or not k_axes > p:
-            errors.append(
-                f"physics.potential.k_axes: cylindrical hardy requires an integer k > p={p}"
-            )
-        else:
-            norm_pot["k_axes"] = k_axes
-    elif kind == "tabulated":
-        expr = pot.get("expr")
-        if not isinstance(expr, str):
+            norm_pot["value"] = _number("physics.potential", pot, "value", 0.0, errors)
+    elif norm_pot["kind"] == "cylindrical_hardy":
+        norm_pot["k_axes"] = pot.get("k_axes")
+        if not isinstance(norm_pot["k_axes"], int):
+            errors.append("physics.potential.k_axes: must be an integer")
+    elif norm_pot["kind"] == "tabulated":
+        norm_pot["expr"] = pot.get("expr")
+        if not isinstance(norm_pot["expr"], str):
             errors.append("physics.potential.expr: tabulated potential needs an expression string")
-        else:
-            norm_pot["expr"] = expr
-    out["potential"] = norm_pot
 
-    wt = data.get("weight", _DEFAULT_PHYSICS["weight"])
+    wt = data.get("weight", _DEFAULT_WEIGHT)
     _check_keys("physics.weight", wt, {"kind", "value", "p"}, errors)
-    wkind = wt.get("kind", "constant")
-    if wkind not in ("constant", "cylinder_decay"):
-        errors.append(f"physics.weight.kind: unknown kind {wkind!r}")
-        wkind = "constant"
-    wval = wt.get("value", 1.0)
-    if not isinstance(wval, (int, float)) or wval <= 0:
-        errors.append("physics.weight.value: must be a positive number")
-        wval = 1.0
-    norm_wt = {"kind": wkind, "value": float(wval)}
-    if wkind == "cylinder_decay":
-        norm_wt["p"] = float(wt.get("p", p))
-    out["weight"] = norm_wt
+    norm_wt = out["weight"] = {
+        "kind": wt.get("kind", "constant"),
+        "value": _number("physics.weight", wt, "value", 1.0, errors),
+    }
+    if norm_wt["kind"] == "cylinder_decay":
+        norm_wt["p"] = _number("physics.weight", wt, "p", out["p"], errors)
 
     forcing = data.get("forcing", {"kind": "zero"})
     _check_keys("physics.forcing", forcing, {"kind", "expr"}, errors)
@@ -421,8 +409,10 @@ def _validate_section(name: str, data: dict, defaults: dict, errors: list[str]) 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
-    Validation is total: every problem is reported as ``section.key:
-    constraint``, and unknown keys are errors.
+    The schema checks keys, types and shapes, reported as ``section.key:
+    constraint``; unknown keys are errors.  The domain, mesh, exponents,
+    potential, weight and eps schedule are then built once, and each
+    constructor's refusal is reported as ``section: message``.
     """
     errors: list[str] = []
     try:
@@ -441,17 +431,21 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(errors)
 
     needs_domain = sub in ("solve", "eigen", "blowup", "admissibility")
-    domain = None
-    mesh = None
+    domain = mesh = dom = None
     if "domain" in data:
         domain = _validate_domain(data["domain"], errors)
+        if domain is not None:
+            dom = _built("domain", errors, _domain, domain)
     elif needs_domain:
         errors.append(f"config.domain: required for subcommand {sub!r}")
     if "mesh" in data:
-        mesh = _validate_mesh(data["mesh"], domain, errors)
+        mesh = _validate_mesh(data["mesh"], errors)
+        if mesh is not None and dom is not None:
+            _built("mesh", errors, build_mesh, dom, **mesh)
     elif needs_domain:
         errors.append(f"config.mesh: required for subcommand {sub!r}")
 
+    n_errors = len(errors)
     physics = _validate_physics(data.get("physics", {}), errors)
     solver = _validate_section("solver", data.get("solver", {}), _DEFAULT_SOLVER, errors)
     eigen = _validate_section("eigen", data.get("eigen", {}), _DEFAULT_EIGEN, errors)
@@ -459,12 +453,16 @@ def parse_config(text: str) -> RunConfig:
     blowup = _validate_section("blowup", data.get("blowup", {}), _DEFAULT_BLOWUP, errors)
     output = _validate_section("output", data.get("output", {}), _DEFAULT_OUTPUT, errors)
 
-    if not (0.0 < solver["eps0"] < 1.0):
-        errors.append(f"solver.eps0: must lie in (0, 1), got {solver['eps0']}")
-    if not (0.0 < solver["ratio"] < 1.0):
-        errors.append(f"solver.ratio: must lie in (0, 1), got {solver['ratio']}")
-    if solver["steps"] < 1:
-        errors.append("solver.steps: must be a positive integer")
+    if len(errors) == n_errors:  # the constructors take only well-typed values
+        p, pot = physics["p"], physics["potential"]
+        dims = dom.dims if dom else None
+        _built("physics", errors, EnergyParams, p, physics["q"])
+        # a 'lambda1_omega' value is computed at run time, and the Hardy
+        # kinds need the domain's dimension
+        if pot.get("value") != "lambda1_omega" and (dims or pot["kind"] not in ("quadratic_hardy", "hardy_p")):
+            _built("physics.potential", errors, _potential, pot, p, dims)
+        _built("physics.weight", errors, _weight, physics["weight"])
+        _built("solver", errors, EpsSchedule, solver["eps0"], solver["ratio"], solver["steps"])
     for check in certify["checks"]:
         if check not in ("monotonicity", "power_mean", "hardy", "poincare", "cylinder"):
             errors.append(f"certify.checks: unknown check {check!r}")
@@ -472,17 +470,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append("blowup.n_terms: need at least 3 bumps")
     if output["field_format"] not in ("bin", "csv"):
         errors.append(f"output.field_format: must be 'bin' or 'csv', got {output['field_format']!r}")
-
-    # cross-field checks that mirror the constructor constraints
-    if domain is not None and physics["potential"]["kind"] == "hardy_p":
-        dims = len(domain["bounds"]) + (domain.get("m_axes", 0) if domain["kind"] == "strip" else 0)
-        if not physics["p"] < dims:
-            errors.append(
-                f"physics.potential: hardy potential requires 1 < p < N, got p={physics['p']}, N={dims}"
-            )
-    if physics["potential"]["kind"] == "constant" and physics["potential"].get("value") == "lambda1_omega":
-        if domain is not None and domain["kind"] != "strip":
-            errors.append("physics.potential.value: 'lambda1_omega' needs a strip domain")
+    if physics["potential"].get("value") == "lambda1_omega" and domain is not None and domain["kind"] != "strip":
+        errors.append("physics.potential.value: 'lambda1_omega' needs a strip domain")
 
     if errors:
         raise ConfigError(errors)
@@ -516,77 +505,38 @@ def _config_errors():
         raise ConfigError([str(exc)]) from exc
 
 
-def _build_domain(cfg: RunConfig) -> Domain:
-    d = cfg.domain
-    bounds = [tuple(b) for b in d["bounds"]]
-    if d["kind"] == "strip":
-        from .grid import strip as make_strip
-
-        return make_strip(bounds, d["m_axes"], d["truncation_length"])
-    if d["kind"] == "punctured_box":
-        return Domain("punctured_box", tuple(bounds), puncture_radius=d.get("puncture_radius", 0.0))
-    kind = "interval" if len(bounds) == 1 else "box"
-    return Domain(kind, tuple(bounds))
-
-
-@_config_errors()
 def _build_mesh(cfg: RunConfig) -> Mesh:
-    dom = _build_domain(cfg)
-    m = cfg.mesh
-    return build_mesh(
-        dom,
-        m["nodes_per_axis"],
-        singular_cap_radius=m.get("singular_cap_radius", 0.0),
-        singular_axes=m.get("singular_axes"),
-    )
+    return build_mesh(_domain(cfg.domain), **cfg.mesh)
 
 
-@_config_errors()
 def _omega_mesh(cfg: RunConfig) -> Mesh:
     """Cross-section mesh of a strip config (the bounded axes only)."""
-    d = cfg.domain
-    bounds = [tuple(b) for b in d["bounds"]]
-    kind = "interval" if len(bounds) == 1 else "box"
-    n_omega = len(bounds)
-    return build_mesh(Domain(kind, tuple(bounds)), cfg.mesh["nodes_per_axis"][:n_omega])
+    n_omega = len(cfg.domain["bounds"])
+    return build_mesh(_domain(cfg.domain, cross_section=True), cfg.mesh["nodes_per_axis"][:n_omega])
 
 
 def _build_potential(cfg: RunConfig, mesh: Mesh) -> Potential:
     """The configured potential, evaluated once on ``mesh`` so that a
     potential the mesh cannot carry is a config error."""
-    pot = cfg.physics["potential"]
+    pot = dict(cfg.physics["potential"])
     p = cfg.physics["p"]
-    kind = pot["kind"]
-    value = pot.get("value")
-    if value == "lambda1_omega":
-        value = rayleigh_min(
+    if pot.get("value") == "lambda1_omega":
+        pot["value"] = rayleigh_min(
             _omega_mesh(cfg), p, tol=1e-10, max_iter=3000, seed=cfg.solver["seed"],
             stall_window=120, stall_factor=0.95,
         ).value
     with _config_errors():
-        if kind == "zero":
-            V = Potential.zero()
-        elif kind == "quadratic_hardy":
-            V = Potential.quadratic_hardy(mesh.domain.dims)
-        elif kind == "hardy_p":
-            V = Potential.hardy(mesh.domain.dims, p)
-        elif kind == "cylindrical_hardy":
-            V = Potential.cylindrical_hardy(pot["k_axes"], p)
-        elif kind == "constant":
-            V = Potential.constant(value)
-        else:
+        if pot["kind"] == "tabulated":
             V = Potential.tabulated(evaluate_expression(pot["expr"], mesh))
+        else:
+            V = _potential(pot, p, mesh.domain.dims)
         evaluate_potential(V, mesh)
     return V
 
 
 @_config_errors()
 def _build_weight(cfg: RunConfig, mesh: Mesh) -> Weight:
-    wt = cfg.physics["weight"]
-    if wt["kind"] == "constant":
-        W = Weight.constant(wt["value"])
-    else:
-        W = Weight.cylinder_decay(wt["value"], wt.get("p", cfg.physics["p"]))
+    W = _weight(cfg.physics["weight"])
     evaluate_weight(W, mesh)
     return W
 
@@ -778,27 +728,9 @@ def _run_blowup(cfg: RunConfig, artifact: RunArtifact) -> None:
         z_nodes_per_unit=b["z_nodes_per_unit"],
         seed=b["seed"],
     )
-    for row in result.rows:
-        artifact.blowup_rows.append(
-            {
-                "k": row.k,
-                "q_partial_sum": row.q_partial_sum,
-                "dual_norm_partial": row.dual_norm_partial,
-                "gradient_energy": row.gradient_energy,
-                "harmonic_number": row.harmonic_number,
-                "energy_ratio": row.energy_ratio,
-            }
-        )
-    artifact.blowup_rows.append(
-        {
-            "k": -1,
-            "q_partial_sum": 0.0,
-            "dual_norm_partial": 0.0,
-            "gradient_energy": result.fitted_constant,
-            "harmonic_number": 1.0,
-            "energy_ratio": result.fitted_constant,
-        }
-    )
+    # a last row k = -1 carries the fitted constant of the harmonic growth
+    fitted = BlowupRow(-1, 0.0, 0.0, result.fitted_constant, 1.0, result.fitted_constant)
+    artifact.blowup_rows = [asdict(row) for row in [*result.rows, fitted]]
 
 
 def run(config: RunConfig, override_admissibility: bool = False) -> RunArtifact:
@@ -898,24 +830,7 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
     if artifact.solve_report is not None:
         rep = artifact.solve_report
         path = run_dir / "solve_stages.csv"
-        _write_csv(
-            path,
-            [
-                "eps", "phi_value", "phi_start", "q_v_value", "y_norm_value",
-                "sobolev_norm_value", "residual", "iterations",
-                "linesearch_failures", "cauchy_vs_prev", "dual_quotient",
-                "phi_increase_max",
-            ],
-            [
-                [
-                    s.eps, s.phi_value, s.phi_start, s.q_v_value, s.y_norm_value,
-                    s.sobolev_norm_value, s.residual, s.iterations,
-                    s.linesearch_failures, s.cauchy_vs_prev, s.dual_quotient,
-                    s.phi_increase_max,
-                ]
-                for s in rep.stages
-            ],
-        )
+        _write_csv(path, [f.name for f in fields(StageRecord)], [astuple(s) for s in rep.stages])
         written.append(path)
         summary["solve"] = {
             "terminal_residual": rep.terminal_residual,
@@ -954,7 +869,7 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
 
     if artifact.blowup_rows:
         path = run_dir / "blowup.csv"
-        header = ["k", "q_partial_sum", "dual_norm_partial", "gradient_energy", "harmonic_number", "energy_ratio"]
+        header = [f.name for f in fields(BlowupRow)]
         _write_csv(path, header, [[row[k] for k in header] for row in artifact.blowup_rows])
         written.append(path)
 
@@ -1080,13 +995,7 @@ def main(argv=None) -> int:
         print(f"[{cfg.subcommand}] {run_dir} {status}")
         return artifact.exit_code
 
-    if len(configs) == 1:
-        return execute(configs[0])
-    # one profiled run at a time, so each profile holds only its own run
-    workers = 1 if args.profile else min(4, len(configs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(execute, configs))
-    return max(codes)
+    return max([execute(cfg) for cfg in configs])
 
 
 if __name__ == "__main__":

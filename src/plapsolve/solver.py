@@ -139,15 +139,14 @@ def minimize_phi(
     params: EnergyParams,
     tol: float = 1e-8,
     max_iter: int = 500,
-    preconditioner: Preconditioner | None = None,
-    stall_window: int = 60,
-    stall_factor: float = 0.85,
 ) -> MinimizeResult:
     """Descend the regularized objective to a near-stationary point.
 
     Stops when the quadrature-weighted l2 norm of the nodal first variation
     drops below ``tol`` (with the smoothing radius already at its floor), or
-    at ``max_iter``.  The objective never increases across accepted steps.
+    at ``max_iter``, or, with the smoothing radius at its floor, once the
+    residual stays above 0.85 times its value 60 iterations earlier.  The
+    objective never increases across accepted steps.
     The smoothing radius follows ``max(delta_min, delta0 * 2**-k)`` with
     ``delta_min = 1e-8 * field scale``; a zero ``params.delta`` disables
     smoothing entirely.
@@ -161,18 +160,15 @@ def minimize_phi(
         raise ValueError("forcing term lives on a different mesh")
     v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
     shift = max(params.eps, 1e-10)
-    manage_pre = preconditioner is None
-    if preconditioner is not None:
-        pre = preconditioner
-    elif params.p == 2.0:
+    if params.p == 2.0:
         # the Hessian is u-independent at p = 2; with the potential folded in
         # the preconditioned step is an exact Newton step
         mass_coeff = None if v_vals is None else -(1.0 - params.eps) * v_vals
         pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift, mass_coeff=mass_coeff)
-        manage_pre = False
     else:
         pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift)
     pre_refresh = 5
+    stall_window, stall_factor = 60, 0.85
     w = mesh.weights
 
     scale = max(1.0, float(np.max(np.abs(start.values))) if start.values.size else 1.0)
@@ -215,7 +211,7 @@ def minimize_phi(
             and res > stall_factor * res_window[-stall_window - 1]
         ):
             break
-        if manage_pre and k % pre_refresh == 0:
+        if params.p != 2.0 and k % pre_refresh == 0:
             pre = Preconditioner(
                 mesh,
                 rtol=NEWTON_RTOL,
@@ -297,7 +293,6 @@ def continuation_solve(
     max_iter: int = 800,
     seed: int = 0,
     dual_budget: int = 200,
-    bound_slack: float = 1e-3,
 ) -> SolveReport:
     """Drive the regularization parameter down a geometric schedule.
 
@@ -307,7 +302,7 @@ def continuation_solve(
     Cauchy diagnostic against the previous stage.  The dual-norm estimate is
     computed up front (continuation refuses to start when it is not finite)
     and is raised by any stage whose quotient ``<f,u>/q_v(u)**(1/p)`` exceeds
-    it; a stage energy above ``D**(p/(p-1)) * (1 + bound_slack)`` aborts.
+    it; a stage energy above ``D**(p/(p-1)) * (1 + 1e-3)`` aborts.
     """
     mesh = f.mesh
     t0 = time.perf_counter()
@@ -338,7 +333,7 @@ def continuation_solve(
             )
         quotient = pairing / qv ** (1.0 / p) if qv > 0.0 else 0.0
         estimate = max(estimate, quotient)
-        if qv > estimate**pc * (1.0 + bound_slack) + tol:
+        if qv > estimate**pc * (1.0 + 1e-3) + tol:
             raise ContinuationBoundError(
                 f"stage eps={eps_n:.3e}: q_v={qv:.6e} exceeds the dual-norm bound "
                 f"{estimate**pc:.6e}; discretization inconsistency or failed positivity"

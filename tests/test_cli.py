@@ -31,6 +31,71 @@ SMALL_SOLVE = {
     "solver": {"eps0": 0.5, "ratio": 0.25, "steps": 4, "tol": 1e-9},
 }
 
+_CUBE = {"kind": "box", "bounds": [[-1.0, 1.0]] * 3}
+_PUNCTURED = {**_CUBE, "kind": "punctured_box", "puncture_radius": 0.1}
+_NODES3 = {"mesh.nodes_per_axis": [5, 5, 5]}
+_STRIP = {"kind": "strip", "bounds": [[0.0, 1.0]], "m_axes": 1, "truncation_length": 2.0}
+
+
+def _with(cfg: dict, updates: dict) -> dict:
+    """Deep copy of ``cfg`` with each dotted path in ``updates`` set."""
+    out = json.loads(json.dumps(cfg))
+    for path, value in updates.items():
+        *parents, key = path.split(".")
+        node = out
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[key] = value
+    return out
+
+
+# (id, updates to SMALL_SOLVE, section the message starts with, constraint it names)
+REFUSED = [
+    ("bounds_order", {"domain.bounds": [[1.0, 0.0]]}, "domain:", "lo < hi"),
+    ("m_axes", {"domain": {**_STRIP, "m_axes": 0}, "mesh.nodes_per_axis": [5]}, "domain:", "unbounded axis"),
+    ("truncation_length", {"domain": {**_STRIP, "truncation_length": -1.0}}, "domain:", "truncation length"),
+    ("puncture_radius_negative", {"domain": {**_PUNCTURED, "puncture_radius": -0.1}, **_NODES3},
+     "domain:", "nonnegative"),
+    ("puncture_reaches_boundary", {"domain": {**_PUNCTURED, "puncture_radius": 1.0}, **_NODES3},
+     "domain:", "smaller than the distance"),
+    ("puncture_outside_box", {"domain": {**_PUNCTURED, "bounds": [[0.5, 1.0]] * 3}, **_NODES3},
+     "domain:", "contain the origin"),
+    ("node_count", {"mesh.nodes_per_axis": [2]}, "mesh:", "at least 3 nodes"),
+    ("node_axes", {"mesh.nodes_per_axis": [5, 5]}, "mesh:", "expected 1 node counts"),
+    ("cap_negative", {"mesh.singular_cap_radius": -0.1}, "mesh:", "nonnegative"),
+    ("cap_too_wide", {"mesh.singular_cap_radius": 0.5}, "mesh:", "below half the smallest extent"),
+    ("singular_axis_negative", {"mesh.singular_axes": [-1]}, "mesh:", "out of range"),
+    ("singular_axis_beyond", {"mesh.singular_axes": [1]}, "mesh:", "out of range"),
+    ("p_at_one", {"physics.p": 1.0}, "physics:", "p must exceed 1"),
+    ("q_at_one", {"physics.q": 1.0}, "physics:", "q must exceed 1"),
+    ("q_above_p", {"physics.q": 2.5}, "physics:", "q must not exceed p"),
+    ("q_below_p_minus_one", {"physics.p": 3.0, "physics.q": 1.5}, "physics:", "q must exceed p - 1"),
+    ("potential_kind", {"physics.potential": {"kind": "coulomb"}}, "physics.potential:", "unknown potential kind"),
+    ("potential_negative", {"physics.potential": {"kind": "constant", "value": -1.0}},
+     "physics.potential:", "nonnegative"),
+    ("k_axes_not_above_p", {"physics.potential": {"kind": "cylindrical_hardy", "k_axes": 2}},
+     "physics.potential:", "k > p"),
+    ("hardy_p_below_n", {"physics.potential": {"kind": "hardy_p"}}, "physics.potential:", "p < N"),
+    ("quadratic_hardy_below_three", {"physics.potential": {"kind": "quadratic_hardy"}},
+     "physics.potential:", "N >= 3"),
+    ("weight_kind", {"physics.weight": {"kind": "gaussian", "value": 1.0}}, "physics.weight:", "unknown weight kind"),
+    ("weight_value", {"physics.weight.value": 0.0}, "physics.weight:", "strictly positive"),
+    ("eps0", {"solver.eps0": 1.0}, "solver:", "eps0"),
+    ("ratio", {"solver.ratio": 0.0}, "solver:", "ratio"),
+    ("steps", {"solver.steps": 0}, "solver:", "steps"),
+    ("puncture_radius_on_box", {"domain": {**_CUBE, "puncture_radius": 0.1}, **_NODES3},
+     "domain.puncture_radius:", "punctured_box"),
+]
+
+# refused at run time (exit 1 after the run starts) before the constructors validated the config
+FORMERLY_AT_RUN_TIME = [
+    "puncture_reaches_boundary",
+    "puncture_outside_box",
+    "cap_too_wide",
+    "singular_axis_beyond",
+    "quadratic_hardy_below_three",
+]
+
 
 class TestParseConfig:
     def test_minimal_defaults_filled(self):
@@ -51,14 +116,14 @@ class TestParseConfig:
         bad["physics"]["p"] = 0.5
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad))
-        assert any("physics.p: must exceed 1" in e for e in err.value.errors)
+        assert any(e.startswith("physics: p must exceed 1") for e in err.value.errors)
 
     def test_hardy_dimension_constraint(self):
         bad = json.loads(json.dumps(SMALL_SOLVE))
         bad["physics"]["potential"] = {"kind": "hardy_p"}
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad))
-        assert any("1 < p < N" in e for e in err.value.errors)
+        assert any(e.startswith("physics.potential:") and "p < N" in e for e in err.value.errors)
 
     def test_unknown_keys_are_errors(self):
         bad = json.loads(json.dumps(SMALL_SOLVE))
@@ -78,6 +143,23 @@ class TestParseConfig:
     def test_certify_needs_no_domain(self):
         cfg = parse_config(json.dumps({"subcommand": "certify"}))
         assert cfg.domain is None
+
+    @pytest.mark.parametrize(
+        "updates, section, constraint", [case[1:] for case in REFUSED], ids=[case[0] for case in REFUSED]
+    )
+    def test_constructor_refusal_names_section(self, updates, section, constraint):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(_with(SMALL_SOLVE, updates)))
+        assert any(e.startswith(section) and constraint in e for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize("case", FORMERLY_AT_RUN_TIME)
+    def test_refused_before_any_run(self, tmp_path, capsys, case):
+        updates = next(c[1] for c in REFUSED if c[0] == case)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_with(SMALL_SOLVE, updates)))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_q_constraints(self):
         bad = json.loads(json.dumps(SMALL_SOLVE))
@@ -272,6 +354,25 @@ class TestMain:
         assert code == 0
         run_dirs = [p for p in tmp_path.iterdir() if p.is_dir() and p.name.startswith("run_")]
         assert len(run_dirs) == 2
+
+    def test_sweep_runs_in_order_like_single_runs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_SOLVE))
+        values = [0.5, 0.3, 0.4]
+        sweep = ["--sweep", "solver.eps0=" + ",".join(map(str, values))]
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"), *sweep]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line, eps0 in zip(lines, values, strict=True):
+            alone = tmp_path / f"alone_{eps0}"
+            cfg_path.write_text(json.dumps(_with(SMALL_SOLVE, {"solver.eps0": eps0})))
+            assert main(["solve", "--config", str(cfg_path), "--out", str(alone)]) == 0
+            (single,) = alone.iterdir()
+            swept = tmp_path / "sweep" / single.name
+            assert line == f"[solve] {swept} ok"
+            assert sorted(f.name for f in swept.iterdir()) == sorted(f.name for f in single.iterdir())
+            for f in single.iterdir():
+                if f.name != "summary.json":  # carries wall time and timestamp
+                    assert f.read_bytes() == (swept / f.name).read_bytes(), f.name
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
