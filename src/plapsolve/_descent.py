@@ -26,20 +26,25 @@ def conjugate_gradient(
     b: np.ndarray,
     maxiter: int,
     rel_tol: float,
-) -> np.ndarray:
-    """Plain CG from a zero start; deterministic for fixed inputs."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Plain CG from a zero start; deterministic for fixed inputs.
+
+    Returns the iterate and ``None``, or, when a search direction ``p`` has
+    ``p . A p <= 0``, the iterate before it and ``p``: a witness that ``A``
+    is not positive definite.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     b2 = float(b @ b)
     if b2 == 0.0:
-        return x
+        return x, None
     for _ in range(maxiter):
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            break
+            return x, p
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -48,7 +53,7 @@ def conjugate_gradient(
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    return x, None
 
 
 class Preconditioner:
@@ -85,7 +90,7 @@ class Preconditioner:
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]
         d = np.zeros(self.mesh.n_nodes)
-        d[self.free] = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol)
+        d[self.free], _ = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol)
         return d
 
 

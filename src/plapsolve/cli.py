@@ -468,6 +468,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"certify.checks: unknown check {check!r}")
     if blowup["n_terms"] < 3:
         errors.append("blowup.n_terms: need at least 3 bumps")
+    if sub == "blowup" and domain is not None and domain["kind"] != "strip":
+        errors.append(f"blowup: needs a strip domain, got {domain['kind']!r}")
     if output["field_format"] not in ("bin", "csv"):
         errors.append(f"output.field_format: must be 'bin' or 'csv', got {output['field_format']!r}")
     if physics["potential"].get("value") == "lambda1_omega" and domain is not None and domain["kind"] != "strip":
@@ -641,6 +643,7 @@ def _run_eigen(cfg: RunConfig, artifact: RunArtifact) -> None:
                     "lambda": lam,
                     "lambda_omega": lam_omega,
                     "tensor_quotient": record.details["tensor_quotients"][L],
+                    "method": record.details["method"],
                 }
             )
         if record.verdict == "violation":
@@ -656,6 +659,7 @@ def _run_eigen(cfg: RunConfig, artifact: RunArtifact) -> None:
             "lambda": result.value,
             "iterations": result.iterations,
             "residual": result.residual,
+            "method": result.method,
         }
     )
 
@@ -680,10 +684,10 @@ def _run_certify(cfg: RunConfig, artifact: RunArtifact) -> None:
                 ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
                 puncture_radius=0.05,
             )
-            mesh = build_mesh(dom, [33, 33, 33])
+            # no name keeps the mesh and its cached operators alive in later checks
             records.append(
                 hardy_check(
-                    mesh, 3, 2.0,
+                    build_mesh(dom, [33, 33, 33]), 3, 2.0,
                     samples=c["samples"], seed=seed,
                     constant_scale=scale, tolerance=c["tolerance"],
                 )

@@ -307,8 +307,10 @@ def admissibility_report(
     proxy = integrate(v_vals ** r, mesh)
 
     params = _energy.EnergyParams(p=p, q=q)
-    candidates = list(bump_family(mesh, samples, seed))
+    # the eigensolve runs before the bumps exist, so their memory and its
+    # working set are not held at once
     eig = _spectra.rayleigh_min(mesh, p, tol=1e-7, max_iter=400, seed=seed)
+    candidates = list(bump_family(mesh, samples, seed))
     candidates.append(eig.minimizer)
 
     worst = np.inf

@@ -165,8 +165,7 @@ def minimize_phi(
         # the preconditioned step is an exact Newton step
         mass_coeff = None if v_vals is None else -(1.0 - params.eps) * v_vals
         pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift, mass_coeff=mass_coeff)
-    else:
-        pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift)
+    # at p != 2 the loop builds the lagged preconditioner at k = 0
     pre_refresh = 5
     stall_window, stall_factor = 60, 0.85
     w = mesh.weights

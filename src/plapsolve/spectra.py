@@ -42,13 +42,16 @@ class EigenResult:
     """Rayleigh-quotient upper bound of the first Dirichlet eigenvalue.
 
     ``value`` equals the p-Dirichlet energy of ``minimizer``, which is
-    normalized to unit p-mass.
+    normalized to unit p-mass.  ``method`` is ``"lobpcg"`` when the value is
+    the exact discrete eigenvalue (p = 2) and ``"descent"`` when it is an
+    estimate.
     """
 
     value: float
     minimizer: DiscreteFunction
     iterations: int
     residual: float
+    method: str
 
 
 @dataclass
@@ -84,6 +87,45 @@ class CertificationRecord:
         )
 
 
+def _method(p: float) -> str:
+    """How the eigenvalues at exponent p are computed: ``"lobpcg"`` is the
+    exact discrete value, ``"descent"`` an upper estimate."""
+    return "lobpcg" if p == 2.0 else "descent"
+
+
+def _lobpcg_step(K, mass: np.ndarray, x: np.ndarray, w: np.ndarray,
+                 previous: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One block-size-1 LOBPCG step (Knyazev, SIAM J. Sci. Comput. 23, 2001).
+
+    ``x`` has unit ``mass``-norm, ``w`` is the preconditioned residual and
+    ``previous`` the last direction.  Both are orthonormalized against the
+    basis in the ``mass`` inner product, twice, and dropped when nearly
+    dependent (the stable basis of Hetmaniuk & Lehoucq, J. Comput. Phys.
+    218, 2006); Rayleigh-Ritz on the basis gives the new iterate and the new
+    direction, its part outside ``x``.
+    """
+    basis = [x]
+    for v in (w, previous):
+        if v is None:
+            continue
+        size = np.sqrt(v @ (mass * v))
+        for _ in range(2):
+            for b in basis:
+                v = v - (b @ (mass * v)) * b
+        norm = np.sqrt(v @ (mass * v))
+        if norm > 1e-10 * size:
+            basis.append(v / norm)
+    # one vector at a time: an (n, 3) block raises the peak RSS on large meshes
+    K_basis = [K @ b for b in basis]
+    A = np.array([[b @ kb for kb in K_basis] for b in basis])
+    _, vecs = np.linalg.eigh(0.5 * (A + A.T))
+    c = vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0]
+    direction = np.zeros_like(x)
+    for ci, b in zip(c[1:], basis[1:]):
+        direction += ci * b
+    return c[0] * x + direction, direction
+
+
 def _quotient_descent(
     mesh: Mesh,
     p: float,
@@ -95,10 +137,15 @@ def _quotient_descent(
     stall_factor: float = 0.5,
     start_values: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int, float]:
-    """Projected descent on ``int |grad u|^p / int w |u|^p``.
+    """Minimize ``int |grad u|^p / int w |u|^p`` from a seeded or given start.
 
-    Renormalizes the weighted p-mass to one after every accepted step; the
-    quotient never increases.  Returns (value, values, iterations, residual).
+    At p = 2 the quotient is a generalized Rayleigh quotient and each
+    iteration is an LOBPCG step (:func:`_lobpcg_step`), so the value is the
+    exact smallest discrete eigenvalue up to ``tol``.  Otherwise it runs a
+    projected descent that renormalizes the weighted p-mass to one after
+    every accepted step; the quotient never increases.  Both stop on the same
+    residual of the quotient's first variation.  Returns (value, values,
+    iterations, residual).
     """
     w_mass = np.ones(mesh.n_nodes) if mass_weight is None else mass_weight
     pre = Preconditioner(mesh, rtol=METRIC_RTOL)
@@ -139,6 +186,10 @@ def _quotient_descent(
     u = u / masses(u) ** (1.0 / p)
     g, s = _grad_square(mesh, u)
     lam = integrate(s ** (p / 2.0), mesh)  # the p-mass is one here
+    if p == 2.0:
+        stiffness = mesh.energy_stiffness()
+        mass = np.where(free, mesh.weights * w_mass, 0.0)
+        direction = None
     step = 1.0
     iterations = 0
     res = np.inf
@@ -157,6 +208,12 @@ def _quotient_descent(
         res_window.append(res)
         if len(res_window) > stall_window and res > stall_factor * res_window[-stall_window - 1]:
             break
+        if p == 2.0:
+            u, direction = _lobpcg_step(stiffness, mass, u, pre.apply(gq), direction)
+            u = u / masses(u) ** 0.5
+            g, s = _grad_square(mesh, u)
+            lam = quotient_of(u, s)
+            continue
         # the energy gradient carries a factor p; removing it makes a unit
         # step the natural preconditioned-inverse-iteration step
         d = -pre.apply(gq) / p
@@ -190,12 +247,15 @@ def rayleigh_min(
     extra_starts=(),
 ) -> EigenResult:
     """Upper bound of the first Dirichlet p-Laplacian eigenvalue
-    ``inf { int |grad u|^p : int |u|^p = 1 }`` by projected descent.
+    ``inf { int |grad u|^p : int |u|^p = 1 }``: the exact discrete value at
+    p = 2 (LOBPCG), a projected-descent estimate otherwise.
 
-    Runs two descents from seeds ``seed`` and ``seed+1`` plus one per
-    entry of ``extra_starts`` (candidate functions to polish), and keeps the
-    smallest quotient; warns when the seeded starts disagree beyond
-    ``10 * tol``, which hints at a nonconvex discrete landscape for p != 2.
+    Runs two solves from seeds ``seed`` and ``seed+1`` plus one per entry of
+    ``extra_starts`` (candidate functions to polish), and keeps the smallest
+    quotient; warns when the seeded starts disagree beyond ``10 * tol``,
+    which hints at a nonconvex discrete landscape for p != 2.  At p = 2 both
+    seeded solves are exact, so the warning would mean one of them missed
+    the tolerance.
     """
     if not np.any(mesh.free_mask):
         raise ValueError("mesh has no interior nodes")
@@ -230,6 +290,7 @@ def rayleigh_min(
         minimizer=DiscreteFunction(mesh, u),
         iterations=total_iters,
         residual=float(res),
+        method=_method(p),
     )
 
 
@@ -321,6 +382,7 @@ def cylinder_eigen_check(
         tol,
         details={
             "p": p,
+            "method": _method(p),
             "lambda_omega": lam_omega,
             "lambda_strip": strip_values,
             "tensor_quotients": tensor_quotients,
@@ -393,6 +455,7 @@ def poincare_remainder_check(
             "m_axes": m_axes,
             "constant": constant,
             "lambda_omega": lam_omega,
+            "method": _method(p),
             "normalized": True,
         },
     )
@@ -510,9 +573,13 @@ def hardy_check(
     mesh: the p-Dirichlet energy of sampled interior bumps dominates
     ``((N-p)/p)**p`` times the critically weighted p-mass.
 
-    When ``probe`` is set, two projected descents on the weighted quotient
-    (600 iterations, residual tolerance 1e-6) search for the discrete infimum; it is reported, not asserted, since
-    the critical constant is approached only in the refinement limit.
+    When ``probe`` is set, two solves of the weighted quotient from seeds
+    ``seed`` and ``seed+1`` (600 iterations, residual tolerance 1e-6) search
+    for the discrete infimum; it is reported, not asserted, since the
+    critical constant is approached only in the refinement limit.  At p = 2
+    both are exact LOBPCG solves (``method`` ``"lobpcg"``), so
+    ``probe_spread`` measures the agreement of two exact solves; otherwise
+    (``"descent"``) it hints at the spread of the descent's basins.
     """
     if mesh.domain.dims != n_dims:
         raise ValueError(f"mesh has {mesh.domain.dims} axes, expected N={n_dims}")
@@ -546,6 +613,7 @@ def hardy_check(
             vals.append(lam)
         details["probe_infimum"] = float(min(vals))
         details["probe_spread"] = float(max(vals) - min(vals))
+        details["method"] = _method(p)
     return CertificationRecord.from_margins(
         "hardy_critical_constant",
         margins,

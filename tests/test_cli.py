@@ -85,6 +85,7 @@ REFUSED = [
     ("steps", {"solver.steps": 0}, "solver:", "steps"),
     ("puncture_radius_on_box", {"domain": {**_CUBE, "puncture_radius": 0.1}, **_NODES3},
      "domain.puncture_radius:", "punctured_box"),
+    ("blowup_off_strip", {"subcommand": "blowup"}, "blowup:", "strip domain"),
 ]
 
 # refused at run time (exit 1 after the run starts) before the constructors validated the config
@@ -308,6 +309,13 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "ok" in out
+
+    def test_blowup_off_strip_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_SOLVE))
+        assert main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: blowup: needs a strip domain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_config_error_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import plapsolve
-from plapsolve._descent import METRIC_RTOL, NEWTON_RTOL, Preconditioner, lagged_coefficient
+from plapsolve._descent import METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, lagged_coefficient
 from plapsolve.energy import _grad_square
 from plapsolve.grid import build_mesh, punctured_box, strip
 
@@ -65,6 +66,16 @@ def test_applies_are_deterministic(mesh, lagged):
     assert np.array_equal(first, Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g))
 
 
+def test_conjugate_gradient_returns_a_negative_curvature_witness():
+    A = sp.diags([2.0, 1.0, -4.0]).tocsr()
+    b = np.ones(3)
+    _, witness = conjugate_gradient(A, b, 10, 1e-12)
+    assert witness is not None and float(witness @ (A @ witness)) <= 0.0
+    x, witness = conjugate_gradient(abs(A), b, 10, 1e-12)
+    assert witness is None
+    assert np.allclose(abs(A) @ x, b, rtol=1e-12)
+
+
 def test_metric_paths_import_no_factorization():
     # importing scipy.sparse.linalg alone raises peak RSS by about 8 MB
     code = """
@@ -74,7 +85,9 @@ import plapsolve.cli
 from plapsolve import EnergyParams, ForcingTerm, Potential, build_mesh, dual_norm, interval, rayleigh_min
 mesh = build_mesh(interval(0.0, 1.0), [41])
 rayleigh_min(mesh, 2.5, tol=1e-6, max_iter=50)
+rayleigh_min(mesh, 2.0, tol=1e-6, max_iter=50)
 f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+dual_norm(f, Potential.zero(), EnergyParams(p=2.5), budget=5)
 dual_norm(f, Potential.zero(), EnergyParams(p=2.0), budget=5)
 print(sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
 """

@@ -352,10 +352,31 @@ class TestDualNorm:
         assert vals[1] <= vals[2] + 1e-15
 
     def test_signals_indefiniteness(self, mesh201):
-        # constant potential far above the first eigenvalue breaks positivity
+        # constant potential far above the first eigenvalue breaks positivity;
+        # at p = 2 the conjugate-gradient solve meets the negative curvature
         f = ForcingTerm.manufactured(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
-        with pytest.raises(IndefiniteEnergyError):
+        with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
             dual_norm(f, Potential.constant(50.0), EnergyParams(p=2.0), budget=50, seed=0)
+
+    def test_quadratic_oracle_with_potential(self):
+        # at p = 2 the supremum is sqrt(r . (A - diag(w V))^-1 r) on the
+        # interior nodes; a potential at 60 % of the first eigenvalue keeps
+        # the form positive but far from the laplacian alone
+        n = 61
+        x, h, w, A = wide_system_1d(n)
+        v = 0.6 * np.pi**2 * (1.0 + 0.5 * np.cos(3 * x)) / 1.5
+        fvals = np.exp(x) * (1 - x) + 0.3 * np.sin(5 * np.pi * x)
+        fvals[0] = fvals[-1] = 0.0
+        inner = slice(1, n - 1)
+        K = (A - np.diag(w * v))[inner, inner]
+        r = (w * fvals)[inner]
+        oracle = float(np.sqrt(r @ np.linalg.solve(K, r)))
+
+        mesh = build_mesh(interval(0.0, 1.0), [n])
+        f = ForcingTerm.density(mesh, fvals)
+        est = dual_norm(f, Potential.tabulated(v), EnergyParams(p=2.0))
+        assert est == pytest.approx(oracle, rel=1e-10)
+        assert est <= oracle * (1 + 1e-12)  # attained by a point, so a lower bound
 
     def test_pairing_bound(self, mesh201, p2):
         # <f, u> <= D q_v(u)^(1/p) for external samples once the ascent

@@ -24,6 +24,7 @@ from plapsolve import (
     rayleigh_min,
     strip,
 )
+from plapsolve.spectra import _quotient_descent
 
 
 def compact_tridiagonal_lambda1(n):
@@ -80,6 +81,61 @@ class TestRayleighMin:
             rayleigh_min(mesh, 2.0)
 
 
+def dense_lambda1(mesh, mass_weight=None):
+    """Smallest eigenvalue of the pencil (stiffness, diag(weights * mass_weight))
+    on the free nodes, by a dense symmetric eigensolve."""
+    free = mesh.free_mask
+    K = mesh.energy_stiffness().toarray()[np.ix_(free, free)]
+    m = mesh.weights[free] * (1.0 if mass_weight is None else mass_weight[free])
+    scale = 1.0 / np.sqrt(m)
+    return float(np.linalg.eigh(scale[:, None] * K * scale[None, :])[0][0])
+
+
+def hardy_weight(mesh):
+    active = ~mesh.excluded_mask
+    w = np.zeros(mesh.n_nodes)
+    w[active] = np.linalg.norm(mesh.points[active], axis=1) ** -2.0
+    return w
+
+
+class TestExactQuadratic:
+    """At p = 2 the quotient is a generalized Rayleigh quotient, and the LOBPCG
+    branch returns the smallest discrete eigenvalue."""
+
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            build_mesh(interval(0.0, 1.0), [41]),
+            build_mesh(box((0.0, 1.0), (0.0, 1.0)), [13, 13]),
+        ],
+        ids=["interval_41", "box_13x13"],
+    )
+    def test_rayleigh_min_is_the_dense_eigenvalue(self, mesh):
+        result = rayleigh_min(mesh, 2.0, tol=1e-9, seed=0)
+        assert result.value == pytest.approx(dense_lambda1(mesh), rel=1e-10)
+        assert result.residual <= 1e-9 * result.value
+        assert result.method == "lobpcg"
+
+    def test_hardy_weighted_pencil(self):
+        mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9])
+        w = hardy_weight(mesh)
+        lam, u, _, res = _quotient_descent(mesh, 2.0, mass_weight=w, tol=1e-9)
+        assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
+        assert res <= 1e-9
+        assert integrate(w * u**2, mesh) == pytest.approx(1.0, rel=1e-12)
+
+    def test_hardy_probe_records_the_exact_method(self):
+        mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.15), [11, 11, 11])
+        record = hardy_check(mesh, 3, 2.0, samples=5, seed=0)
+        assert record.details["method"] == "lobpcg"
+        assert record.details["probe_infimum"] == pytest.approx(dense_lambda1(mesh, hardy_weight(mesh)), rel=1e-10)
+        assert record.details["probe_spread"] <= 1e-10
+
+    def test_descent_method_away_from_two(self):
+        mesh = build_mesh(interval(0.0, 1.0), [41])
+        assert rayleigh_min(mesh, 2.5, tol=1e-6, max_iter=50).method == "descent"
+
+
 class TestCylinderEigen:
     def test_record_structure(self):
         omega = build_mesh(interval(0.0, 1.0), [17])
@@ -90,6 +146,7 @@ class TestCylinderEigen:
         assert strips[2.0] >= lam_omega - 1e-6
         assert strips[4.0] >= lam_omega - 1e-6
         assert strips[4.0] <= strips[2.0] + 1e-6
+        assert record.details["method"] == "lobpcg"
 
     def test_lengths_must_increase(self):
         omega = build_mesh(interval(0.0, 1.0), [17])
@@ -115,6 +172,7 @@ class TestPoincareRemainder:
         record = poincare_remainder_check(omega, 2, 1.5, 1.5, samples=10, seed=0, z_nodes=17)
         assert record.details["constant"] == pytest.approx(2 ** (-0.25) * (1 / 3) ** 1.5)
         assert record.verdict == "no_violation"
+        assert record.details["method"] == "descent"
 
     def test_far_support_margin_positive(self):
         # a bump far along the unbounded axis sees a vanishing weight, so the
