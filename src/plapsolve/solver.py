@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._descent import NEWTON_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient, mass_curvature
+from ._descent import (
+    METRIC_RTOL,
+    NEWTON_RTOL,
+    Preconditioner,
+    armijo_backtrack,
+    lagged_coefficient,
+    mass_curvature,
+)
 from .energy import (
     EnergyParams,
     ForcingTerm,
@@ -142,6 +149,14 @@ def minimize_phi(
 ) -> MinimizeResult:
     """Descend the regularized objective to a near-stationary point.
 
+    Each direction is the gradient mapped through a :class:`Preconditioner`.
+    At p = 2 it is the exact Hessian with the potential folded in, solved to
+    ``NEWTON_RTOL``, so a unit step is a Newton step.  Otherwise it is the
+    lagged metric ``max(1, p-1) |grad u|^(p-2)`` plus the mass curvature,
+    rebuilt every 5 steps and solved to ``METRIC_RTOL``; it majorizes the
+    curvature of the flux, so a unit step is its natural step too.  The
+    Armijo search starts from twice the last accepted step, capped at 1.
+
     Stops when the quadrature-weighted l2 norm of the nodal first variation
     drops below ``tol`` (with the smoothing radius already at its floor), or
     at ``max_iter``, or, with the smoothing radius at its floor, once the
@@ -185,6 +200,7 @@ def minimize_phi(
     converged = False
     delta = delta0
     res_window: list[float] = []
+    accepted = None  # (g, s) of the last point the line search evaluated
 
     for k in range(max_iter):
         iterations = k + 1
@@ -213,7 +229,7 @@ def minimize_phi(
         if params.p != 2.0 and k % pre_refresh == 0:
             pre = Preconditioner(
                 mesh,
-                rtol=NEWTON_RTOL,
+                rtol=METRIC_RTOL,
                 shift=shift,
                 coeff=lagged_coefficient(gs[1], params.p),
                 mass_coeff=mass_curvature(u, params.p, params.eps),
@@ -225,7 +241,12 @@ def minimize_phi(
         if not preconditioned:
             d = -g
             slope = -float(integrate(g * g, mesh))
-        objective = lambda vals: _phi_arrays(mesh, vals, v_vals, f, params_k)
+
+        def objective(vals):
+            nonlocal accepted
+            accepted = _grad_square(mesh, vals)
+            return _phi_arrays(mesh, vals, v_vals, f, params_k, accepted)
+
         noise = 32.0 * np.finfo(float).eps * (1.0 + abs(phi_u))
         taken, u_new, phi_new = armijo_backtrack(
             objective, u, d, phi_u, slope, init_step=step, noise=noise
@@ -247,9 +268,9 @@ def minimize_phi(
             )
             break
         increase_max = max(increase_max, phi_new - phi_u)
-        step = min(max(taken * 2.0, 1e-10), 4.0)
+        step = min(max(taken * 2.0, 1e-10), 1.0)
         u = u_new
-        gs = _grad_square(mesh, u)
+        gs = accepted
 
     params_final = params.with_delta(delta_floor if delta0 != 0.0 else 0.0)
     g_final = _phi_gradient_arrays(mesh, u, v_vals, f, params_final, gs)

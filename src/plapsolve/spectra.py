@@ -148,7 +148,11 @@ def _quotient_descent(
     iterations, residual).
     """
     w_mass = np.ones(mesh.n_nodes) if mass_weight is None else mass_weight
-    pre = Preconditioner(mesh, rtol=METRIC_RTOL)
+    # built before the start vector, whose gradient would raise the peak
+    # memory of the build on large meshes; at p != 2 the loop builds the
+    # lagged preconditioner at k = 0
+    if p == 2.0:
+        pre = Preconditioner(mesh, rtol=METRIC_RTOL)
     pre_refresh = 12
     free = mesh.free_mask
 

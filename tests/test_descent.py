@@ -82,13 +82,17 @@ def test_metric_paths_import_no_factorization():
 import sys
 import numpy as np
 import plapsolve.cli
-from plapsolve import EnergyParams, ForcingTerm, Potential, build_mesh, dual_norm, interval, rayleigh_min
+from plapsolve import (
+    DiscreteFunction, EnergyParams, ForcingTerm, Potential, build_mesh, dual_norm, interval, minimize_phi,
+    rayleigh_min,
+)
 mesh = build_mesh(interval(0.0, 1.0), [41])
 rayleigh_min(mesh, 2.5, tol=1e-6, max_iter=50)
 rayleigh_min(mesh, 2.0, tol=1e-6, max_iter=50)
 f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
 dual_norm(f, Potential.zero(), EnergyParams(p=2.5), budget=5)
 dual_norm(f, Potential.zero(), EnergyParams(p=2.0), budget=5)
+minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, EnergyParams(p=2.5, eps=0.3, delta=1e-4), max_iter=50)
 print(sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
 """
     src = str(Path(plapsolve.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import plapsolve.solver
 from plapsolve import (
     ContinuationBoundError,
     DiscreteFunction,
@@ -12,6 +13,7 @@ from plapsolve import (
     IndefiniteEnergyError,
     Potential,
     Weight,
+    box,
     build_mesh,
     continuation_solve,
     integrate,
@@ -20,6 +22,7 @@ from plapsolve import (
     punctured_box,
     q_v,
 )
+from plapsolve._descent import METRIC_RTOL, NEWTON_RTOL
 from oracles import wide_system_1d
 
 
@@ -127,6 +130,64 @@ class TestMinimizePhi:
                 DiscreteFunction.zeros(mesh), Potential.constant(60.0), f, params,
                 tol=1e-10, max_iter=500,
             )
+
+
+@pytest.fixture(scope="module")
+def bounded_potential_run():
+    """The ``bounded_potential`` preset's continuation (p = 2.5, tabulated
+    potential below the first eigenvalue, 33x33 unit square), with the
+    initial trial step of every ``minimize_phi`` line search recorded."""
+    mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [33, 33])
+    x, y = mesh.points.T
+    V = Potential.tabulated(14.3 * np.sin(np.pi * x) * np.sin(np.pi * y))
+    f = ForcingTerm.manufactured(mesh, lambda pts: np.sin(np.pi * pts[:, 0]) * np.sin(2 * np.pi * pts[:, 1]))
+    init_steps = []
+    search = plapsolve.solver.armijo_backtrack
+
+    def recording_search(*args, init_step=1.0, **kwargs):
+        init_steps.append(init_step)
+        return search(*args, init_step=init_step, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plapsolve.solver, "armijo_backtrack", recording_search)
+        report = continuation_solve(
+            V, f, EnergyParams(p=2.5, q=2.5, delta=1e-4), EpsSchedule(0.5, 0.25, 6),
+            tol=2e-5, max_iter=2500,
+        )
+    return report, init_steps
+
+
+class TestUnitStep:
+    """The lagged metric majorizes the flux curvature, so ``minimize_phi``
+    never tries a step longer than one."""
+
+    def test_trial_step_never_exceeds_one(self, bounded_potential_run):
+        _, init_steps = bounded_potential_run
+        assert init_steps
+        assert max(init_steps) <= 1.0
+
+    def test_every_stage_converges_quickly(self, bounded_potential_run):
+        report, _ = bounded_potential_run
+        iterations = [stage.iterations for stage in report.stages]
+        assert report.converged
+        assert len(iterations) == 6 and max(iterations) <= 20, iterations
+
+    @pytest.mark.parametrize("p, rtol", [(2.0, NEWTON_RTOL), (2.5, METRIC_RTOL)], ids=["newton", "metric"])
+    def test_preconditioner_tolerance_by_role(self, monkeypatch, p, rtol):
+        built = []
+
+        class Recording(plapsolve.solver.Preconditioner):
+            def __init__(self, mesh, *, rtol, **kwargs):
+                built.append(rtol)
+                super().__init__(mesh, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(plapsolve.solver, "Preconditioner", Recording)
+        mesh = build_mesh(interval(0.0, 1.0), [41])
+        f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        params = EnergyParams(p=p, eps=0.3, delta=1e-4)
+        minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, params, tol=1e-8, max_iter=20)
+        assert built
+        assert set(built) == {rtol}
 
 
 class TestContinuation:

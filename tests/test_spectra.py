@@ -4,10 +4,13 @@ Acceptance-scale runs live in test_acceptance; these exercise the machinery
 at desk resolution with independent oracles where available.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import plapsolve.spectra
 from plapsolve import (
     DiscreteFunction,
     blowup_demo,
@@ -79,6 +82,23 @@ class TestRayleighMin:
             mesh = build_mesh(interval(0.0, 1.0), [3], singular_cap_radius=0.0)
             mesh.free_mask[:] = False
             rayleigh_min(mesh, 2.0)
+
+    def test_descent_builds_one_preconditioner_per_refresh(self, monkeypatch):
+        # away from p = 2 the lagged metric is rebuilt every 12 iterations,
+        # starting at the first; nothing is built before the loop
+        builds = []
+
+        class Counting(plapsolve.spectra.Preconditioner):
+            def __init__(self, *args, **kwargs):
+                builds.append(kwargs.get("coeff"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(plapsolve.spectra, "Preconditioner", Counting)
+        mesh = build_mesh(interval(0.0, 1.0), [41])
+        _, _, iterations, _ = _quotient_descent(mesh, 2.5, tol=1e-10, max_iter=100)
+        assert iterations > 12
+        assert len(builds) == math.ceil(iterations / 12)
+        assert all(coeff is not None for coeff in builds)
 
 
 def dense_lambda1(mesh, mass_weight=None):
