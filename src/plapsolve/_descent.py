@@ -1,5 +1,5 @@
-"""Shared descent machinery: deterministic conjugate gradients, a compact
-second-order preconditioner, and Armijo backtracking."""
+"""Shared descent machinery: deterministic Jacobi-preconditioned conjugate
+gradients, a compact second-order preconditioner, and Armijo backtracking."""
 
 from __future__ import annotations
 
@@ -21,38 +21,61 @@ NEWTON_RTOL = 1e-10
 CG_ITERS = 300
 
 
+def inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
+    """Jacobi scaling for :func:`conjugate_gradient`: ``1 / A_ii`` where the
+    diagonal is positive and 0 where it is not, which marks that entry's unit
+    vector as a witness."""
+    diag = A.diagonal()
+    inv = np.zeros_like(diag)
+    np.divide(1.0, diag, out=inv, where=diag > 0.0)
+    return inv
+
+
 def conjugate_gradient(
     A: sp.spmatrix,
     b: np.ndarray,
     maxiter: int,
     rel_tol: float,
+    inv_diag: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Plain CG from a zero start; deterministic for fixed inputs.
+    """Jacobi-preconditioned CG from a zero start; deterministic for fixed
+    inputs.
 
-    Returns the iterate and ``None``, or, when a search direction ``p`` has
-    ``p . A p <= 0``, the iterate before it and ``p``: a witness that ``A``
-    is not positive definite.
+    ``inv_diag`` is :func:`inverse_diagonal` of ``A``.  Stops once
+    ``||b - A x|| <= rel_tol ||b||`` (the unscaled residual) or after
+    ``maxiter`` iterations.  Returns the iterate and ``None``, or a witness
+    ``p`` with ``p . A p <= 0`` that ``A`` is not positive definite: the unit
+    vector of the first nonpositive diagonal entry, at once with a zero
+    iterate, or else a search direction with ``p . A p <= 0`` and the iterate
+    before it.
     """
     x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
+    bad = np.flatnonzero(inv_diag <= 0.0)
+    if bad.size:
+        witness = np.zeros_like(b)
+        witness[bad[0]] = 1.0
+        return x, witness
     b2 = float(b @ b)
     if b2 == 0.0:
         return x, None
+    r = b.copy()
+    z = inv_diag * r
+    p = z
+    rz = float(r @ z)
     for _ in range(maxiter):
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             return x, p
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
-        if rs_new <= rel_tol**2 * b2:
+        if float(r @ r) <= rel_tol**2 * b2:
             break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x, None
 
 
@@ -62,9 +85,10 @@ class Preconditioner:
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-node ``coeff`` turns it into the lagged-coefficient metric of the
-    degenerate problem.  Applied through at most ``CG_ITERS`` conjugate-gradient
-    iterations, stopped at relative residual ``rtol`` (``METRIC_RTOL`` or
-    ``NEWTON_RTOL`` by role), so the action is deterministic.  Maps a nodal
+    degenerate problem.  Applied through at most ``CG_ITERS`` Jacobi-preconditioned
+    conjugate-gradient iterations, stopped at unscaled relative residual
+    ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), so the action is
+    deterministic; the inverse diagonal is computed once here.  Maps a nodal
     gradient (the quadrature-dual representation of a first variation) to a
     descent direction.
     """
@@ -84,13 +108,14 @@ class Preconditioner:
         diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
         op = (A + sp.diags(mesh.weights * diag)).tocsr()
         self.op = op[free][:, free]
+        self.inv_diag = inverse_diagonal(self.op)
         self.free = free
         self.rtol = rtol
 
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]
         d = np.zeros(self.mesh.n_nodes)
-        d[self.free], _ = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol)
+        d[self.free], _ = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol, self.inv_diag)
         return d
 
 

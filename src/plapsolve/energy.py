@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, conjugate_gradient
+from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, conjugate_gradient, inverse_diagonal
 from .grid import DiscreteFunction, Mesh, integrate
 from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
 
@@ -449,9 +449,9 @@ def _check_definite(qv: float, values: np.ndarray) -> None:
 
 
 def _quadratic_dual_norm(mesh: Mesh, r: np.ndarray, v_vals: np.ndarray | None) -> float:
-    """:func:`dual_norm` at p = 2: one conjugate-gradient solve of the form's
-    matrix on the free nodes, capped at their number of iterations (where CG
-    ends in exact arithmetic)."""
+    """:func:`dual_norm` at p = 2: one Jacobi-preconditioned conjugate-gradient
+    solve of the form's matrix on the free nodes, capped at their number of
+    iterations (where CG ends in exact arithmetic)."""
     free = mesh.free_mask
     K = mesh.energy_stiffness()
     if v_vals is not None:
@@ -460,7 +460,7 @@ def _quadratic_dual_norm(mesh: Mesh, r: np.ndarray, v_vals: np.ndarray | None) -
         K = K - sp.diags(mass)
     K = K.tocsr()[free][:, free]
     x = np.zeros(mesh.n_nodes)
-    x[free], witness = conjugate_gradient(K, r[free], int(free.sum()), 1e-12)
+    x[free], witness = conjugate_gradient(K, r[free], int(free.sum()), 1e-12, inverse_diagonal(K))
     if witness is not None:
         raise IndefiniteEnergyError(
             "energy form nonpositive on a conjugate-gradient direction; "

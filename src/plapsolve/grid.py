@@ -205,6 +205,7 @@ class Mesh:
         self.interior_mask = self.free_mask
 
         self._grad: sp.csr_matrix | None = None
+        self._grad_t: sp.csc_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
 
     @property
@@ -219,6 +220,9 @@ class Mesh:
     def _grad_op(self) -> sp.csr_matrix:
         if self._grad is None:
             self._grad = self._build_grad_op()
+            # a CSC view on the same arrays; transposing costs a matrix
+            # construction per call otherwise
+            self._grad_t = self._grad.T
         return self._grad
 
     def _build_grad_op(self) -> sp.csr_matrix:
@@ -258,7 +262,8 @@ class Mesh:
 
     def grad_adjoint(self, flux: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`grad` applied to a ``(dims, n_nodes)`` flux."""
-        return self._grad_op().T @ np.ravel(flux)
+        self._grad_op()
+        return self._grad_t @ np.ravel(flux)
 
     def energy_stiffness(self, coeff: np.ndarray | None = None) -> sp.csr_matrix:
         """Quadratic form ``G^T diag(active weights * coeff) G`` of the discrete
@@ -271,7 +276,7 @@ class Mesh:
         if coeff is not None:
             w = w * coeff
         G = self._grad_op()
-        A = (G.T @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
+        A = (self._grad_t @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
         if coeff is None:
             self._stiffness = A
         return A

@@ -198,6 +198,7 @@ def minimize_phi(
     step = 1.0
     iterations = 0
     converged = False
+    at_floor = False  # the loop stopped at u with delta at its floor
     delta = delta0
     res_window: list[float] = []
     accepted = None  # (g, s) of the last point the line search evaluated
@@ -215,7 +216,7 @@ def minimize_phi(
         g = _phi_gradient_arrays(mesh, u, v_vals, f, params_k, gs)
         res = np.sqrt(max(integrate(g * g, mesh), 0.0))
         if res <= tol and delta <= delta_floor:
-            converged = True
+            converged = at_floor = True
             break
         # demand geometric progress; the flux is degenerate at grad u = 0 and
         # late-stage descent can only crawl there
@@ -225,6 +226,7 @@ def minimize_phi(
             and len(res_window) > stall_window
             and res > stall_factor * res_window[-stall_window - 1]
         ):
+            at_floor = True
             break
         if params.p != 2.0 and k % pre_refresh == 0:
             pre = Preconditioner(
@@ -272,22 +274,24 @@ def minimize_phi(
         u = u_new
         gs = accepted
 
-    params_final = params.with_delta(delta_floor if delta0 != 0.0 else 0.0)
-    g_final = _phi_gradient_arrays(mesh, u, v_vals, f, params_final, gs)
-    res_final = np.sqrt(max(integrate(g_final * g_final, mesh), 0.0))
-    phi_final = _phi_arrays(mesh, u, v_vals, f, params_final, gs)
-    if res_final <= tol:
-        converged = True
+    if not at_floor:
+        # after max_iter u has moved, and a line-search break may leave delta
+        # above its floor; otherwise the loop's res and phi_u are final
+        params_final = params.with_delta(delta_floor)
+        g = _phi_gradient_arrays(mesh, u, v_vals, f, params_final, gs)
+        res = np.sqrt(max(integrate(g * g, mesh), 0.0))
+        phi_u = _phi_arrays(mesh, u, v_vals, f, params_final, gs)
+        converged = bool(res <= tol)
     return MinimizeResult(
         u=DiscreteFunction(mesh, u),
-        phi_value=float(phi_final),
+        phi_value=float(phi_u),
         phi_start=float(phi_start),
-        residual=float(res_final),
+        residual=float(res),
         iterations=iterations,
         linesearch_failures=failures,
         converged=converged,
         phi_increase_max=(increase_max if np.isfinite(increase_max) else 0.0),
-        delta_final=(delta_floor if delta0 != 0.0 else 0.0),
+        delta_final=delta_floor,
     )
 
 

@@ -1,6 +1,7 @@
 """Preconditioner roles: the inner tolerance each role meets, descent
-directions from truncated solves, determinism, and no sparse factorization
-on the metric paths."""
+directions from truncated solves, determinism, the gain of Jacobi scaling on
+lagged coefficients, nonpositive-curvature witnesses, and no sparse
+factorization on the metric paths."""
 
 import os
 import subprocess
@@ -12,7 +13,9 @@ import pytest
 import scipy.sparse as sp
 
 import plapsolve
-from plapsolve._descent import METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, lagged_coefficient
+from plapsolve._descent import (
+    CG_ITERS, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, inverse_diagonal, lagged_coefficient,
+)
 from plapsolve.energy import _grad_square
 from plapsolve.grid import build_mesh, punctured_box, strip
 
@@ -29,20 +32,57 @@ def mesh(request):
     return MESHES[request.param]()
 
 
-def _problem(mesh, lagged):
-    """A nodal gradient and, when ``lagged``, the p = 1.5 lagged coefficient of
-    a rough field, whose contrast makes the inner solve harder."""
+LAGGED = pytest.mark.parametrize("p", [None, 1.5, 3.0], ids=["plain", "lagged", "lagged_p3"])
+
+
+def _problem(mesh, p):
+    """A nodal gradient and, unless ``p`` is None, the lagged coefficient at
+    ``p`` of a rough field, whose contrast (about 1e3 at p = 1.5, 1e6 at
+    p = 3) makes the inner solve harder."""
     rng = np.random.default_rng(4)
     u = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
     g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
-    coeff = lagged_coefficient(_grad_square(mesh, u)[1], 1.5) if lagged else None
+    coeff = None if p is None else lagged_coefficient(_grad_square(mesh, u)[1], p)
     return g, coeff
 
 
-@pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+class _CountingOperator:
+    """Counts the products ``A @ x`` a solve takes."""
+
+    def __init__(self, A):
+        self.A = A
+        self.products = 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.A @ x
+
+
+def _plain_cg_products(A, b, maxiter, rel_tol):
+    """Operator products of unpreconditioned CG from a zero start to the same
+    stopping test ``||b - A x|| <= rel_tol ||b||``."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    b2 = float(b @ b)
+    for k in range(1, maxiter + 1):
+        Ap = A @ p
+        alpha = rs / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        if rs_new <= rel_tol**2 * b2:
+            return k
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return maxiter
+
+
+@LAGGED
 @pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric", "newton"])
-def test_apply_meets_its_roles_residual(mesh, lagged, rtol):
-    g, coeff = _problem(mesh, lagged)
+def test_apply_meets_its_roles_residual(mesh, p, rtol):
+    g, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
     d = pre.apply(g)
     b = (mesh.weights * g)[pre.free]
@@ -50,30 +90,50 @@ def test_apply_meets_its_roles_residual(mesh, lagged, rtol):
     assert not np.any(d[~pre.free])
 
 
-@pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
-def test_truncated_solve_is_a_descent_direction(mesh, lagged):
-    g, coeff = _problem(mesh, lagged)
+@LAGGED
+def test_truncated_solve_is_a_descent_direction(mesh, p):
+    g, coeff = _problem(mesh, p)
     d = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g)
     assert float((mesh.weights * g) @ d) > 0.0
 
 
-@pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
-def test_applies_are_deterministic(mesh, lagged):
-    g, coeff = _problem(mesh, lagged)
+@LAGGED
+def test_applies_are_deterministic(mesh, p):
+    g, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff)
     first = pre.apply(g)
     assert np.array_equal(first, pre.apply(g))
     assert np.array_equal(first, Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g))
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0], ids=["lagged", "lagged_p3"])
+@pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric", "newton"])
+def test_jacobi_scaling_takes_fewer_products_than_plain_cg(mesh, p, rtol):
+    g, coeff = _problem(mesh, p)
+    pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
+    b = (mesh.weights * g)[pre.free]
+    plain = _plain_cg_products(pre.op, b, CG_ITERS, rtol)
+    pre.op = counting = _CountingOperator(pre.op)
+    pre.apply(g)
+    assert counting.products < plain, (counting.products, plain)
+
+
 def test_conjugate_gradient_returns_a_negative_curvature_witness():
     A = sp.diags([2.0, 1.0, -4.0]).tocsr()
     b = np.ones(3)
-    _, witness = conjugate_gradient(A, b, 10, 1e-12)
+    _, witness = conjugate_gradient(A, b, 10, 1e-12, inverse_diagonal(A))
     assert witness is not None and float(witness @ (A @ witness)) <= 0.0
-    x, witness = conjugate_gradient(abs(A), b, 10, 1e-12)
+    x, witness = conjugate_gradient(abs(A), b, 10, 1e-12, inverse_diagonal(abs(A)))
     assert witness is None
     assert np.allclose(abs(A) @ x, b, rtol=1e-12)
+
+
+def test_zero_diagonal_entry_is_its_own_witness():
+    # positive semidefinite but singular: e_2 . A e_2 = 0
+    A = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]]))
+    x, witness = conjugate_gradient(A, np.ones(3), 10, 1e-12, inverse_diagonal(A))
+    assert np.array_equal(witness, [0.0, 1.0, 0.0])
+    assert not np.any(x)
 
 
 def test_metric_paths_import_no_factorization():

@@ -264,6 +264,13 @@ class TestStackedGradient:
         rhs = float(u @ stacked_mesh.grad_adjoint(flux))
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
+    def test_adjoint_is_a_view_of_the_operator(self, stacked_mesh):
+        flux = np.random.default_rng(6).standard_normal((stacked_mesh.domain.dims, stacked_mesh.n_nodes))
+        G = stacked_mesh._grad_op()
+        assert np.array_equal(stacked_mesh.grad_adjoint(flux), G.T @ np.ravel(flux))
+        assert np.shares_memory(stacked_mesh._grad_t.data, G.data)
+        assert np.shares_memory(stacked_mesh._grad_t.indices, G.indices)
+
     @pytest.mark.parametrize("with_coeff", [False, True])
     def test_stiffness_matches_per_axis_sum(self, stacked_mesh, with_coeff):
         mesh = stacked_mesh

@@ -77,6 +77,24 @@ class TestMinimizePhi:
         assert len(calls) == 1
         assert result.linesearch_failures == 1
 
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_converged_call_evaluates_one_gradient_per_iteration(self, monkeypatch, p):
+        # the loop's last gradient is already the final one at the delta floor
+        calls = []
+        gradient = plapsolve.solver._phi_gradient_arrays
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(plapsolve.solver, "_phi_gradient_arrays", counting)
+        mesh = build_mesh(interval(0.0, 1.0), [41])
+        f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        params = EnergyParams(p=p, eps=0.3, delta=1e-4)
+        result = minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, params, tol=1e-8)
+        assert result.converged and result.residual <= 1e-8
+        assert len(calls) == result.iterations
+
     def test_linear_solve_oracle(self):
         # p = 2, V = 0, eps = 0.5: must match the hand-assembled direct solve
         n = 401
