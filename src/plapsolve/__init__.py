@@ -46,6 +46,7 @@ from .potentials import (
     evaluate_weight,
     hardy_constant,
     integrability_exponent,
+    singular_weight,
     sobolev_conjugate,
 )
 from .solver import (

@@ -153,6 +153,12 @@ def _check_keys(section: str, data: dict, allowed: set[str], errors: list[str]) 
             errors.append(f"{section}.{key}: unknown key")
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """An int, or also a float unless ``integer``; JSON's ``true`` and
+    ``false`` are neither."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
 _DEFAULT_SOLVER = {
     "eps0": 0.5,
     "ratio": 0.25,
@@ -256,8 +262,6 @@ def _potential(pot: dict, p: float, dims: int | None) -> Potential:
     """The configured potential on a ``dims``-dimensional domain; a tabulated
     potential has no table until a mesh evaluates its expression."""
     kind = pot["kind"]
-    if kind == "zero":
-        return Potential.zero()
     if kind == "quadratic_hardy":
         return Potential.quadratic_hardy(dims)
     if kind == "hardy_p":
@@ -266,7 +270,9 @@ def _potential(pot: dict, p: float, dims: int | None) -> Potential:
         return Potential.cylindrical_hardy(pot["k_axes"], p)
     if kind == "constant":
         return Potential.constant(pot["value"])
-    return Potential(kind)
+    if kind in ("zero", "tabulated"):
+        return Potential(kind)
+    raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def _weight(wt: dict) -> Weight:
@@ -281,7 +287,7 @@ def _validate_domain(data: dict, errors: list[str]) -> dict | None:
     kind = data.get("kind")
     bounds = data.get("bounds")
     if not isinstance(bounds, list) or not bounds or not all(
-        isinstance(b, list) and len(b) == 2 and all(isinstance(v, (int, float)) for v in b) for b in bounds
+        isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in bounds
     ):
         errors.append("domain.bounds: must be a nonempty list of [lo, hi] number pairs")
         return None
@@ -291,7 +297,7 @@ def _validate_domain(data: dict, errors: list[str]) -> dict | None:
         if kind != owner:
             if key in data:
                 errors.append(f"domain.{key}: only valid for {owner} domains")
-        elif not isinstance(value, int if integer else (int, float)):
+        elif not _is_number(value, integer):
             errors.append(f"domain.{key}: must be {'an integer' if integer else 'a number'}")
         else:
             out[key] = int(value) if integer else float(value)
@@ -304,11 +310,11 @@ def _validate_mesh(data: dict, errors: list[str]) -> dict | None:
     nodes = data.get("nodes_per_axis")
     cap = data.get("singular_cap_radius", 0.0)
     axes = data.get("singular_axes")
-    if not isinstance(nodes, list) or not all(isinstance(n, int) for n in nodes):
+    if not isinstance(nodes, list) or not all(_is_number(n, integer=True) for n in nodes):
         errors.append("mesh.nodes_per_axis: must be a list of integers")
-    if not isinstance(cap, (int, float)):
+    if not _is_number(cap):
         errors.append("mesh.singular_cap_radius: must be a number")
-    if axes is not None and (not isinstance(axes, list) or not all(isinstance(a, int) for a in axes)):
+    if axes is not None and (not isinstance(axes, list) or not all(_is_number(a, integer=True) for a in axes)):
         errors.append("mesh.singular_axes: must be a list of axis indices")
     if len(errors) > n_errors:
         return None
@@ -322,7 +328,7 @@ def _validate_mesh(data: dict, errors: list[str]) -> dict | None:
 def _number(section: str, data: dict, key: str, default, errors: list[str]) -> float:
     """``data[key]`` (or ``default``) as a float; a non-number is an error."""
     value = data.get(key, default)
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return float(value)
     errors.append(f"{section}.{key}: must be a number")
     return default
@@ -344,7 +350,7 @@ def _validate_physics(data: dict, errors: list[str]) -> dict:
             norm_pot["value"] = _number("physics.potential", pot, "value", 0.0, errors)
     elif norm_pot["kind"] == "cylindrical_hardy":
         norm_pot["k_axes"] = pot.get("k_axes")
-        if not isinstance(norm_pot["k_axes"], int):
+        if not _is_number(norm_pot["k_axes"], integer=True):
             errors.append("physics.potential.k_axes: must be an integer")
     elif norm_pot["kind"] == "tabulated":
         norm_pot["expr"] = pot.get("expr")
@@ -377,32 +383,33 @@ def _validate_physics(data: dict, errors: list[str]) -> dict:
     return out
 
 
+# what the items of each list-valued section key must be
+_LIST_ITEMS = {"l_values": "number", "p_values": "number", "checks": "string"}
+
+
 def _validate_section(name: str, data: dict, defaults: dict, errors: list[str]) -> dict:
+    """``defaults`` updated from ``data``; each value must have its default's
+    type, and list items the type ``_LIST_ITEMS`` names."""
     _check_keys(name, data, set(defaults), errors)
     out = json.loads(json.dumps(defaults))
     for key, value in data.items():
         if key not in defaults:
             continue
         default = defaults[key]
-        if isinstance(default, bool) and not isinstance(value, bool):
-            errors.append(f"{name}.{key}: must be a boolean")
-        elif isinstance(default, int) and not isinstance(default, bool):
-            if not isinstance(value, int):
-                errors.append(f"{name}.{key}: must be an integer")
-                continue
-            out[key] = value
+        if isinstance(default, list):
+            item = _LIST_ITEMS[key]
+            is_item = _is_number if item == "number" else lambda v: isinstance(v, str)
+            ok, expected = isinstance(value, list) and all(map(is_item, value)), f"a list of {item}s"
+        elif isinstance(default, int):
+            ok, expected = _is_number(value, integer=True), "an integer"
         elif isinstance(default, float):
-            if not isinstance(value, (int, float)):
-                errors.append(f"{name}.{key}: must be a number")
-                continue
-            out[key] = float(value)
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                errors.append(f"{name}.{key}: must be a list")
-                continue
-            out[key] = value
+            ok, expected = _is_number(value), "a number"
         else:
-            out[key] = value
+            ok, expected = isinstance(value, str), "a string"
+        if not ok:
+            errors.append(f"{name}.{key}: must be {expected}")
+        else:
+            out[key] = float(value) if isinstance(default, float) else value
     return out
 
 
@@ -468,8 +475,11 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"certify.checks: unknown check {check!r}")
     if blowup["n_terms"] < 3:
         errors.append("blowup.n_terms: need at least 3 bumps")
-    if sub == "blowup" and domain is not None and domain["kind"] != "strip":
-        errors.append(f"blowup: needs a strip domain, got {domain['kind']!r}")
+    if sub == "blowup" and domain is not None:
+        if domain["kind"] != "strip":
+            errors.append(f"blowup: needs a strip domain, got {domain['kind']!r}")
+        elif domain["m_axes"] != 1:
+            errors.append(f"blowup: needs a strip with m_axes = 1, got {domain['m_axes']}")
     if output["field_format"] not in ("bin", "csv"):
         errors.append(f"output.field_format: must be 'bin' or 'csv', got {output['field_format']!r}")
     if physics["potential"].get("value") == "lambda1_omega" and domain is not None and domain["kind"] != "strip":

@@ -204,18 +204,15 @@ def _dirichlet_gradient_rep(mesh: Mesh, g: np.ndarray, s: np.ndarray, p: float, 
 def q_v(u: DiscreteFunction, V: Potential, params: EnergyParams) -> float:
     """Energy gap ``int |grad u|^p - int V |u|^p``; the p-Dirichlet energy
     when V = 0, and p-homogeneous in u."""
-    v_vals = evaluate_potential(V, u.mesh) if V.kind != "zero" else None
+    v_vals = evaluate_potential(V, u.mesh)
     return _q_v_arrays(u.mesh, u.values, v_vals, params.p)
 
 
-def _q_v_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None, p: float,
+def _q_v_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray, p: float,
                 gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """:func:`q_v` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
     _, s = _grad_square(mesh, values) if gs is None else gs
-    out = integrate(s ** (p / 2.0), mesh)
-    if v_vals is not None:
-        out -= integrate(v_vals * np.abs(values) ** p, mesh)
-    return out
+    return integrate(s ** (p / 2.0), mesh) - integrate(v_vals * np.abs(values) ** p, mesh)
 
 
 def phi(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams) -> float:
@@ -228,11 +225,11 @@ def phi(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams)
     :func:`phi_gradient` and vanishes at u = 0.
     """
     mesh = u.mesh
-    v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
+    v_vals = evaluate_potential(V, mesh)
     return _phi_arrays(mesh, u.values, v_vals, f, params)
 
 
-def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None,
+def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
                 f: ForcingTerm, params: EnergyParams,
                 gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """:func:`phi` on raw arrays; ``gs`` is ``_grad_square(mesh, values)`` when
@@ -242,8 +239,7 @@ def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None,
     smoothed = (s + delta * delta) ** (p / 2.0) - delta**p
     total = integrate(smoothed, mesh) / p
     mass = np.abs(values) ** p
-    if v_vals is not None:
-        total -= (1.0 - eps) / p * integrate(v_vals * mass, mesh)
+    total -= (1.0 - eps) / p * integrate(v_vals * mass, mesh)
     if eps != 0.0:
         total += eps / p * integrate(mass, mesh)
     return total - float(f.plain_rep() @ values)
@@ -258,12 +254,12 @@ def phi_gradient(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: Ener
     quadrature pairing, for every w vanishing on constrained nodes.
     """
     mesh = u.mesh
-    v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
+    v_vals = evaluate_potential(V, mesh)
     nodal = _phi_gradient_arrays(mesh, u.values, v_vals, f, params)
     return DiscreteFunction(mesh, nodal)
 
 
-def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | None,
+def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
                          f: ForcingTerm, params: EnergyParams,
                          gs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """:func:`phi_gradient` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
@@ -271,8 +267,7 @@ def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray | No
     g, s = _grad_square(mesh, values) if gs is None else gs
     nodal = _dirichlet_gradient_rep(mesh, g, s, p, delta) / mesh.weights
     mass_grad = _power_mass(values, p)
-    if v_vals is not None:
-        nodal -= (1.0 - eps) * v_vals * mass_grad
+    nodal -= (1.0 - eps) * v_vals * mass_grad
     if eps != 0.0:
         nodal += eps * mass_grad
     nodal -= f.nodal_density()
@@ -369,7 +364,7 @@ def dual_norm(
     r = f.plain_rep()
     if not np.any(r):
         return 0.0
-    v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
+    v_vals = evaluate_potential(V, mesh)
     if p == 2.0:
         return _quadratic_dual_norm(mesh, r, v_vals)
 
@@ -406,8 +401,7 @@ def dual_norm(
         _check_definite(qv, u)
         pairing = float(r @ u)
         qv_grad = p * _dirichlet_gradient_rep(mesh, g, s, p, 0.0) / mesh.weights
-        if v_vals is not None:
-            qv_grad -= p * v_vals * _power_mass(u, p)
+        qv_grad -= p * v_vals * _power_mass(u, p)
         g_j = (f.nodal_density() - pairing / (p * qv) * qv_grad) / qv ** (1.0 / p)
         g_j[mesh.constrained_mask] = 0.0
         res = np.sqrt(max(integrate(g_j**2, mesh), 0.0))
@@ -448,17 +442,14 @@ def _check_definite(qv: float, values: np.ndarray) -> None:
         )
 
 
-def _quadratic_dual_norm(mesh: Mesh, r: np.ndarray, v_vals: np.ndarray | None) -> float:
+def _quadratic_dual_norm(mesh: Mesh, r: np.ndarray, v_vals: np.ndarray) -> float:
     """:func:`dual_norm` at p = 2: one Jacobi-preconditioned conjugate-gradient
     solve of the form's matrix on the free nodes, capped at their number of
     iterations (where CG ends in exact arithmetic)."""
     free = mesh.free_mask
-    K = mesh.energy_stiffness()
-    if v_vals is not None:
-        mass = np.zeros(mesh.n_nodes)
-        mass[free] = mesh.weights[free] * v_vals[free]
-        K = K - sp.diags(mass)
-    K = K.tocsr()[free][:, free]
+    mass = np.zeros(mesh.n_nodes)
+    mass[free] = mesh.weights[free] * v_vals[free]
+    K = (mesh.energy_stiffness() - sp.diags(mass)).tocsr()[free][:, free]
     x = np.zeros(mesh.n_nodes)
     x[free], witness = conjugate_gradient(K, r[free], int(free.sum()), 1e-12, inverse_diagonal(K))
     if witness is not None:

@@ -213,10 +213,6 @@ class Mesh:
         """Quadrature volume attributed to excluded nodes."""
         return float(self.weights[self.excluded_mask].sum())
 
-    def singular_distance(self) -> np.ndarray:
-        """Per-node distance to the singular set (origin in the singular axes)."""
-        return np.linalg.norm(self.points[:, self.singular_axes], axis=1)
-
     def _grad_op(self) -> sp.csr_matrix:
         if self._grad is None:
             self._grad = self._build_grad_op()

@@ -1,12 +1,12 @@
 """Catalog of singular potentials and positive weights, with mesh evaluation
 and a sampling-based admissibility report for the energy lower bound.
 
-The Hardy-type potentials scale as ``|x|**-p`` around their singular set and
-carry the critical constant ``((N-p)/p)**p``; evaluation requires a mesh whose
-exclusion policy caps that set.  The admissibility report combines the exact
-integrability-exponent case split with a falsification check of the weighted
-Sobolev lower bound on sampled bump functions; it can refute a configuration
-but never prove one.
+Every Hardy-type potential is one family, ``((k-p)/p)**p |y|**-p`` with y the
+first k coordinates, built on :func:`singular_weight`; evaluation requires a
+mesh whose exclusion policy caps the singular set y = 0.  The admissibility
+report combines the exact integrability-exponent case split with a
+falsification check of the weighted Sobolev lower bound on sampled bump
+functions; it can refute a configuration but never prove one.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ __all__ = [
     "sobolev_conjugate",
     "integrability_exponent",
     "alt_integrability_exponent",
+    "singular_weight",
     "evaluate_potential",
     "evaluate_weight",
     "admissibility_report",
 ]
 
-_POTENTIAL_KINDS = ("zero", "quadratic_hardy", "hardy_p", "cylindrical_hardy", "constant", "tabulated")
+_POTENTIAL_KINDS = ("zero", "hardy", "constant", "tabulated")
 _WEIGHT_KINDS = ("constant", "cylinder_decay")
 
 
@@ -81,8 +82,10 @@ def alt_integrability_exponent(p: float, q: float) -> float:
 class Potential:
     """Symbolic description of a nonnegative potential.
 
-    Use the factory classmethods; ``params`` are kind-specific.  Hardy kinds
-    are singular at the origin of their singular axes and need a capped mesh.
+    Use the factory classmethods.  The one singular kind, ``hardy``, is
+    ``((k-p)/p)**p |y|**-p`` with y the first ``k_axes`` coordinates; it
+    needs a mesh that excludes y = 0.  ``n_dims`` is the dimension it was
+    built for, or 0 when it acts on any mesh with at least ``k_axes`` axes.
     """
 
     kind: str
@@ -105,13 +108,13 @@ class Potential:
         """``((N-2)/2)**2 |x|**-2``; needs N >= 3."""
         if n_dims < 3:
             raise ValueError(f"quadratic hardy potential requires N >= 3, got N={n_dims}")
-        return cls("quadratic_hardy", n_dims=n_dims, p=2.0)
+        return cls.hardy(n_dims, 2.0)
 
     @classmethod
     def hardy(cls, n_dims: int, p: float) -> "Potential":
-        """``((N-p)/p)**p |x|**-p``; needs 1 < p < N."""
+        """``((N-p)/p)**p |x|**-p`` over all N axes; needs 1 < p < N."""
         hardy_constant(n_dims, p)
-        return cls("hardy_p", n_dims=n_dims, p=float(p))
+        return cls("hardy", n_dims=n_dims, p=float(p), k_axes=n_dims)
 
     @classmethod
     def cylindrical_hardy(cls, k_axes: int, p: float) -> "Potential":
@@ -121,7 +124,7 @@ class Potential:
             raise ValueError(f"cylindrical hardy requires p > 1, got p={p}")
         if not k_axes > p:
             raise ValueError(f"cylindrical hardy requires k > p, got k={k_axes}, p={p}")
-        return cls("cylindrical_hardy", k_axes=int(k_axes), p=float(p))
+        return cls("hardy", k_axes=int(k_axes), p=float(p))
 
     @classmethod
     def constant(cls, value: float) -> "Potential":
@@ -135,16 +138,6 @@ class Potential:
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
             raise ValueError("tabulated potential must be finite and nonnegative")
         return cls("tabulated", table=arr)
-
-    @property
-    def singular(self) -> bool:
-        return self.kind in ("quadratic_hardy", "hardy_p", "cylindrical_hardy")
-
-    def singular_axes(self, mesh: Mesh) -> tuple[int, ...]:
-        """Axes spanning the singular set on the given mesh."""
-        if self.kind == "cylindrical_hardy":
-            return tuple(range(self.k_axes))
-        return tuple(range(mesh.domain.dims))
 
 
 @dataclass(frozen=True)
@@ -174,6 +167,22 @@ class Weight:
         return cls("cylinder_decay", value=float(coefficient), p=float(p))
 
 
+def singular_weight(mesh: Mesh, axes, p: float) -> np.ndarray:
+    """``|y|**-p`` with y the coordinates on ``axes``, at the non-excluded
+    nodes; excluded nodes carry 0.  Raises if a non-excluded node sits on
+    the singular set y = 0."""
+    dist = np.linalg.norm(mesh.points[:, list(axes)], axis=1)
+    active = ~mesh.excluded_mask
+    if np.any(dist[active] == 0.0):
+        raise ValueError(
+            "a non-excluded node lies on the singular set; "
+            "rebuild the mesh with a singular cap over the potential's axes"
+        )
+    weight = np.zeros(mesh.n_nodes)
+    weight[active] = dist[active] ** (-p)
+    return weight
+
+
 def evaluate_potential(V: Potential, mesh: Mesh) -> np.ndarray:
     """Evaluate a potential at the mesh nodes.
 
@@ -193,36 +202,12 @@ def evaluate_potential(V: Potential, mesh: Mesh) -> np.ndarray:
         vals = V.table.copy()
         vals[mesh.excluded_mask] = 0.0
         return vals
-
-    if V.kind == "cylindrical_hardy":
-        if V.k_axes > mesh.domain.dims:
-            raise ValueError(f"cylindrical hardy acts on {V.k_axes} axes, mesh has {mesh.domain.dims}")
-        axes = range(V.k_axes)
-        const = hardy_constant(V.k_axes, V.p)
-        power = V.p
-    elif V.kind == "hardy_p":
-        if V.n_dims != mesh.domain.dims:
-            raise ValueError(f"hardy potential built for N={V.n_dims}, mesh has N={mesh.domain.dims}")
-        axes = range(mesh.domain.dims)
-        const = hardy_constant(V.n_dims, V.p)
-        power = V.p
-    else:  # quadratic_hardy
-        if mesh.domain.dims != V.n_dims:
-            raise ValueError(f"quadratic hardy built for N={V.n_dims}, mesh has N={mesh.domain.dims}")
-        axes = range(mesh.domain.dims)
-        const = ((V.n_dims - 2) / 2.0) ** 2
-        power = 2.0
-
-    dist = np.linalg.norm(mesh.points[:, list(axes)], axis=1)
-    active = ~mesh.excluded_mask
-    if np.any(dist[active] == 0.0):
-        raise ValueError(
-            "a non-excluded node lies on the singular set; "
-            "rebuild the mesh with a singular cap over the potential's axes"
-        )
-    vals = np.zeros(n)
-    vals[active] = const * dist[active] ** (-power)
-    return vals
+    dims = mesh.domain.dims
+    if V.n_dims and V.n_dims != dims:
+        raise ValueError(f"hardy potential built for N={V.n_dims}, mesh has N={dims}")
+    if V.k_axes > dims:
+        raise ValueError(f"hardy potential acts on {V.k_axes} axes, mesh has {dims}")
+    return hardy_constant(V.k_axes, V.p) * singular_weight(mesh, range(V.k_axes), V.p)
 
 
 def evaluate_weight(W: Weight, mesh: Mesh) -> np.ndarray:

@@ -9,7 +9,6 @@ the dual-norm estimate D as a runtime check.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -93,7 +92,6 @@ class MinimizeResult:
     linesearch_failures: int
     converged: bool
     phi_increase_max: float
-    delta_final: float
 
 
 @dataclass
@@ -123,8 +121,6 @@ class SolveReport:
     solution: DiscreteFunction
     terminal_residual: float
     dual_norm_estimate: float
-    wall_time: float
-    p: float = 0.0
     converged: bool = True
 
 
@@ -173,13 +169,12 @@ def minimize_phi(
     mesh = start.mesh
     if f.mesh is not mesh:
         raise ValueError("forcing term lives on a different mesh")
-    v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
+    v_vals = evaluate_potential(V, mesh)
     shift = max(params.eps, 1e-10)
     if params.p == 2.0:
         # the Hessian is u-independent at p = 2; with the potential folded in
         # the preconditioned step is an exact Newton step
-        mass_coeff = None if v_vals is None else -(1.0 - params.eps) * v_vals
-        pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift, mass_coeff=mass_coeff)
+        pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=shift, mass_coeff=-(1.0 - params.eps) * v_vals)
     # at p != 2 the loop builds the lagged preconditioner at k = 0
     pre_refresh = 5
     stall_window, stall_factor = 60, 0.85
@@ -291,7 +286,6 @@ def minimize_phi(
         linesearch_failures=failures,
         converged=converged,
         phi_increase_max=(increase_max if np.isfinite(increase_max) else 0.0),
-        delta_final=delta_floor,
     )
 
 
@@ -329,7 +323,6 @@ def continuation_solve(
     it; a stage energy above ``D**(p/(p-1)) * (1 + 1e-3)`` aborts.
     """
     mesh = f.mesh
-    t0 = time.perf_counter()
     estimate = dual_norm(f, V, params, budget=dual_budget, seed=seed)
     if not np.isfinite(estimate) or estimate > 1e12:
         raise ValueError(
@@ -381,7 +374,7 @@ def continuation_solve(
         u = u_new
 
     params_pure = params.with_eps(0.0).with_delta(0.0)
-    v_vals = evaluate_potential(V, mesh) if V.kind != "zero" else None
+    v_vals = evaluate_potential(V, mesh)
     g_pure = _phi_gradient_arrays(mesh, u.values, v_vals, f, params_pure)
     terminal = float(np.sqrt(max(integrate(g_pure * g_pure, mesh), 0.0)))
     return SolveReport(
@@ -389,7 +382,5 @@ def continuation_solve(
         solution=u,
         terminal_residual=terminal,
         dual_norm_estimate=estimate,
-        wall_time=time.perf_counter() - t0,
-        p=p,
         converged=all_converged,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient
 from .energy import _dirichlet_gradient_rep, _grad_square, _power_mass
 from .grid import DiscreteFunction, Mesh, build_mesh, integrate, strip
-from .potentials import hardy_constant
+from .potentials import hardy_constant, singular_weight
 from .sampling import bump_family, plateau_profile
 
 __all__ = [
@@ -395,6 +395,25 @@ def cylinder_eigen_check(
     )
 
 
+def _bump_margins(mesh: Mesh, p: float, lam: float, constant: float, weight: np.ndarray,
+                  samples: int, seed: int) -> tuple[list[float], list[str]]:
+    """Margins of ``int |grad u|^p - lam int |u|^p >= constant int weight |u|^p``
+    on ``samples`` interior bumps, each normalized by its left side, with
+    their descriptors."""
+    margins = []
+    descriptors = []
+    for i, u in enumerate(bump_family(mesh, samples, seed)):
+        _, s = _grad_square(mesh, u.values)
+        mass = np.abs(u.values) ** p
+        lhs = integrate(s ** (p / 2.0), mesh)
+        if lam:
+            lhs -= lam * integrate(mass, mesh)
+        rhs = constant * integrate(weight * mass, mesh)
+        margins.append((lhs - rhs) / max(abs(lhs), 1e-300))
+        descriptors.append(f"bump_{i}")
+    return margins, descriptors
+
+
 def poincare_remainder_check(
     omega_mesh: Mesh,
     m_axes: int,
@@ -434,21 +453,8 @@ def poincare_remainder_check(
         base *= 2.0 ** ((p - 2.0) / 2.0)
     constant = constant_scale * base
 
-    active = ~mesh.excluded_mask
-    dist = mesh.singular_distance()
-    sing_weight = np.zeros(mesh.n_nodes)
-    sing_weight[active] = dist[active] ** (-p)
-
-    margins = []
-    descriptors = []
-    for i, u in enumerate(bump_family(mesh, samples, seed)):
-        _, s = _grad_square(mesh, u.values)
-        mass = np.abs(u.values) ** p
-        lhs = integrate(s ** (p / 2.0), mesh) - lam_omega * integrate(mass, mesh)
-        rhs = constant * integrate(sing_weight * mass, mesh)
-        scale = max(abs(lhs), 1e-300)
-        margins.append((lhs - rhs) / scale)
-        descriptors.append(f"bump_{i}")
+    weight = singular_weight(mesh, z_axes, p)
+    margins, descriptors = _bump_margins(mesh, p, lam_omega, constant, weight, samples, seed)
     return CertificationRecord.from_margins(
         "poincare_singular_remainder",
         margins,
@@ -591,28 +597,15 @@ def hardy_check(
     if max(mesh.singular_cap_radius, mesh.domain.puncture_radius) <= 0:
         raise ValueError("hardy check needs a mesh punctured or capped at the origin")
 
-    active = ~mesh.excluded_mask
-    dist = np.linalg.norm(mesh.points, axis=1)
-    sing_weight = np.zeros(mesh.n_nodes)
-    sing_weight[active] = dist[active] ** (-p)
-
-    margins = []
-    descriptors = []
-    for i, u in enumerate(bump_family(mesh, samples, seed)):
-        _, s = _grad_square(mesh, u.values)
-        mass = np.abs(u.values) ** p
-        lhs = integrate(s ** (p / 2.0), mesh)
-        rhs = constant * integrate(sing_weight * mass, mesh)
-        scale = max(abs(lhs), 1e-300)
-        margins.append((lhs - rhs) / scale)
-        descriptors.append(f"bump_{i}")
+    weight = singular_weight(mesh, range(n_dims), p)
+    margins, descriptors = _bump_margins(mesh, p, 0.0, constant, weight, samples, seed)
 
     details = {"p": p, "n_dims": n_dims, "constant": constant, "normalized": True}
     if probe:
         vals = []
         for i in range(2):
             lam, _, _, _ = _quotient_descent(
-                mesh, p, mass_weight=sing_weight, tol=1e-6, max_iter=600, seed=seed + i
+                mesh, p, mass_weight=weight, tol=1e-6, max_iter=600, seed=seed + i
             )
             vals.append(lam)
         details["probe_infimum"] = float(min(vals))

@@ -86,7 +86,20 @@ REFUSED = [
     ("puncture_radius_on_box", {"domain": {**_CUBE, "puncture_radius": 0.1}, **_NODES3},
      "domain.puncture_radius:", "punctured_box"),
     ("blowup_off_strip", {"subcommand": "blowup"}, "blowup:", "strip domain"),
+    ("blowup_two_axes", {"subcommand": "blowup", "domain": {**_STRIP, "m_axes": 2}, "mesh.nodes_per_axis": [5, 5, 5]},
+     "blowup:", "m_axes = 1, got 2"),
+    ("p_values_items", {"certify.p_values": ["a"]}, "certify.p_values:", "list of numbers"),
+    ("l_values_items", {"eigen.l_values": ["x"]}, "eigen.l_values:", "list of numbers"),
+    ("checks_items", {"certify.checks": [1]}, "certify.checks:", "list of strings"),
+    ("directory_type", {"output.directory": 5}, "output.directory:", "must be a string"),
+    ("samples_boolean", {"certify.samples": True}, "certify.samples:", "must be an integer"),
+    ("p_boolean", {"physics.p": True}, "physics.p:", "must be a number"),
+    ("tol_boolean", {"solver.tol": False}, "solver.tol:", "must be a number"),
+    ("nodes_boolean", {"mesh.nodes_per_axis": [True]}, "mesh.nodes_per_axis:", "list of integers"),
 ]
+
+# refused by the schema's type checks; they used to crash or fail inside a run
+MISTYPED = ["p_values_items", "l_values_items", "directory_type", "samples_boolean"]
 
 # refused at run time (exit 1 after the run starts) before the constructors validated the config
 FORMERLY_AT_RUN_TIME = [
@@ -160,6 +173,17 @@ class TestParseConfig:
         cfg_path.write_text(json.dumps(_with(SMALL_SOLVE, updates)))
         assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", MISTYPED)
+    def test_mistyped_refused_before_any_run(self, tmp_path, capsys, case):
+        updates = next(c[1] for c in REFUSED if c[0] == case)
+        subcommand = "certify" if case in ("p_values_items", "samples_boolean") else "solve"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_with(SMALL_SOLVE, updates)))
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        key = next(iter(updates))
+        assert f"config error: {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_q_constraints(self):
@@ -315,6 +339,14 @@ class TestMain:
         cfg_path.write_text(json.dumps(SMALL_SOLVE))
         assert main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "config error: blowup: needs a strip domain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_blowup_with_two_unbounded_axes_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_with(SMALL_SOLVE, {"domain": {**_STRIP, "m_axes": 2},
+                                                          "mesh.nodes_per_axis": [5, 5, 5]})))
+        assert main(["blowup", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: blowup: needs a strip with m_axes = 1, got 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_cli_config_error_exit(self, tmp_path, capsys):

@@ -386,3 +386,19 @@ class TestDualNorm:
         for u in bump_family(mesh201, 20, 17):
             qv = q_v(u, Potential.zero(), p2)
             assert f.pairing(u) <= D * qv**0.5 + 1e-9
+
+
+class TestZeroPotential:
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_same_bits_as_constant_zero(self, p):
+        # a zero potential takes the path of any other potential, so it
+        # agrees with a constant 0 to the last bit
+        mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [13, 13])
+        params = EnergyParams(p=p, eps=0.25, delta=1e-3)
+        f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]))
+        u = next(bump_family(mesh, 1, 3))
+        zero, const = Potential.zero(), Potential.constant(0.0)
+        assert q_v(u, zero, params) == q_v(u, const, params)
+        assert phi(u, zero, f, params) == phi(u, const, f, params)
+        assert np.array_equal(phi_gradient(u, zero, f, params).values, phi_gradient(u, const, f, params).values)
+        assert dual_norm(f, zero, params, budget=10) == dual_norm(f, const, params, budget=10)

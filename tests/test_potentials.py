@@ -16,6 +16,7 @@ from plapsolve import (
     integrability_exponent,
     interval,
     punctured_box,
+    singular_weight,
     sobolev_conjugate,
     strip,
 )
@@ -76,7 +77,9 @@ class TestEvaluatePotential:
         mesh = build_mesh(dom, [9, 9, 9])
         a = evaluate_potential(Potential.quadratic_hardy(3), mesh)
         b = evaluate_potential(Potential.hardy(3, 2.0), mesh)
-        assert np.allclose(a, b)
+        c = evaluate_potential(Potential.cylindrical_hardy(3, 2.0), mesh)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, c)
 
     def test_ray_scaling(self):
         dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
@@ -101,6 +104,24 @@ class TestEvaluatePotential:
         assert np.all(vals[mesh.excluded_mask] == 0.0)
         assert np.all(np.isfinite(vals))
         assert np.all(vals >= 0.0)
+
+    def test_singular_weight_needs_a_cap_over_its_axes(self):
+        # the uncapped box has nodes on the line y = 0 of a cylindrical potential
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9])
+        with pytest.raises(ValueError, match="singular set"):
+            singular_weight(mesh, range(2), 2.0)
+        with pytest.raises(ValueError, match="singular set"):
+            evaluate_potential(Potential.cylindrical_hardy(3, 2.0), mesh)
+
+    def test_singular_weight_zero_on_excluded_nodes(self):
+        dom = box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        mesh = build_mesh(dom, [9, 9, 9], singular_cap_radius=0.3, singular_axes=(0, 1))
+        w = singular_weight(mesh, (0, 1), 1.5)
+        assert mesh.excluded_mask.any()
+        assert np.all(w[mesh.excluded_mask] == 0.0)
+        active = ~mesh.excluded_mask
+        y = np.linalg.norm(mesh.points[active][:, :2], axis=1)
+        np.testing.assert_allclose(w[active], y**-1.5, rtol=1e-15)
 
     def test_cylindrical_needs_k_above_p(self):
         with pytest.raises(ValueError, match="k > p"):
