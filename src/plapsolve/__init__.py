@@ -13,7 +13,6 @@ from .energy import (
     ForcingTerm,
     IndefiniteEnergyError,
     cauchy_diagnostic,
-    dual_norm,
     phi,
     phi_gradient,
     q_v,
@@ -56,6 +55,7 @@ from .solver import (
     SolveReport,
     StageRecord,
     continuation_solve,
+    dual_norm,
     minimize_phi,
 )
 from .spectra import (

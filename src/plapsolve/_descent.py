@@ -13,9 +13,9 @@ from .grid import Mesh
 
 # Inner relative residual of a preconditioner solve, by the role its
 # direction plays.  A descent metric only has to contract the error, so
-# preconditioned inverse iteration and the dual-norm ascent tolerate a loose
-# solve (Knyazev & Neymeyr, Linear Algebra Appl. 358, 2003).  The p = 2 solve
-# in ``minimize_phi`` is an exact Newton step and fails at the loose value.
+# preconditioned inverse iteration and the lagged p != 2 metric tolerate a
+# loose solve (Knyazev & Neymeyr, Linear Algebra Appl. 358, 2003).  The p = 2
+# solve in ``minimize_phi`` is an exact Newton step and fails at the loose value.
 METRIC_RTOL = 1e-4
 NEWTON_RTOL = 1e-10
 CG_ITERS = 300

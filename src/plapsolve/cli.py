@@ -41,6 +41,7 @@ from .potentials import (
     admissibility_report,
     evaluate_potential,
     evaluate_weight,
+    validate_exponents,
 )
 from .solver import ContinuationBoundError, EpsSchedule, SolveReport, StageRecord, continuation_solve
 from .spectra import (
@@ -153,6 +154,14 @@ def _check_keys(section: str, data: dict, allowed: set[str], errors: list[str]) 
             errors.append(f"{section}.{key}: unknown key")
 
 
+def _object(section: str, value, errors: list[str]) -> dict | None:
+    """``value`` if it is a JSON object, else None with the error recorded."""
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{section}: must be an object")
+    return None
+
+
 def _is_number(value, integer: bool = False) -> bool:
     """An int, or also a float unless ``integer``; JSON's ``true`` and
     ``false`` are neither."""
@@ -167,7 +176,6 @@ _DEFAULT_SOLVER = {
     "max_iter": 800,
     "delta0": 0.0,
     "seed": 0,
-    "dual_budget": 200,
 }
 _DEFAULT_EIGEN = {
     "l_values": [],
@@ -281,7 +289,10 @@ def _weight(wt: dict) -> Weight:
     return Weight(wt["kind"], wt["value"])
 
 
-def _validate_domain(data: dict, errors: list[str]) -> dict | None:
+def _validate_domain(data, errors: list[str]) -> dict | None:
+    data = _object("domain", data, errors)
+    if data is None:
+        return None
     _check_keys("domain", data, {"kind", "bounds", *_DOMAIN_KEYS}, errors)
     n_errors = len(errors)
     kind = data.get("kind")
@@ -304,7 +315,10 @@ def _validate_domain(data: dict, errors: list[str]) -> dict | None:
     return None if len(errors) > n_errors else out
 
 
-def _validate_mesh(data: dict, errors: list[str]) -> dict | None:
+def _validate_mesh(data, errors: list[str]) -> dict | None:
+    data = _object("mesh", data, errors)
+    if data is None:
+        return None
     _check_keys("mesh", data, {"nodes_per_axis", "singular_cap_radius", "singular_axes"}, errors)
     n_errors = len(errors)
     nodes = data.get("nodes_per_axis")
@@ -334,12 +348,13 @@ def _number(section: str, data: dict, key: str, default, errors: list[str]) -> f
     return default
 
 
-def _validate_physics(data: dict, errors: list[str]) -> dict:
+def _validate_physics(data, errors: list[str]) -> dict:
+    data = _object("physics", data, errors) or {}
     _check_keys("physics", data, {"p", "q", "potential", "weight", "forcing"}, errors)
     out = {"p": _number("physics", data, "p", 2.0, errors)}
     out["q"] = _number("physics", data, "q", out["p"], errors) if data.get("q") is not None else out["p"]
 
-    pot = data.get("potential", {"kind": "zero"})
+    pot = _object("physics.potential", data.get("potential", {}), errors) or {}
     _check_keys("physics.potential", pot, {"kind", "value", "k_axes", "expr"}, errors)
     norm_pot = out["potential"] = {"kind": pot.get("kind", "zero")}
     if norm_pot["kind"] == "constant":
@@ -357,7 +372,7 @@ def _validate_physics(data: dict, errors: list[str]) -> dict:
         if not isinstance(norm_pot["expr"], str):
             errors.append("physics.potential.expr: tabulated potential needs an expression string")
 
-    wt = data.get("weight", _DEFAULT_WEIGHT)
+    wt = _object("physics.weight", data.get("weight", _DEFAULT_WEIGHT), errors) or {}
     _check_keys("physics.weight", wt, {"kind", "value", "p"}, errors)
     norm_wt = out["weight"] = {
         "kind": wt.get("kind", "constant"),
@@ -366,7 +381,7 @@ def _validate_physics(data: dict, errors: list[str]) -> dict:
     if norm_wt["kind"] == "cylinder_decay":
         norm_wt["p"] = _number("physics.weight", wt, "p", out["p"], errors)
 
-    forcing = data.get("forcing", {"kind": "zero"})
+    forcing = _object("physics.forcing", data.get("forcing", {}), errors) or {}
     _check_keys("physics.forcing", forcing, {"kind", "expr"}, errors)
     fkind = forcing.get("kind", "zero")
     if fkind not in ("zero", "expression"):
@@ -387,9 +402,10 @@ def _validate_physics(data: dict, errors: list[str]) -> dict:
 _LIST_ITEMS = {"l_values": "number", "p_values": "number", "checks": "string"}
 
 
-def _validate_section(name: str, data: dict, defaults: dict, errors: list[str]) -> dict:
+def _validate_section(name: str, data, defaults: dict, errors: list[str]) -> dict:
     """``defaults`` updated from ``data``; each value must have its default's
     type, and list items the type ``_LIST_ITEMS`` names."""
+    data = _object(name, data, errors) or {}
     _check_keys(name, data, set(defaults), errors)
     out = json.loads(json.dumps(defaults))
     for key, value in data.items():
@@ -470,6 +486,10 @@ def parse_config(text: str) -> RunConfig:
             _built("physics.potential", errors, _potential, pot, p, dims)
         _built("physics.weight", errors, _weight, physics["weight"])
         _built("solver", errors, EpsSchedule, solver["eps0"], solver["ratio"], solver["steps"])
+    for p_cert in certify["p_values"]:
+        _built("certify.p_values", errors, validate_exponents, p_cert, p_cert)
+    if certify["samples"] < 1:
+        errors.append("certify.samples: must be at least 1")
     for check in certify["checks"]:
         if check not in ("monotonicity", "power_mean", "hardy", "poincare", "cylinder"):
             errors.append(f"certify.checks: unknown check {check!r}")
@@ -480,6 +500,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"blowup: needs a strip domain, got {domain['kind']!r}")
         elif domain["m_axes"] != 1:
             errors.append(f"blowup: needs a strip with m_axes = 1, got {domain['m_axes']}")
+    if eigen["l_values"] and domain is not None and domain["kind"] != "strip":
+        errors.append("eigen.l_values: only valid for strip domains")
     if output["field_format"] not in ("bin", "csv"):
         errors.append(f"output.field_format: must be 'bin' or 'csv', got {output['field_format']!r}")
     if physics["potential"].get("value") == "lambda1_omega" and domain is not None and domain["kind"] != "strip":
@@ -620,7 +642,6 @@ def _run_solve(cfg: RunConfig, artifact: RunArtifact, override: bool) -> None:
     report = continuation_solve(
         V, f, params, schedule,
         tol=s["tol"], W=W, max_iter=s["max_iter"],
-        seed=s["seed"], dual_budget=s["dual_budget"],
     )
     artifact.solve_report = report
     artifact.solution = report.solution
@@ -632,7 +653,7 @@ def _run_solve(cfg: RunConfig, artifact: RunArtifact, override: bool) -> None:
 def _run_eigen(cfg: RunConfig, artifact: RunArtifact) -> None:
     e = cfg.eigen
     p = cfg.physics["p"]
-    if e["l_values"] and cfg.domain["kind"] == "strip":
+    if e["l_values"]:
         omega = _omega_mesh(cfg)
         record = cylinder_eigen_check(
             omega,

@@ -13,12 +13,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._descent import (
     METRIC_RTOL,
     NEWTON_RTOL,
     Preconditioner,
     armijo_backtrack,
+    conjugate_gradient,
+    inverse_diagonal,
     lagged_coefficient,
     mass_curvature,
 )
@@ -29,8 +32,8 @@ from .energy import (
     _grad_square,
     _phi_arrays,
     _phi_gradient_arrays,
+    _q_v_arrays,
     cauchy_diagnostic,
-    dual_norm,
     q_v,
     sobolev_norm,
     y_norm,
@@ -46,6 +49,7 @@ __all__ = [
     "SolveReport",
     "ContinuationBoundError",
     "minimize_phi",
+    "dual_norm",
     "continuation_solve",
 ]
 
@@ -124,15 +128,12 @@ class SolveReport:
     converged: bool = True
 
 
-def _coercivity_floor(f: ForcingTerm, params: EnergyParams) -> float:
-    """Lower bound of phi implied by coercivity; minus infinity when eps = 0."""
-    if params.eps <= 0.0:
-        return -np.inf
-    upper = f.dual_upper_bound(params.p)
-    if upper == 0.0:
-        return 0.0
-    pc = params.p_conjugate
-    return -(1.0 - 1.0 / params.p) * upper**pc * params.eps ** (-1.0 / (params.p - 1.0))
+def _check_definite(qv: float, values: np.ndarray) -> None:
+    if qv <= 0.0 and np.any(values):
+        raise IndefiniteEnergyError(
+            f"energy form nonpositive ({qv:.3e}) on a nonzero iterate; "
+            "the positivity assumption fails on this mesh"
+        )
 
 
 def minimize_phi(
@@ -163,8 +164,8 @@ def minimize_phi(
     smoothing entirely.
 
     Emits a warning on line-search failure and returns the last iterate;
-    raises :class:`IndefiniteEnergyError` if the objective falls below its
-    coercivity floor, which signals an indefinite energy form.
+    raises :class:`IndefiniteEnergyError` once an iterate is nonzero with
+    ``q_v <= 0``, which contradicts the positivity of the energy form.
     """
     mesh = start.mesh
     if f.mesh is not mesh:
@@ -183,7 +184,6 @@ def minimize_phi(
     scale = max(1.0, float(np.max(np.abs(start.values))) if start.values.size else 1.0)
     delta0 = params.delta
     delta_floor = 0.0 if delta0 == 0.0 else 1e-8 * scale
-    floor = _coercivity_floor(f, params)
 
     u = start.values.copy()
     gs = _grad_square(mesh, u)
@@ -202,12 +202,8 @@ def minimize_phi(
         iterations = k + 1
         delta = delta_floor if delta0 == 0.0 else max(delta_floor, delta0 * 0.5**k)
         params_k = params.with_delta(delta)
+        _check_definite(_q_v_arrays(mesh, u, v_vals, params.p, gs), u)
         phi_u = _phi_arrays(mesh, u, v_vals, f, params_k, gs)
-        if phi_u < floor - 1e-9 - 1e-6 * abs(floor):
-            raise IndefiniteEnergyError(
-                f"objective {phi_u:.6e} fell below its coercivity floor {floor:.6e}; "
-                "the energy form is indefinite on this mesh"
-            )
         g = _phi_gradient_arrays(mesh, u, v_vals, f, params_k, gs)
         res = np.sqrt(max(integrate(g * g, mesh), 0.0))
         if res <= tol and delta <= delta_floor:
@@ -289,6 +285,62 @@ def minimize_phi(
     )
 
 
+def dual_norm(
+    f: ForcingTerm,
+    V: Potential,
+    params: EnergyParams,
+    tol: float = 1e-8,
+    max_iter: int = 500,
+) -> float:
+    """Lower estimate of ``sup { <f, u> : q_v(u) = 1 }``.
+
+    By p-homogeneity the supremum is the quotient ``<f, u> / q_v(u)^(1/p)``
+    at the minimizer u of ``q_v(u)/p - <f, u>``, the ``eps = 0`` objective.
+    At p = 2 that minimizer solves ``K x = r``, with ``K`` the matrix of
+    ``q_v`` on the free nodes and ``r`` the plain representation of f: one
+    conjugate-gradient solve (relative residual 1e-12) finds it.  Otherwise
+    :func:`minimize_phi` from zero, with ``tol`` and ``max_iter``, does.
+    Either way the quotient is taken at an actual point, so it stays a lower
+    bound of the discrete supremum even if the minimization stops early.
+
+    Raises :class:`IndefiniteEnergyError` if an iterate has nonpositive
+    energy, which contradicts the standing positivity assumption; at p = 2
+    also when the solve meets a direction of nonpositive curvature of ``K``.
+    """
+    mesh = f.mesh
+    p = params.p
+    r = f.plain_rep()
+    if not np.any(r[mesh.free_mask]):  # f pairs to 0 with every admissible u
+        return 0.0
+    v_vals = evaluate_potential(V, mesh)
+    if p == 2.0:
+        return _quadratic_dual_norm(mesh, r, v_vals)
+    u = minimize_phi(DiscreteFunction.zeros(mesh), V, f, params.with_eps(0.0), tol, max_iter).u.values
+    qv = _q_v_arrays(mesh, u, v_vals, p)
+    _check_definite(qv, u)
+    return float(r @ u) / qv ** (1.0 / p)
+
+
+def _quadratic_dual_norm(mesh: Mesh, r: np.ndarray, v_vals: np.ndarray) -> float:
+    """:func:`dual_norm` at p = 2: one Jacobi-preconditioned conjugate-gradient
+    solve of the form's matrix on the free nodes, capped at their number of
+    iterations (where CG ends in exact arithmetic)."""
+    free = mesh.free_mask
+    mass = np.zeros(mesh.n_nodes)
+    mass[free] = mesh.weights[free] * v_vals[free]
+    K = (mesh.energy_stiffness() - sp.diags(mass)).tocsr()[free][:, free]
+    x = np.zeros(mesh.n_nodes)
+    x[free], witness = conjugate_gradient(K, r[free], int(free.sum()), 1e-12, inverse_diagonal(K))
+    if witness is not None:
+        raise IndefiniteEnergyError(
+            "energy form nonpositive on a conjugate-gradient direction; "
+            "the positivity assumption fails on this mesh"
+        )
+    qv = _q_v_arrays(mesh, x, v_vals, 2.0)
+    _check_definite(qv, x)
+    return float(r @ x) / np.sqrt(qv)
+
+
 def _interior_cutoff(mesh: Mesh) -> DiscreteFunction:
     """Plateau cutoff: 1 on the central part of the domain, ramps to 0 at the
     boundary faces."""
@@ -309,8 +361,6 @@ def continuation_solve(
     tol: float = 1e-8,
     W: Weight | None = None,
     max_iter: int = 800,
-    seed: int = 0,
-    dual_budget: int = 200,
 ) -> SolveReport:
     """Drive the regularization parameter down a geometric schedule.
 
@@ -323,7 +373,7 @@ def continuation_solve(
     it; a stage energy above ``D**(p/(p-1)) * (1 + 1e-3)`` aborts.
     """
     mesh = f.mesh
-    estimate = dual_norm(f, V, params, budget=dual_budget, seed=seed)
+    estimate = dual_norm(f, V, params, tol, max_iter)
     if not np.isfinite(estimate) or estimate > 1e12:
         raise ValueError(
             f"dual norm estimate {estimate!r} is not usably finite; "
@@ -344,10 +394,7 @@ def continuation_solve(
         u_new = result.u
         qv = q_v(u_new, V, params)
         pairing = f.pairing(u_new)
-        if qv <= 0.0 and np.any(u_new.values):
-            raise IndefiniteEnergyError(
-                f"stage eps={eps_n:.3e} produced a nonzero iterate with q_v={qv:.3e} <= 0"
-            )
+        _check_definite(qv, u_new.values)
         quotient = pairing / qv ** (1.0 / p) if qv > 0.0 else 0.0
         estimate = max(estimate, quotient)
         if qv > estimate**pc * (1.0 + 1e-3) + tol:

@@ -61,6 +61,7 @@ class CertificationRecord:
     ``worst_margin`` is the minimum over samples of (left side - right side),
     normalized by the left-side scale when ``details['normalized']`` is set.
     The verdict is ``violation`` exactly when ``worst_margin < -tolerance``.
+    :meth:`from_margins` refuses an empty sample set, which certifies nothing.
     """
 
     inequality_id: str
@@ -74,13 +75,15 @@ class CertificationRecord:
     @classmethod
     def from_margins(cls, inequality_id, margins, descriptors, tolerance, details=None):
         margins = np.asarray(margins, dtype=float)
-        i = int(np.argmin(margins)) if margins.size else 0
-        worst = float(margins[i]) if margins.size else np.inf
+        if not margins.size:
+            raise ValueError(f"{inequality_id}: no samples, so nothing is certified")
+        i = int(np.argmin(margins))
+        worst = float(margins[i])
         return cls(
             inequality_id=inequality_id,
             sample_count=int(margins.size),
             worst_margin=worst,
-            worst_sample=descriptors[i] if margins.size else "none",
+            worst_sample=descriptors[i],
             verdict="violation" if worst < -tolerance else "no_violation",
             tolerance=tolerance,
             details=details or {},

@@ -96,10 +96,26 @@ REFUSED = [
     ("p_boolean", {"physics.p": True}, "physics.p:", "must be a number"),
     ("tol_boolean", {"solver.tol": False}, "solver.tol:", "must be a number"),
     ("nodes_boolean", {"mesh.nodes_per_axis": [True]}, "mesh.nodes_per_axis:", "list of integers"),
+    ("p_values_range", {"certify.p_values": [0.5]}, "certify.p_values:", "p must exceed 1"),
+    ("l_values_off_strip", {"eigen.l_values": [2.0]}, "eigen.l_values:", "only valid for strip domains"),
+    ("samples_zero", {"certify.samples": 0}, "certify.samples:", "at least 1"),
+    ("solver_not_object", {"solver": 5}, "solver:", "must be an object"),
+    ("potential_not_object", {"physics.potential": "zero"}, "physics.potential:", "must be an object"),
+    ("domain_not_object", {"domain": "interval"}, "domain:", "must be an object"),
 ]
 
 # refused by the schema's type checks; they used to crash or fail inside a run
 MISTYPED = ["p_values_items", "l_values_items", "directory_type", "samples_boolean"]
+
+# refused at parse; each used to run, and to exit 0 or 3 or crash: {case: subcommand}
+FORMERLY_PAST_PARSE = {
+    "p_values_range": "certify",
+    "l_values_off_strip": "eigen",
+    "samples_zero": "certify",
+    "solver_not_object": "solve",
+    "potential_not_object": "solve",
+    "domain_not_object": "solve",
+}
 
 # refused at run time (exit 1 after the run starts) before the constructors validated the config
 FORMERLY_AT_RUN_TIME = [
@@ -185,6 +201,27 @@ class TestParseConfig:
         key = next(iter(updates))
         assert f"config error: {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", FORMERLY_PAST_PARSE)
+    def test_refused_at_parse_exits_one(self, tmp_path, capsys, case):
+        updates, section, constraint = next(c[1:] for c in REFUSED if c[0] == case)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_with(SMALL_SOLVE, updates)))
+        subcommand = FORMERLY_PAST_PARSE[case]
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {section}" in err and constraint in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_grammar_has_no_unknown_key(self):
+        # the grammar block lists every key; one the schema drops must leave it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        text = "\n".join(line.split("//", 1)[0] for line in block.splitlines())
+        try:
+            parse_config(text)
+        except ConfigError as err:
+            assert not [e for e in err.errors if "unknown key" in e], err.errors
 
     def test_q_constraints(self):
         bad = json.loads(json.dumps(SMALL_SOLVE))

@@ -150,8 +150,8 @@ mesh = build_mesh(interval(0.0, 1.0), [41])
 rayleigh_min(mesh, 2.5, tol=1e-6, max_iter=50)
 rayleigh_min(mesh, 2.0, tol=1e-6, max_iter=50)
 f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-dual_norm(f, Potential.zero(), EnergyParams(p=2.5), budget=5)
-dual_norm(f, Potential.zero(), EnergyParams(p=2.0), budget=5)
+dual_norm(f, Potential.zero(), EnergyParams(p=2.5))
+dual_norm(f, Potential.zero(), EnergyParams(p=2.0))
 minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, EnergyParams(p=2.5, eps=0.3, delta=1e-4), max_iter=50)
 print(sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
 """

@@ -12,6 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import plapsolve.spectra
 from plapsolve import (
+    CertificationRecord,
     DiscreteFunction,
     blowup_demo,
     box,
@@ -258,6 +259,12 @@ class TestHardyCheck:
     def test_rejects_bad_exponent(self, hardy_mesh):
         with pytest.raises(ValueError):
             hardy_check(hardy_mesh, 3, 3.5, samples=5, probe=False)
+
+    def test_no_samples_certify_nothing(self, hardy_mesh):
+        with pytest.raises(ValueError, match="no samples"):
+            CertificationRecord.from_margins("hardy", [], [], 1e-8)
+        with pytest.raises(ValueError, match="no samples"):
+            hardy_check(hardy_mesh, 3, 2.0, samples=0, probe=False)
 
 
 class TestBlowup:
