@@ -5,11 +5,13 @@ Subcommands: ``solve`` (admissibility gate then continuation), ``eigen``
 ``certify`` (the inequality suite), ``blowup`` (the divergent-forcing
 construction), and ``admissibility`` (the report alone).
 
-Configs are JSON documents; unknown keys are errors, and every validation
-error names its config section.  Reports land in a directory named from the
-config hash: delimited tables (one row per record), a JSON summary, the
-config echo, and the solution field.  Identical configs byte-reproduce all
-numeric outputs.
+Configs are JSON documents checked against one schema table; unknown keys
+are errors, a key that another kind adds is refused as ``only valid for
+<kind> <section>s`` (``physics.potential.value`` on a zero potential), and
+every validation error names its config section.  Reports land in a
+directory named from the config hash: delimited tables (one row per record),
+a JSON summary, the config echo, and the solution field.  Identical configs
+byte-reproduce all numeric outputs.
 
 Exit codes: 0 success, 1 config error, 2 certification or admissibility
 violation, 3 solver failure.
@@ -54,6 +56,7 @@ from .spectra import (
     poincare_remainder_check,
     power_mean_check,
     rayleigh_min,
+    section_eigenvalue,
 )
 
 __all__ = ["ConfigError", "RunConfig", "RunArtifact", "parse_config", "run", "emit_reports", "main"]
@@ -148,65 +151,143 @@ def evaluate_expression(expr: str, mesh: Mesh) -> np.ndarray:
 # configuration schema
 
 
-def _check_keys(section: str, data: dict, allowed: set[str], errors: list[str]) -> None:
+def _is_number(value) -> bool:
+    """An int or a float; JSON's ``true`` and ``false`` are neither."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(is_item):
+    return lambda value: isinstance(value, list) and all(map(is_item, value))
+
+
+def _float(value):
+    """A number as a float; a string or null stays as it is."""
+    return value if value is None or isinstance(value, str) else float(value)
+
+
+# what a value must be, worded as its error says it: (check, normalization);
+# "an object" is a nested section, checked against its own schema
+_TYPES = {
+    "a number": (_is_number, float),
+    "a number or null": (lambda v: v is None or _is_number(v), _float),
+    "a number or 'lambda1_omega'": (lambda v: v == "lambda1_omega" or _is_number(v), _float),
+    "an integer": (_is_integer, int),
+    "a string": (lambda v: isinstance(v, str), str),
+    "a list of numbers": (_list_of(_is_number), list),
+    "a list of integers": (_list_of(_is_integer), list),
+    "a list of integers or null": (
+        lambda v: v is None or _list_of(_is_integer)(v),
+        lambda v: v if v is None else list(v),
+    ),
+    "a list of strings": (_list_of(lambda v: isinstance(v, str)), list),
+    "a nonempty list of [lo, hi] number pairs": (
+        lambda v: bool(v) and _list_of(lambda b: _list_of(_is_number)(b) and len(b) == 2)(v),
+        lambda v: [[float(lo), float(hi)] for lo, hi in v],
+    ),
+}
+
+_CHECKS = ["monotonicity", "power_mean", "hardy", "poincare", "cylinder"]
+
+# section -> key -> (type, default).  A None default that the type refuses
+# makes the key required; a null q or weight p is physics.p.
+_SCHEMA = {
+    "domain": {"kind": ("a string", None), "bounds": ("a nonempty list of [lo, hi] number pairs", None)},
+    "mesh": {
+        "nodes_per_axis": ("a list of integers", None),
+        "singular_cap_radius": ("a number", 0.0),
+        "singular_axes": ("a list of integers or null", None),
+    },
+    "physics": {
+        "p": ("a number", 2.0),
+        "q": ("a number or null", None),
+        "potential": ("an object", {}),
+        "weight": ("an object", {}),
+        "forcing": ("an object", {}),
+    },
+    "physics.potential": {"kind": ("a string", "zero")},
+    "physics.weight": {"kind": ("a string", "constant"), "value": ("a number", 1.0)},
+    "physics.forcing": {"kind": ("a string", "zero")},
+    "solver": {
+        "eps0": ("a number", 0.5),
+        "ratio": ("a number", 0.25),
+        "steps": ("an integer", 6),
+        "tol": ("a number", 1e-8),
+        "max_iter": ("an integer", 800),
+        "delta0": ("a number", 0.0),
+        "seed": ("an integer", 0),
+    },
+    "eigen": {
+        "l_values": ("a list of numbers", []),
+        "tol": ("a number", 1e-8),
+        "max_iter": ("an integer", 800),
+        "z_nodes_per_unit": ("a number", 8.0),
+        "seed": ("an integer", 0),
+    },
+    "certify": {
+        "checks": ("a list of strings", _CHECKS),
+        "samples": ("an integer", 200),
+        "pair_samples": ("an integer", 100000),
+        "p_values": ("a list of numbers", [1.5, 2.0, 3.0, 4.0]),
+        "seed": ("an integer", 0),
+        "tolerance": ("a number", 1e-8),
+        "constant_scale": ("a number", 1.0),
+    },
+    "blowup": {
+        "n_terms": ("an integer", 8),
+        "length_per_bump": ("a number", 6.0),
+        "z_nodes_per_unit": ("a number", 8.0),
+        "seed": ("an integer", 0),
+    },
+    "output": {"directory": ("a string", "runs"), "field_format": ("a string", "bin")},
+}
+
+# section -> kind -> the keys that kind adds, as in _SCHEMA; no default kind adds any
+_KIND_KEYS = {
+    "domain": {
+        "strip": {"m_axes": ("an integer", 1), "truncation_length": ("a number", None)},
+        "punctured_box": {"puncture_radius": ("a number", 0.0)},
+    },
+    "physics.potential": {
+        "constant": {"value": ("a number or 'lambda1_omega'", 0.0)},
+        "cylindrical_hardy": {"k_axes": ("an integer", None)},
+        "tabulated": {"expr": ("a string", None)},
+    },
+    "physics.weight": {"cylinder_decay": {"p": ("a number or null", None)}},
+    "physics.forcing": {"expression": {"expr": ("a string", None)}},
+}
+
+_SECTIONS = ("domain", "mesh", "physics", "solver", "eigen", "certify", "blowup", "output")
+
+
+def _section(name: str, data, errors: list[str]) -> dict:
+    """``data`` checked against ``_SCHEMA[name]`` and the keys its kind adds,
+    with defaults filled in; each refusal is recorded as ``section.key: ...``."""
+    if not isinstance(data, dict):
+        errors.append(f"{name}: must be an object")
+        data = {}
+    kinds = _KIND_KEYS.get(name, {})
+    keys = {**_SCHEMA[name], **next((extra for kind, extra in kinds.items() if kind == data.get("kind")), {})}
     for key in data:
-        if key not in allowed:
-            errors.append(f"{section}.{key}: unknown key")
-
-
-def _object(section: str, value, errors: list[str]) -> dict | None:
-    """``value`` if it is a JSON object, else None with the error recorded."""
-    if isinstance(value, dict):
-        return value
-    errors.append(f"{section}: must be an object")
-    return None
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    """An int, or also a float unless ``integer``; JSON's ``true`` and
-    ``false`` are neither."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-
-
-_DEFAULT_SOLVER = {
-    "eps0": 0.5,
-    "ratio": 0.25,
-    "steps": 6,
-    "tol": 1e-8,
-    "max_iter": 800,
-    "delta0": 0.0,
-    "seed": 0,
-}
-_DEFAULT_EIGEN = {
-    "l_values": [],
-    "tol": 1e-8,
-    "max_iter": 800,
-    "z_nodes_per_unit": 8.0,
-    "seed": 0,
-}
-_DEFAULT_CERTIFY = {
-    "checks": ["monotonicity", "power_mean", "hardy", "poincare", "cylinder"],
-    "samples": 200,
-    "pair_samples": 100000,
-    "p_values": [1.5, 2.0, 3.0, 4.0],
-    "seed": 0,
-    "tolerance": 1e-8,
-    "constant_scale": 1.0,
-}
-_DEFAULT_BLOWUP = {
-    "n_terms": 8,
-    "length_per_bump": 6.0,
-    "z_nodes_per_unit": 8.0,
-    "seed": 0,
-}
-_DEFAULT_OUTPUT = {"directory": "runs", "field_format": "bin"}
-_DEFAULT_WEIGHT = {"kind": "constant", "value": 1.0}
-# the keys a domain kind adds: {key: (kind, integer or number, default)}
-_DOMAIN_KEYS = {
-    "m_axes": ("strip", True, 1),
-    "truncation_length": ("strip", False, None),
-    "puncture_radius": ("punctured_box", False, 0.0),
-}
+        if key not in keys:
+            owners = " or ".join(kind for kind, extra in kinds.items() if key in extra)
+            noun = name.rsplit(".", 1)[-1]
+            errors.append(f"{name}.{key}: " + (f"only valid for {owners} {noun}s" if owners else "unknown key"))
+    out = {}
+    for key, (expected, default) in keys.items():
+        value = data.get(key, default)
+        if expected == "an object":
+            out[key] = _section(f"{name}.{key}", value, errors)
+            continue
+        is_valid, normalize = _TYPES[expected]
+        if is_valid(value):
+            out[key] = normalize(value)
+        else:
+            errors.append(f"{name}.{key}: must be {expected}")
+    return out
 
 
 @dataclass
@@ -289,153 +370,14 @@ def _weight(wt: dict) -> Weight:
     return Weight(wt["kind"], wt["value"])
 
 
-def _validate_domain(data, errors: list[str]) -> dict | None:
-    data = _object("domain", data, errors)
-    if data is None:
-        return None
-    _check_keys("domain", data, {"kind", "bounds", *_DOMAIN_KEYS}, errors)
-    n_errors = len(errors)
-    kind = data.get("kind")
-    bounds = data.get("bounds")
-    if not isinstance(bounds, list) or not bounds or not all(
-        isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in bounds
-    ):
-        errors.append("domain.bounds: must be a nonempty list of [lo, hi] number pairs")
-        return None
-    out = {"kind": kind, "bounds": [[float(lo), float(hi)] for lo, hi in bounds]}
-    for key, (owner, integer, default) in _DOMAIN_KEYS.items():
-        value = data.get(key, default)
-        if kind != owner:
-            if key in data:
-                errors.append(f"domain.{key}: only valid for {owner} domains")
-        elif not _is_number(value, integer):
-            errors.append(f"domain.{key}: must be {'an integer' if integer else 'a number'}")
-        else:
-            out[key] = int(value) if integer else float(value)
-    return None if len(errors) > n_errors else out
-
-
-def _validate_mesh(data, errors: list[str]) -> dict | None:
-    data = _object("mesh", data, errors)
-    if data is None:
-        return None
-    _check_keys("mesh", data, {"nodes_per_axis", "singular_cap_radius", "singular_axes"}, errors)
-    n_errors = len(errors)
-    nodes = data.get("nodes_per_axis")
-    cap = data.get("singular_cap_radius", 0.0)
-    axes = data.get("singular_axes")
-    if not isinstance(nodes, list) or not all(_is_number(n, integer=True) for n in nodes):
-        errors.append("mesh.nodes_per_axis: must be a list of integers")
-    if not _is_number(cap):
-        errors.append("mesh.singular_cap_radius: must be a number")
-    if axes is not None and (not isinstance(axes, list) or not all(_is_number(a, integer=True) for a in axes)):
-        errors.append("mesh.singular_axes: must be a list of axis indices")
-    if len(errors) > n_errors:
-        return None
-    return {
-        "nodes_per_axis": list(nodes),
-        "singular_cap_radius": float(cap),
-        "singular_axes": axes if axes is None else list(axes),
-    }
-
-
-def _number(section: str, data: dict, key: str, default, errors: list[str]) -> float:
-    """``data[key]`` (or ``default``) as a float; a non-number is an error."""
-    value = data.get(key, default)
-    if _is_number(value):
-        return float(value)
-    errors.append(f"{section}.{key}: must be a number")
-    return default
-
-
-def _validate_physics(data, errors: list[str]) -> dict:
-    data = _object("physics", data, errors) or {}
-    _check_keys("physics", data, {"p", "q", "potential", "weight", "forcing"}, errors)
-    out = {"p": _number("physics", data, "p", 2.0, errors)}
-    out["q"] = _number("physics", data, "q", out["p"], errors) if data.get("q") is not None else out["p"]
-
-    pot = _object("physics.potential", data.get("potential", {}), errors) or {}
-    _check_keys("physics.potential", pot, {"kind", "value", "k_axes", "expr"}, errors)
-    norm_pot = out["potential"] = {"kind": pot.get("kind", "zero")}
-    if norm_pot["kind"] == "constant":
-        value = pot.get("value", 0.0)
-        if value == "lambda1_omega":
-            norm_pot["value"] = value
-        else:
-            norm_pot["value"] = _number("physics.potential", pot, "value", 0.0, errors)
-    elif norm_pot["kind"] == "cylindrical_hardy":
-        norm_pot["k_axes"] = pot.get("k_axes")
-        if not _is_number(norm_pot["k_axes"], integer=True):
-            errors.append("physics.potential.k_axes: must be an integer")
-    elif norm_pot["kind"] == "tabulated":
-        norm_pot["expr"] = pot.get("expr")
-        if not isinstance(norm_pot["expr"], str):
-            errors.append("physics.potential.expr: tabulated potential needs an expression string")
-
-    wt = _object("physics.weight", data.get("weight", _DEFAULT_WEIGHT), errors) or {}
-    _check_keys("physics.weight", wt, {"kind", "value", "p"}, errors)
-    norm_wt = out["weight"] = {
-        "kind": wt.get("kind", "constant"),
-        "value": _number("physics.weight", wt, "value", 1.0, errors),
-    }
-    if norm_wt["kind"] == "cylinder_decay":
-        norm_wt["p"] = _number("physics.weight", wt, "p", out["p"], errors)
-
-    forcing = _object("physics.forcing", data.get("forcing", {}), errors) or {}
-    _check_keys("physics.forcing", forcing, {"kind", "expr"}, errors)
-    fkind = forcing.get("kind", "zero")
-    if fkind not in ("zero", "expression"):
-        errors.append(f"physics.forcing.kind: must be 'zero' or 'expression', got {fkind!r}")
-        fkind = "zero"
-    norm_f = {"kind": fkind}
-    if fkind == "expression":
-        expr = forcing.get("expr")
-        if not isinstance(expr, str):
-            errors.append("physics.forcing.expr: expression forcing needs an expression string")
-        else:
-            norm_f["expr"] = expr
-    out["forcing"] = norm_f
-    return out
-
-
-# what the items of each list-valued section key must be
-_LIST_ITEMS = {"l_values": "number", "p_values": "number", "checks": "string"}
-
-
-def _validate_section(name: str, data, defaults: dict, errors: list[str]) -> dict:
-    """``defaults`` updated from ``data``; each value must have its default's
-    type, and list items the type ``_LIST_ITEMS`` names."""
-    data = _object(name, data, errors) or {}
-    _check_keys(name, data, set(defaults), errors)
-    out = json.loads(json.dumps(defaults))
-    for key, value in data.items():
-        if key not in defaults:
-            continue
-        default = defaults[key]
-        if isinstance(default, list):
-            item = _LIST_ITEMS[key]
-            is_item = _is_number if item == "number" else lambda v: isinstance(v, str)
-            ok, expected = isinstance(value, list) and all(map(is_item, value)), f"a list of {item}s"
-        elif isinstance(default, int):
-            ok, expected = _is_number(value, integer=True), "an integer"
-        elif isinstance(default, float):
-            ok, expected = _is_number(value), "a number"
-        else:
-            ok, expected = isinstance(value, str), "a string"
-        if not ok:
-            errors.append(f"{name}.{key}: must be {expected}")
-        else:
-            out[key] = float(value) if isinstance(default, float) else value
-    return out
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
     The schema checks keys, types and shapes, reported as ``section.key:
-    constraint``; unknown keys are errors.  The domain, mesh, exponents,
-    potential, weight and eps schedule are then built once, and each
-    constructor's refusal is reported as ``section: message``.
+    constraint``; unknown keys and keys of another kind are errors.  The
+    domain, mesh, exponents, potential, weight and eps schedule are then
+    built once, and each constructor's refusal is reported as ``section:
+    message``.
     """
     errors: list[str] = []
     try:
@@ -445,81 +387,68 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(["config: top level must be an object"])
 
-    top_allowed = {"subcommand", "domain", "mesh", "physics", "solver", "eigen", "certify", "blowup", "output"}
-    _check_keys("config", data, top_allowed, errors)
-
+    errors += [f"config.{key}: unknown key" for key in data if key not in ("subcommand", *_SECTIONS)]
     sub = data.get("subcommand")
     if sub not in _SUBCOMMANDS:
         errors.append(f"config.subcommand: must be one of {', '.join(_SUBCOMMANDS)}, got {sub!r}")
         raise ConfigError(errors)
 
     needs_domain = sub in ("solve", "eigen", "blowup", "admissibility")
-    domain = mesh = dom = None
-    if "domain" in data:
-        domain = _validate_domain(data["domain"], errors)
-        if domain is not None:
-            dom = _built("domain", errors, _domain, domain)
-    elif needs_domain:
-        errors.append(f"config.domain: required for subcommand {sub!r}")
-    if "mesh" in data:
-        mesh = _validate_mesh(data["mesh"], errors)
-        if mesh is not None and dom is not None:
-            _built("mesh", errors, build_mesh, dom, **mesh)
-    elif needs_domain:
-        errors.append(f"config.mesh: required for subcommand {sub!r}")
+    cfg = {}
+    for name in _SECTIONS:
+        if name in data or name not in ("domain", "mesh"):
+            cfg[name] = _section(name, data.get(name, {}), errors)
+        else:
+            cfg[name] = None
+            if needs_domain:
+                errors.append(f"config.{name}: required for subcommand {sub!r}")
+    fkind = cfg["physics"]["forcing"].get("kind", "zero")
+    if fkind not in ("zero", "expression"):
+        errors.append(f"physics.forcing.kind: must be 'zero' or 'expression', got {fkind!r}")
+    if errors:  # the constructors take only well-typed values
+        raise ConfigError(errors)
 
-    n_errors = len(errors)
-    physics = _validate_physics(data.get("physics", {}), errors)
-    solver = _validate_section("solver", data.get("solver", {}), _DEFAULT_SOLVER, errors)
-    eigen = _validate_section("eigen", data.get("eigen", {}), _DEFAULT_EIGEN, errors)
-    certify = _validate_section("certify", data.get("certify", {}), _DEFAULT_CERTIFY, errors)
-    blowup = _validate_section("blowup", data.get("blowup", {}), _DEFAULT_BLOWUP, errors)
-    output = _validate_section("output", data.get("output", {}), _DEFAULT_OUTPUT, errors)
+    domain, physics, certify = cfg["domain"], cfg["physics"], cfg["certify"]
+    p, pot, weight = physics["p"], physics["potential"], physics["weight"]
+    if physics["q"] is None:
+        physics["q"] = p
+    if "p" in weight and weight["p"] is None:
+        weight["p"] = p
 
-    if len(errors) == n_errors:  # the constructors take only well-typed values
-        p, pot = physics["p"], physics["potential"]
-        dims = dom.dims if dom else None
-        _built("physics", errors, EnergyParams, p, physics["q"])
-        # a 'lambda1_omega' value is computed at run time, and the Hardy
-        # kinds need the domain's dimension
-        if pot.get("value") != "lambda1_omega" and (dims or pot["kind"] not in ("quadratic_hardy", "hardy_p")):
-            _built("physics.potential", errors, _potential, pot, p, dims)
-        _built("physics.weight", errors, _weight, physics["weight"])
-        _built("solver", errors, EpsSchedule, solver["eps0"], solver["ratio"], solver["steps"])
+    dom = _built("domain", errors, _domain, domain) if domain is not None else None
+    if dom and cfg["mesh"]:
+        _built("mesh", errors, build_mesh, dom, **cfg["mesh"])
+    _built("physics", errors, EnergyParams, p, physics["q"])
+    # a 'lambda1_omega' value is computed at run time, and the Hardy kinds
+    # need the domain's dimension
+    dims = dom.dims if dom else None
+    if pot.get("value") != "lambda1_omega" and (dims or pot["kind"] not in ("quadratic_hardy", "hardy_p")):
+        _built("physics.potential", errors, _potential, pot, p, dims)
+    _built("physics.weight", errors, _weight, weight)
+    solver = cfg["solver"]
+    _built("solver", errors, EpsSchedule, solver["eps0"], solver["ratio"], solver["steps"])
     for p_cert in certify["p_values"]:
         _built("certify.p_values", errors, validate_exponents, p_cert, p_cert)
     if certify["samples"] < 1:
         errors.append("certify.samples: must be at least 1")
-    for check in certify["checks"]:
-        if check not in ("monotonicity", "power_mean", "hardy", "poincare", "cylinder"):
-            errors.append(f"certify.checks: unknown check {check!r}")
-    if blowup["n_terms"] < 3:
+    errors += [f"certify.checks: unknown check {check!r}" for check in certify["checks"] if check not in _CHECKS]
+    if cfg["blowup"]["n_terms"] < 3:
         errors.append("blowup.n_terms: need at least 3 bumps")
     if sub == "blowup" and domain is not None:
         if domain["kind"] != "strip":
             errors.append(f"blowup: needs a strip domain, got {domain['kind']!r}")
         elif domain["m_axes"] != 1:
             errors.append(f"blowup: needs a strip with m_axes = 1, got {domain['m_axes']}")
-    if eigen["l_values"] and domain is not None and domain["kind"] != "strip":
+    if cfg["eigen"]["l_values"] and domain is not None and domain["kind"] != "strip":
         errors.append("eigen.l_values: only valid for strip domains")
-    if output["field_format"] not in ("bin", "csv"):
-        errors.append(f"output.field_format: must be 'bin' or 'csv', got {output['field_format']!r}")
-    if physics["potential"].get("value") == "lambda1_omega" and domain is not None and domain["kind"] != "strip":
+    if cfg["output"]["field_format"] not in ("bin", "csv"):
+        errors.append(f"output.field_format: must be 'bin' or 'csv', got {cfg['output']['field_format']!r}")
+    if pot.get("value") == "lambda1_omega" and domain is not None and domain["kind"] != "strip":
         errors.append("physics.potential.value: 'lambda1_omega' needs a strip domain")
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        subcommand=sub,
-        domain=domain,
-        mesh=mesh,
-        physics=physics,
-        solver=solver,
-        eigen=eigen,
-        certify=certify,
-        blowup=blowup,
-        output=output,
-    )
+    return RunConfig(subcommand=sub, **cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +484,7 @@ def _build_potential(cfg: RunConfig, mesh: Mesh) -> Potential:
     pot = dict(cfg.physics["potential"])
     p = cfg.physics["p"]
     if pot.get("value") == "lambda1_omega":
-        pot["value"] = rayleigh_min(
-            _omega_mesh(cfg), p, tol=1e-10, max_iter=3000, seed=cfg.solver["seed"],
-            stall_window=120, stall_factor=0.95,
-        ).value
+        pot["value"] = section_eigenvalue(_omega_mesh(cfg), p, 1e-10, cfg.solver["seed"]).value
     with _config_errors():
         if pot["kind"] == "tabulated":
             V = Potential.tabulated(evaluate_expression(pot["expr"], mesh))
@@ -950,12 +876,16 @@ def _load_config_text(source: str) -> str:
 
 
 def _apply_sweep(base: dict, key: str, value) -> dict:
+    """A copy of ``base`` with the dotted ``key`` set to ``value``; a ``key``
+    through a value that is not an object is a ``ValueError``."""
     out = json.loads(json.dumps(base))
     node = out
-    parts = key.split(".")
-    for part in parts[:-1]:
+    *parents, last = key.split(".")
+    for i, part in enumerate(parents):
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ValueError(f"{'.'.join(parents[:i + 1])} is not an object")
+    node[last] = value
     return out
 
 
@@ -986,12 +916,15 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(raw, dict):
+        print("config error: config: top level must be an object", file=sys.stderr)
+        return 1
     raw["subcommand"] = args.subcommand
     if args.seed is not None:
-        raw.setdefault("solver", {})["seed"] = args.seed
-        raw.setdefault("certify", {})["seed"] = args.seed
-        raw.setdefault("eigen", {})["seed"] = args.seed
-        raw.setdefault("blowup", {})["seed"] = args.seed
+        for section in ("solver", "certify", "eigen", "blowup"):
+            # a section that is not an object is left for parse_config to refuse
+            if isinstance(raw.setdefault(section, {}), dict):
+                raw[section]["seed"] = args.seed
 
     variants: list[dict] = [raw]
     if args.sweep:
@@ -999,11 +932,10 @@ def main(argv=None) -> int:
             key, _, values = args.sweep.partition("=")
             if not values:
                 raise ValueError("expected KEY=V1,V2,...")
-            parsed = [json.loads(v) for v in values.split(",")]
+            variants = [_apply_sweep(raw, key.strip(), json.loads(v)) for v in values.split(",")]
         except (ValueError, json.JSONDecodeError) as exc:
             print(f"config error: --sweep {exc}", file=sys.stderr)
             return 1
-        variants = [_apply_sweep(raw, key.strip(), v) for v in parsed]
 
     configs: list[RunConfig] = []
     for variant in variants:

@@ -9,6 +9,8 @@ import pytest
 
 from plapsolve import presets
 from plapsolve.cli import (
+    _KIND_KEYS,
+    _SCHEMA,
     ConfigError,
     emit_reports,
     evaluate_expression,
@@ -102,6 +104,14 @@ REFUSED = [
     ("solver_not_object", {"solver": 5}, "solver:", "must be an object"),
     ("potential_not_object", {"physics.potential": "zero"}, "physics.potential:", "must be an object"),
     ("domain_not_object", {"domain": "interval"}, "domain:", "must be an object"),
+    ("value_on_zero_potential", {"physics.potential": {"kind": "zero", "value": 3.0}},
+     "physics.potential.value:", "only valid for constant potentials"),
+    ("k_axes_on_constant_potential", {"physics.potential": {"kind": "constant", "k_axes": 2}},
+     "physics.potential.k_axes:", "only valid for cylindrical_hardy potentials"),
+    ("p_on_constant_weight", {"physics.weight": {"kind": "constant", "value": 0.45, "p": 2.0}},
+     "physics.weight.p:", "only valid for cylinder_decay weights"),
+    ("expr_on_zero_forcing", {"physics.forcing": {"kind": "zero", "expr": "x"}},
+     "physics.forcing.expr:", "only valid for expression forcings"),
 ]
 
 # refused by the schema's type checks; they used to crash or fail inside a run
@@ -214,7 +224,8 @@ class TestParseConfig:
         assert not (tmp_path / "out").exists()
 
     def test_readme_config_grammar_has_no_unknown_key(self):
-        # the grammar block lists every key; one the schema drops must leave it
+        # the grammar block lists every key; one the schema drops must leave it,
+        # and one the schema or a kind adds must be in it
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
         text = "\n".join(line.split("//", 1)[0] for line in block.splitlines())
@@ -222,6 +233,9 @@ class TestParseConfig:
             parse_config(text)
         except ConfigError as err:
             assert not [e for e in err.errors if "unknown key" in e], err.errors
+        tables = [*_SCHEMA.values(), *(keys for kinds in _KIND_KEYS.values() for keys in kinds.values())]
+        missing = sorted({key for keys in tables for key in keys if f'"{key}"' not in block})
+        assert not missing, missing
 
     def test_q_constraints(self):
         bad = json.loads(json.dumps(SMALL_SOLVE))
@@ -417,6 +431,23 @@ class TestMain:
         assert code == 1
         assert "failed: ConfigError" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            ([1, 2], []),
+            ({**SMALL_SOLVE, "solver": 5}, ["--seed", "1"]),
+            ({**SMALL_SOLVE, "physics": 5}, ["--sweep", "physics.p=1.5,3"]),
+            (SMALL_SOLVE, ["--sweep", "solver.tol.x=1"]),
+        ],
+        ids=["top_level_list", "seed_into_non_object", "sweep_into_non_object", "sweep_through_number"],
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, config, extra):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *extra]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_sweep(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_SOLVE))
@@ -475,7 +506,26 @@ class TestMain:
                 assert f.read_bytes() == (prof / f.name).read_bytes(), f.name
 
 
+# config_hash of each shipped preset; a change to the normalized config moves it
+PRESET_HASHES = {
+    "admissibility_hardy": "fe5411cb76b1",
+    "blowup_strip": "6e89b1a8e335",
+    "bounded_potential": "4f9d92626ac3",
+    "certify_suite": "4f1d693ff58a",
+    "eigen_interval": "13680c911944",
+    "eigen_strip_sweep": "ddb240dc0ca1",
+    "hardy_cylindrical": "0f48356ac2b5",
+    "hardy_quadratic": "8ba32fcfbc04",
+    "manufactured_interval": "0e4caf8fae9e",
+    "strip_critical": "a3ac74424b9d",
+}
+
+
 class TestPresets:
+    def test_config_hashes_are_pinned(self):
+        hashes = {name: parse_config(json.dumps(presets.get(name))).config_hash for name in presets.names()}
+        assert hashes == PRESET_HASHES
+
     def test_all_presets_parse(self):
         for name in presets.names():
             cfg = parse_config(json.dumps(presets.get(name)))
