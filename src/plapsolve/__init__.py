@@ -16,7 +16,6 @@ from .energy import (
     phi,
     phi_gradient,
     q_v,
-    residual_norm,
     sobolev_norm,
     truncate,
     truncate_field,

@@ -431,9 +431,16 @@ def parse_config(text: str) -> RunConfig:
         _built("certify.p_values", errors, validate_exponents, p_cert, p_cert)
     if certify["samples"] < 1:
         errors.append("certify.samples: must be at least 1")
+    if certify["pair_samples"] < 0:
+        errors.append("certify.pair_samples: must be at least 0")
     errors += [f"certify.checks: unknown check {check!r}" for check in certify["checks"] if check not in _CHECKS]
     if cfg["blowup"]["n_terms"] < 3:
         errors.append("blowup.n_terms: need at least 3 bumps")
+    positive = [("eigen", "z_nodes_per_unit"), ("blowup", "z_nodes_per_unit"), ("blowup", "length_per_bump")]
+    errors += [f"{name}.{key}: must be positive" for name, key in positive if not cfg[name][key] > 0]
+    l_values = cfg["eigen"]["l_values"]
+    if not (all(L > 0 for L in l_values) and all(b > a for a, b in zip(l_values, l_values[1:]))):
+        errors.append("eigen.l_values: must be positive and strictly increasing")
     if sub == "blowup" and domain is not None:
         if domain["kind"] != "strip":
             errors.append(f"blowup: needs a strip domain, got {domain['kind']!r}")

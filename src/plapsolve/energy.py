@@ -36,7 +36,6 @@ __all__ = [
     "cauchy_diagnostic",
     "y_norm",
     "sobolev_norm",
-    "residual_norm",
 ]
 
 
@@ -321,8 +320,3 @@ def sobolev_norm(u: DiscreteFunction, p: float) -> float:
     _, s = _grad_square(mesh, u.values)
     total = integrate(s ** (p / 2.0) + np.abs(u.values) ** p, mesh)
     return total ** (1.0 / p)
-
-
-def residual_norm(g: DiscreteFunction) -> float:
-    """Quadrature-weighted l2 size of a nodal residual."""
-    return np.sqrt(max(integrate(g.values**2, g.mesh), 0.0))

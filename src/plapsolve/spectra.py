@@ -43,9 +43,9 @@ class EigenResult:
     """Rayleigh-quotient upper bound of the first Dirichlet eigenvalue.
 
     ``value`` equals the p-Dirichlet energy of ``minimizer``, which is
-    normalized to unit p-mass.  ``method`` is ``"lobpcg"`` when the value is
-    the exact discrete eigenvalue (p = 2) and ``"descent"`` when it is an
-    estimate.
+    normalized to unit (weighted) p-mass.  ``method`` is ``"lobpcg"`` when
+    the value is the exact discrete eigenvalue (p = 2) and ``"descent"``
+    when it is an estimate.
     """
 
     value: float
@@ -253,28 +253,31 @@ def rayleigh_min(
     stall_window: int = 25,
     stall_factor: float = 0.5,
     extra_starts=(),
+    mass_weight: np.ndarray | None = None,
 ) -> EigenResult:
     """Upper bound of the first Dirichlet p-Laplacian eigenvalue
-    ``inf { int |grad u|^p : int |u|^p = 1 }``: the exact discrete value at
-    p = 2 (LOBPCG), a projected-descent estimate otherwise.
+    ``inf { int |grad u|^p : int w |u|^p = 1 }`` (``w`` the ``mass_weight``,
+    one when None): the exact discrete value at p = 2 (LOBPCG), a
+    projected-descent estimate otherwise.
 
-    Runs two solves from seeds ``seed`` and ``seed+1`` plus one per entry of
-    ``extra_starts`` (candidate functions to polish), and keeps the smallest
-    quotient; warns when the seeded starts disagree beyond ``10 * tol``,
-    which hints at a nonconvex discrete landscape for p != 2.  At p = 2 both
-    seeded solves are exact, so the warning would mean one of them missed
-    the tolerance.
+    At p = 2 one solve from ``seed`` is exact to ``tol``, so it is the only
+    one.  Otherwise the descent is an estimate whose starts can disagree: it
+    runs from seeds ``seed`` and ``seed+1`` plus once per entry of
+    ``extra_starts`` (candidate functions to polish), keeps the smallest
+    quotient, and warns when the seeded starts disagree beyond ``10 * tol``,
+    which hints at a nonconvex discrete landscape.
     """
     if not np.any(mesh.free_mask):
         raise ValueError("mesh has no interior nodes")
     best = None
     values = []
     total_iters = 0
-    runs = [(seed, None), (seed + 1, None)]
-    runs += [(seed, cand.values) for cand in extra_starts]
+    runs = [(seed, None)]
+    if p != 2.0:
+        runs += [(seed + 1, None)] + [(seed, cand.values) for cand in extra_starts]
     for run_seed, start_values in runs:
         lam, u, iters, res = _quotient_descent(
-            mesh, p, None, tol, max_iter, run_seed,
+            mesh, p, mass_weight, tol, max_iter, run_seed,
             stall_window=stall_window, stall_factor=stall_factor,
             start_values=start_values,
         )
@@ -292,7 +295,8 @@ def rayleigh_min(
             stacklevel=2,
         )
     lam, u, res = best
-    u = u / integrate(np.abs(u) ** p, mesh) ** (1.0 / p)
+    w_mass = 1.0 if mass_weight is None else mass_weight
+    u = u / integrate(w_mass * np.abs(u) ** p, mesh) ** (1.0 / p)
     return EigenResult(
         value=float(lam),
         minimizer=DiscreteFunction(mesh, u),
@@ -590,13 +594,12 @@ def hardy_check(
     mesh: the p-Dirichlet energy of sampled interior bumps dominates
     ``((N-p)/p)**p`` times the critically weighted p-mass.
 
-    When ``probe`` is set, two solves of the weighted quotient from seeds
-    ``seed`` and ``seed+1`` (600 iterations, residual tolerance 1e-6) search
-    for the discrete infimum; it is reported, not asserted, since the
+    When ``probe`` is set, :func:`rayleigh_min` of the weighted quotient
+    (600 iterations, residual tolerance 1e-6) searches for the discrete
+    infimum; it is reported as ``probe_infimum``, not asserted, since the
     critical constant is approached only in the refinement limit.  At p = 2
-    both are exact LOBPCG solves (``method`` ``"lobpcg"``), so
-    ``probe_spread`` measures the agreement of two exact solves; otherwise
-    (``"descent"``) it hints at the spread of the descent's basins.
+    it is one exact LOBPCG solve (``method`` ``"lobpcg"``), otherwise a
+    ``"descent"`` estimate.
     """
     if mesh.domain.dims != n_dims:
         raise ValueError(f"mesh has {mesh.domain.dims} axes, expected N={n_dims}")
@@ -609,15 +612,9 @@ def hardy_check(
 
     details = {"p": p, "n_dims": n_dims, "constant": constant, "normalized": True}
     if probe:
-        vals = []
-        for i in range(2):
-            lam, _, _, _ = _quotient_descent(
-                mesh, p, mass_weight=weight, tol=1e-6, max_iter=600, seed=seed + i
-            )
-            vals.append(lam)
-        details["probe_infimum"] = float(min(vals))
-        details["probe_spread"] = float(max(vals) - min(vals))
-        details["method"] = _method(p)
+        eig = rayleigh_min(mesh, p, tol=1e-6, max_iter=600, seed=seed, mass_weight=weight)
+        details["probe_infimum"] = eig.value
+        details["method"] = eig.method
     return CertificationRecord.from_margins(
         "hardy_critical_constant",
         margins,
@@ -675,9 +672,7 @@ def blowup_demo(
 
     eig = rayleigh_min(omega_mesh, 2.0, tol=1e-10, seed=seed)
     v = eig.minimizer.values
-    v_mass = integrate(v**2, omega_mesh)
-    _, s_v = _grad_square(omega_mesh, v)
-    lam1 = integrate(s_v, omega_mesh) / v_mass
+    lam1 = eig.value
     if not lam1 > 0:
         raise ValueError("cross-section eigenvalue must be positive")
 

@@ -37,6 +37,8 @@ _CUBE = {"kind": "box", "bounds": [[-1.0, 1.0]] * 3}
 _PUNCTURED = {**_CUBE, "kind": "punctured_box", "puncture_radius": 0.1}
 _NODES3 = {"mesh.nodes_per_axis": [5, 5, 5]}
 _STRIP = {"kind": "strip", "bounds": [[0.0, 1.0]], "m_axes": 1, "truncation_length": 2.0}
+_SWEEP = {"domain": _STRIP, "mesh.nodes_per_axis": [5, 5], "eigen.l_values": [2.0]}
+_BLOWUP = {"subcommand": "blowup", "domain": _STRIP, "mesh.nodes_per_axis": [5, 5]}
 
 
 def _with(cfg: dict, updates: dict) -> dict:
@@ -112,6 +114,12 @@ REFUSED = [
      "physics.weight.p:", "only valid for cylinder_decay weights"),
     ("expr_on_zero_forcing", {"physics.forcing": {"kind": "zero", "expr": "x"}},
      "physics.forcing.expr:", "only valid for expression forcings"),
+    ("l_values_decreasing", {**_SWEEP, "eigen.l_values": [4.0, 2.0]}, "eigen.l_values:", "strictly increasing"),
+    ("l_values_negative", {**_SWEEP, "eigen.l_values": [-1.0]}, "eigen.l_values:", "positive"),
+    ("eigen_z_nodes_negative", {**_SWEEP, "eigen.z_nodes_per_unit": -3}, "eigen.z_nodes_per_unit:", "positive"),
+    ("blowup_z_nodes_zero", {**_BLOWUP, "blowup.z_nodes_per_unit": 0.0}, "blowup.z_nodes_per_unit:", "positive"),
+    ("length_per_bump_negative", {**_BLOWUP, "blowup.length_per_bump": -2.0}, "blowup.length_per_bump:", "positive"),
+    ("pair_samples_negative", {"certify.pair_samples": -5}, "certify.pair_samples:", "at least 0"),
 ]
 
 # refused by the schema's type checks; they used to crash or fail inside a run
@@ -125,6 +133,12 @@ FORMERLY_PAST_PARSE = {
     "solver_not_object": "solve",
     "potential_not_object": "solve",
     "domain_not_object": "solve",
+    "l_values_decreasing": "eigen",
+    "l_values_negative": "eigen",
+    "eigen_z_nodes_negative": "eigen",
+    "blowup_z_nodes_zero": "blowup",
+    "length_per_bump_negative": "blowup",
+    "pair_samples_negative": "certify",
 }
 
 # refused at run time (exit 1 after the run starts) before the constructors validated the config

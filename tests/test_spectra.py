@@ -150,7 +150,44 @@ class TestExactQuadratic:
         record = hardy_check(mesh, 3, 2.0, samples=5, seed=0)
         assert record.details["method"] == "lobpcg"
         assert record.details["probe_infimum"] == pytest.approx(dense_lambda1(mesh, hardy_weight(mesh)), rel=1e-10)
-        assert record.details["probe_spread"] <= 1e-10
+
+    def test_weighted_rayleigh_min(self):
+        mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9])
+        w = hardy_weight(mesh)
+        result = rayleigh_min(mesh, 2.0, tol=1e-9, seed=0, mass_weight=w)
+        assert result.value == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
+        assert integrate(w * result.minimizer.values**2, mesh) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, extra, calls", [(2.0, 0, 1), (2.0, 1, 1), (2.5, 0, 2), (2.5, 2, 4)]
+    )
+    def test_one_start_at_two(self, monkeypatch, p, extra, calls):
+        # the p = 2 solve is exact, so a second seed or a candidate start adds nothing
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(kwargs.get("start_values"))
+            return _quotient_descent(*args, **kwargs)
+
+        monkeypatch.setattr(plapsolve.spectra, "_quotient_descent", counting)
+        mesh = build_mesh(interval(0.0, 1.0), [41])
+        starts = [DiscreteFunction(mesh, np.sin(np.pi * mesh.points[:, 0]))] * extra
+        rayleigh_min(mesh, p, tol=1e-6, max_iter=50, extra_starts=starts)
+        assert len(runs) == calls
+
+    @pytest.mark.parametrize(
+        "mesh, tol",
+        [
+            (build_mesh(interval(0.0, 1.0), [401]), 1e-8),
+            (build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05), [21, 21, 21]), 1e-7),
+            (build_mesh(strip(((0.0, 1.0),), 1, 8.0), [33, 129]), 1e-8),
+        ],
+        ids=["interval_401", "punctured_21", "strip_33x129"],
+    )
+    def test_single_start_reaches_tolerance(self, mesh, tol):
+        # the preset mesh families: one exact start ends on its residual test
+        result = rayleigh_min(mesh, 2.0, tol=tol, seed=0)
+        assert result.residual <= tol * max(1.0, result.value)
 
     def test_descent_method_away_from_two(self):
         mesh = build_mesh(interval(0.0, 1.0), [41])
