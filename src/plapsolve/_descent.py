@@ -1,5 +1,6 @@
 """Shared descent machinery: deterministic Jacobi-preconditioned conjugate
-gradients, a compact second-order preconditioner, and Armijo backtracking."""
+gradients, a compact second-order preconditioner that inverts small blocks
+exactly, and Armijo backtracking."""
 
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ from .grid import Mesh
 METRIC_RTOL = 1e-4
 NEWTON_RTOL = 1e-10
 CG_ITERS = 300
+# Free-node count up to which a positive definite preconditioner block is
+# inverted densely once per build.  Memory sets it: at 128 nodes the dense
+# path raises peak RSS by about 1 MB, but past that LAPACK's blocked
+# factorizations make OpenBLAS allocate level-3 buffers (+7 MB at 399 nodes).
+DENSE_MAX = 128
 
 
 def inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
@@ -85,10 +91,13 @@ class Preconditioner:
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-node ``coeff`` turns it into the lagged-coefficient metric of the
-    degenerate problem.  Applied through at most ``CG_ITERS`` Jacobi-preconditioned
-    conjugate-gradient iterations, stopped at unscaled relative residual
-    ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), so the action is
-    deterministic; the inverse diagonal is computed once here.  Maps a nodal
+    degenerate problem.  A block of at most ``DENSE_MAX`` free nodes that
+    ``np.linalg.cholesky`` accepts is inverted densely once here and applied
+    as one product, an exact solve for every role.  Any other block is applied
+    through at most ``CG_ITERS`` Jacobi-preconditioned conjugate-gradient
+    iterations, stopped at unscaled relative residual ``rtol``
+    (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), with the inverse diagonal
+    computed once here.  Either action is deterministic.  Maps a nodal
     gradient (the quadrature-dual representation of a first variation) to a
     descent direction.
     """
@@ -108,6 +117,15 @@ class Preconditioner:
         diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
         op = (A + sp.diags(mesh.weights * diag)).tocsr()
         self.op = op[free][:, free]
+        self.inverse = None
+        if self.op.shape[0] <= DENSE_MAX:
+            dense = self.op.toarray()
+            try:
+                np.linalg.cholesky(dense)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                self.inverse = np.linalg.inv(dense)
         self.inv_diag = inverse_diagonal(self.op)
         self.free = free
         self.rtol = rtol
@@ -115,7 +133,10 @@ class Preconditioner:
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]
         d = np.zeros(self.mesh.n_nodes)
-        d[self.free], _ = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol, self.inv_diag)
+        if self.inverse is not None:
+            d[self.free] = self.inverse @ rhs
+        else:
+            d[self.free], _ = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol, self.inv_diag)
         return d
 
 

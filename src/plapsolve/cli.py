@@ -596,6 +596,7 @@ def _run_eigen(cfg: RunConfig, artifact: RunArtifact) -> None:
             z_nodes_per_unit=e["z_nodes_per_unit"],
             eigen_tol=e["tol"],
             seed=e["seed"],
+            max_iter=e["max_iter"],
         )
         artifact.certifications.append(record)
         lam_omega = record.details["lambda_omega"]
@@ -626,6 +627,14 @@ def _run_eigen(cfg: RunConfig, artifact: RunArtifact) -> None:
             "method": result.method,
         }
     )
+    # LOBPCG is exact to tol; a p != 2 descent is an estimate that may stop
+    # on its stall rule above tol, so only the exact solve must converge
+    bound = e["tol"] * max(1.0, abs(result.value))
+    if result.method == "lobpcg" and result.residual > bound:
+        artifact.failure = (
+            f"eigenvalue solve stopped at residual {result.residual:.3e} above its tolerance {bound:.3e}"
+        )
+        artifact.exit_code = 3
 
 
 def _run_certify(cfg: RunConfig, artifact: RunArtifact) -> None:

@@ -344,10 +344,14 @@ def cylinder_eigen_check(
     z_nodes_per_unit: float = 8.0,
     eigen_tol: float = 1e-7,
     seed: int = 0,
+    max_iter: int = 800,
 ) -> CertificationRecord:
     """Check that the first eigenvalue of cross-section times truncated
     unbounded axes stays above the cross-section eigenvalue and decreases
     toward it as the truncation grows.
+
+    ``max_iter`` caps each strip's ``rayleigh_min``; the cross-section value
+    keeps :func:`section_eigenvalue`'s own 3000-step rule.
 
     Also evaluates the Rayleigh quotient of the product candidate (cross
     section minimizer times a plateau of half-width L/2), an explicit upper
@@ -381,7 +385,9 @@ def cylinder_eigen_check(
         quot = integrate(s ** (p / 2.0), mesh_L) / integrate(np.abs(cand.values) ** p, mesh_L)
         tensor_quotients[L] = quot
 
-        lam_L = rayleigh_min(mesh_L, p, tol=eigen_tol, seed=seed, extra_starts=(cand,)).value
+        lam_L = rayleigh_min(
+            mesh_L, p, tol=eigen_tol, max_iter=max_iter, seed=seed, extra_starts=(cand,)
+        ).value
         strip_values[L] = lam_L
         margins.append(lam_L - lam_omega)
         descriptors.append(f"strip_above_section L={L}")

@@ -391,6 +391,45 @@ class TestRunAndEmit:
         lines = eigen_file.read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per truncation length
 
+    def test_eigen_sweep_honours_max_iter(self):
+        sweep = {
+            "subcommand": "eigen",
+            "domain": _STRIP,
+            "mesh": {"nodes_per_axis": [17, 65]},
+            "physics": {"p": 2.0},
+            "eigen": {"l_values": [2.0, 4.0]},
+        }
+        rows = {
+            n: run(parse_config(json.dumps(_with(sweep, {"eigen.max_iter": n})))).eigen_rows
+            for n in (1, 800)
+        }
+        assert [r["lambda"] for r in rows[1]] != [r["lambda"] for r in rows[800]]
+        # the cross-section keeps its own iteration rule
+        assert rows[1][0]["lambda_omega"] == rows[800][0]["lambda_omega"]
+
+    @pytest.mark.filterwarnings("ignore:rayleigh starts disagree:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "p, max_iter, code",
+        [(2.0, 1, 3), (2.0, 800, 0), (1.5, 1, 0)],
+        ids=["exact_unconverged", "exact_default", "estimate_unconverged"],
+    )
+    def test_unconverged_exact_eigen_solve_exits_three(self, p, max_iter, code):
+        cfg = {
+            "subcommand": "eigen",
+            "domain": {"kind": "interval", "bounds": [[0.0, 1.0]]},
+            "mesh": {"nodes_per_axis": [65]},
+            "physics": {"p": p},
+            "eigen": {"max_iter": max_iter},
+        }
+        artifact = run(parse_config(json.dumps(cfg)))
+        assert artifact.exit_code == code, artifact.failure
+        row = artifact.eigen_rows[0]
+        if code:
+            assert f"{row['residual']:.3e}" in artifact.failure
+            assert f"{1e-8 * max(1.0, row['lambda']):.3e}" in artifact.failure
+        else:
+            assert artifact.failure is None
+
 
 class TestMain:
     def test_cli_solve_preset(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Preconditioner roles: the inner tolerance each role meets, descent
 directions from truncated solves, determinism, the gain of Jacobi scaling on
-lagged coefficients, nonpositive-curvature witnesses, and no sparse
-factorization on the metric paths."""
+lagged coefficients, nonpositive-curvature witnesses, exact dense solves on
+small positive definite blocks, and no sparse factorization on the metric
+paths."""
 
 import os
 import subprocess
@@ -14,10 +15,11 @@ import scipy.sparse as sp
 
 import plapsolve
 from plapsolve._descent import (
-    CG_ITERS, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, inverse_diagonal, lagged_coefficient,
+    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, inverse_diagonal,
+    lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
-from plapsolve.grid import build_mesh, punctured_box, strip
+from plapsolve.grid import box, build_mesh, interval, punctured_box, strip
 
 MESHES = {
     "punctured_3d": lambda: build_mesh(
@@ -27,12 +29,28 @@ MESHES = {
 }
 
 
+# blocks of at most DENSE_MAX free nodes, which are inverted densely
+SMALL_MESHES = {
+    "interval_33": lambda: build_mesh(interval(0.0, 1.0), [33]),
+    "box_11": lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [11, 11]),
+    "punctured_7": lambda: build_mesh(
+        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [7, 7, 7]
+    ),
+}
+
+
 @pytest.fixture(scope="module", params=sorted(MESHES))
 def mesh(request):
     return MESHES[request.param]()
 
 
+@pytest.fixture(scope="module", params=sorted(SMALL_MESHES))
+def small_mesh(request):
+    return SMALL_MESHES[request.param]()
+
+
 LAGGED = pytest.mark.parametrize("p", [None, 1.5, 3.0], ids=["plain", "lagged", "lagged_p3"])
+ROLES = pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric", "newton"])
 
 
 def _problem(mesh, p):
@@ -79,8 +97,15 @@ def _plain_cg_products(A, b, maxiter, rel_tol):
     return maxiter
 
 
+def test_cg_meshes_are_above_the_dense_cap(mesh):
+    # the CG tests below would pass vacuously on a dense inverse
+    pre = Preconditioner(mesh, rtol=METRIC_RTOL)
+    assert pre.op.shape[0] > DENSE_MAX
+    assert pre.inverse is None
+
+
 @LAGGED
-@pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric", "newton"])
+@ROLES
 def test_apply_meets_its_roles_residual(mesh, p, rtol):
     g, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
@@ -107,7 +132,7 @@ def test_applies_are_deterministic(mesh, p):
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0], ids=["lagged", "lagged_p3"])
-@pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric", "newton"])
+@ROLES
 def test_jacobi_scaling_takes_fewer_products_than_plain_cg(mesh, p, rtol):
     g, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
@@ -116,6 +141,50 @@ def test_jacobi_scaling_takes_fewer_products_than_plain_cg(mesh, p, rtol):
     pre.op = counting = _CountingOperator(pre.op)
     pre.apply(g)
     assert counting.products < plain, (counting.products, plain)
+
+
+def _counting_cg(monkeypatch):
+    calls = []
+    solve = conjugate_gradient
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(plapsolve._descent, "conjugate_gradient", counting)
+    return calls
+
+
+@LAGGED
+@ROLES
+def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
+    calls = _counting_cg(monkeypatch)
+    g, coeff = _problem(small_mesh, p)
+    pre = Preconditioner(small_mesh, rtol=rtol, coeff=coeff)
+    assert pre.op.shape[0] <= DENSE_MAX
+    d = pre.apply(g)
+    exact = np.linalg.solve(pre.op.toarray(), (small_mesh.weights * g)[pre.free])
+    assert np.linalg.norm(d[pre.free] - exact) <= 1e-12 * np.linalg.norm(exact)
+    assert not np.any(d[~pre.free])
+    assert np.array_equal(d, pre.apply(g))
+    assert np.array_equal(d, Preconditioner(small_mesh, rtol=rtol, coeff=coeff).apply(g))
+    assert not calls
+
+
+@ROLES
+def test_indefinite_small_block_falls_back_to_cg(rtol, monkeypatch):
+    # lambda_1 of the interval pencil is about pi^2, so a mass shift of
+    # 1 - 50 makes the block indefinite while its diagonal stays positive
+    calls = _counting_cg(monkeypatch)
+    mesh = SMALL_MESHES["interval_33"]()
+    g, _ = _problem(mesh, None)
+    pre = Preconditioner(mesh, rtol=rtol, mass_coeff=np.full(mesh.n_nodes, -50.0))
+    assert pre.inverse is None
+    assert np.linalg.eigvalsh(pre.op.toarray())[0] < 0.0
+    d = pre.apply(g)
+    assert len(calls) == 1
+    x, _ = conjugate_gradient(pre.op, (mesh.weights * g)[pre.free], CG_ITERS, rtol, inverse_diagonal(pre.op))
+    assert np.array_equal(d[pre.free], x)
 
 
 def test_conjugate_gradient_returns_a_negative_curvature_witness():
