@@ -1,6 +1,7 @@
 """Shared descent machinery: deterministic Jacobi-preconditioned conjugate
-gradients, a compact second-order preconditioner that inverts small blocks
-exactly, and Armijo backtracking."""
+gradients that raise :class:`IndefiniteEnergyError` on nonpositive curvature,
+a compact second-order preconditioner that inverts small blocks exactly, and
+Armijo backtracking."""
 
 from __future__ import annotations
 
@@ -27,10 +28,16 @@ CG_ITERS = 300
 DENSE_MAX = 128
 
 
+class IndefiniteEnergyError(RuntimeError):
+    """The energy form failed to be positive on a nonzero discrete function."""
+
+
+_NONPOSITIVE = "energy form nonpositive on %s; the positivity assumption fails on this mesh"
+
+
 def inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
     """Jacobi scaling for :func:`conjugate_gradient`: ``1 / A_ii`` where the
-    diagonal is positive and 0 where it is not, which marks that entry's unit
-    vector as a witness."""
+    diagonal is positive and 0 where it is not, which the solve refuses."""
     diag = A.diagonal()
     inv = np.zeros_like(diag)
     np.divide(1.0, diag, out=inv, where=diag > 0.0)
@@ -40,39 +47,36 @@ def inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
 def conjugate_gradient(
     A: sp.spmatrix,
     b: np.ndarray,
-    maxiter: int,
     rel_tol: float,
     inv_diag: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> np.ndarray:
     """Jacobi-preconditioned CG from a zero start; deterministic for fixed
     inputs.
 
-    ``inv_diag`` is :func:`inverse_diagonal` of ``A``.  Stops once
-    ``||b - A x|| <= rel_tol ||b||`` (the unscaled residual) or after
-    ``maxiter`` iterations.  Returns the iterate and ``None``, or a witness
-    ``p`` with ``p . A p <= 0`` that ``A`` is not positive definite: the unit
-    vector of the first nonpositive diagonal entry, at once with a zero
-    iterate, or else a search direction with ``p . A p <= 0`` and the iterate
-    before it.
+    ``inv_diag`` is :func:`inverse_diagonal` of ``A``.  Returns the iterate
+    once ``||b - A x|| <= rel_tol ||b||`` (the unscaled residual) or after
+    ``CG_ITERS`` iterations; every step has positive curvature, so
+    ``b . x = x . A x > 0`` for ``b != 0``.  Raises
+    :class:`IndefiniteEnergyError` on a nonpositive diagonal entry, before
+    any iteration, or on a search direction with ``p . A p <= 0`` (the
+    truncated-CG test of Steihaug, SIAM J. Numer. Anal. 20, 1983): either
+    shows that ``A`` is not positive definite.
     """
+    if np.any(inv_diag <= 0.0):
+        raise IndefiniteEnergyError(_NONPOSITIVE % "a unit vector")
     x = np.zeros_like(b)
-    bad = np.flatnonzero(inv_diag <= 0.0)
-    if bad.size:
-        witness = np.zeros_like(b)
-        witness[bad[0]] = 1.0
-        return x, witness
     b2 = float(b @ b)
     if b2 == 0.0:
-        return x, None
+        return x
     r = b.copy()
     z = inv_diag * r
     p = z
     rz = float(r @ z)
-    for _ in range(maxiter):
+    for _ in range(CG_ITERS):
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            return x, p
+            raise IndefiniteEnergyError(_NONPOSITIVE % "a conjugate-gradient direction")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -82,7 +86,7 @@ def conjugate_gradient(
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, None
+    return x
 
 
 class Preconditioner:
@@ -93,13 +97,14 @@ class Preconditioner:
     per-node ``coeff`` turns it into the lagged-coefficient metric of the
     degenerate problem.  A block of at most ``DENSE_MAX`` free nodes that
     ``np.linalg.cholesky`` accepts is inverted densely once here and applied
-    as one product, an exact solve for every role.  Any other block is applied
-    through at most ``CG_ITERS`` Jacobi-preconditioned conjugate-gradient
-    iterations, stopped at unscaled relative residual ``rtol``
-    (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), with the inverse diagonal
-    computed once here.  Either action is deterministic.  Maps a nodal
-    gradient (the quadrature-dual representation of a first variation) to a
-    descent direction.
+    as one product, an exact solve for every role.  Any other block, a small
+    one that Cholesky refuses included, is applied by :func:`conjugate_gradient`
+    at unscaled relative residual ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL``
+    by role), with the inverse diagonal computed once here.  Either action is
+    deterministic.  Maps a nodal gradient (the quadrature-dual representation
+    of a first variation) to a descent direction.  The operator is positive
+    definite unless a negative ``mass_coeff`` (the potential in the p = 2
+    Newton operator) makes the energy form nonpositive, where CG raises.
     """
 
     def __init__(
@@ -136,7 +141,7 @@ class Preconditioner:
         if self.inverse is not None:
             d[self.free] = self.inverse @ rhs
         else:
-            d[self.free], _ = conjugate_gradient(self.op, rhs, CG_ITERS, self.rtol, self.inv_diag)
+            d[self.free] = conjugate_gradient(self.op, rhs, self.rtol, self.inv_diag)
         return d
 
 

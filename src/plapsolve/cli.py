@@ -539,10 +539,12 @@ class RunArtifact:
 
     @property
     def provenance(self) -> dict:
+        # the seed of the section the subcommand reads; eigen, certify and blowup read their own
+        seeded = {"solve": "solver", "admissibility": "certify"}.get(self.config.subcommand, self.config.subcommand)
         return {
             "version": __version__,
             "config_hash": self.config.config_hash,
-            "seed": self.config.solver["seed"],
+            "seed": getattr(self.config, seeded)["seed"],
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
 
@@ -913,7 +915,7 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=_SUBCOMMANDS, help="pipeline to run")
     parser.add_argument("--config", required=True, help="path to a JSON config, or preset:NAME")
     parser.add_argument("--out", default=None, help="output directory (overrides output.directory)")
-    parser.add_argument("--seed", type=int, default=None, help="override solver and certify seeds")
+    parser.add_argument("--seed", type=int, default=None, help="override the solver, eigen, certify and blowup seeds")
     parser.add_argument(
         "--override-admissibility",
         action="store_true",

@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# unused here; the benchmark's tracer wraps the name ``energy.armijo_backtrack``
-# (bench/spans.py), and tests/test_trace_bindings.py requires it to resolve
-from ._descent import armijo_backtrack  # noqa: F401
+# armijo_backtrack is unused here; the benchmark's tracer wraps the name
+# ``energy.armijo_backtrack`` (bench/spans.py), which must resolve
+from ._descent import IndefiniteEnergyError, armijo_backtrack  # noqa: F401
 from .grid import DiscreteFunction, Mesh, integrate
 from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
 
@@ -37,10 +37,6 @@ __all__ = [
     "y_norm",
     "sobolev_norm",
 ]
-
-
-class IndefiniteEnergyError(RuntimeError):
-    """The energy form failed to be positive on a nonzero discrete function."""
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._descent import (
     METRIC_RTOL,
     NEWTON_RTOL,
     Preconditioner,
     armijo_backtrack,
-    conjugate_gradient,
-    inverse_diagonal,
     lagged_coefficient,
     mass_curvature,
 )
@@ -163,9 +160,11 @@ def minimize_phi(
     ``delta_min = 1e-8 * field scale``; a zero ``params.delta`` disables
     smoothing entirely.
 
-    Emits a warning on line-search failure and returns the last iterate;
-    raises :class:`IndefiniteEnergyError` once an iterate is nonzero with
-    ``q_v <= 0``, which contradicts the positivity of the energy form.
+    A failed search is retried once along ``-g``; a second failure emits a
+    warning and returns the last iterate.  Raises :class:`IndefiniteEnergyError`
+    once an iterate is nonzero with ``q_v <= 0``, or when the p = 2 Newton
+    operator ``(1-eps)(K - diag(w V)) + eps(K + M)``, which is positive
+    definite whenever ``q_v`` is, shows nonpositive curvature to CG.
     """
     mesh = start.mesh
     if f.mesh is not mesh:
@@ -230,10 +229,6 @@ def minimize_phi(
 
         d = -pre.apply(g)
         slope = float((w * g) @ d)
-        preconditioned = slope < 0.0
-        if not preconditioned:
-            d = -g
-            slope = -float(integrate(g * g, mesh))
 
         def objective(vals):
             nonlocal accepted
@@ -244,7 +239,7 @@ def minimize_phi(
         taken, u_new, phi_new = armijo_backtrack(
             objective, u, d, phi_u, slope, init_step=step, noise=noise
         )
-        if taken is None and preconditioned:
+        if taken is None:
             failures += 1
             d = -g
             slope = -float(integrate(g * g, mesh))
@@ -295,50 +290,24 @@ def dual_norm(
     """Lower estimate of ``sup { <f, u> : q_v(u) = 1 }``.
 
     By p-homogeneity the supremum is the quotient ``<f, u> / q_v(u)^(1/p)``
-    at the minimizer u of ``q_v(u)/p - <f, u>``, the ``eps = 0`` objective.
-    At p = 2 that minimizer solves ``K x = r``, with ``K`` the matrix of
-    ``q_v`` on the free nodes and ``r`` the plain representation of f: one
-    conjugate-gradient solve (relative residual 1e-12) finds it.  Otherwise
-    :func:`minimize_phi` from zero, with ``tol`` and ``max_iter``, does.
-    Either way the quotient is taken at an actual point, so it stays a lower
-    bound of the discrete supremum even if the minimization stops early.
+    at the minimizer u of ``q_v(u)/p - <f, u>``, the ``eps = 0`` objective,
+    which :func:`minimize_phi` from zero, with ``tol`` and ``max_iter``,
+    finds; at p = 2 its first step is the exact Newton step onto it.  The
+    quotient is taken at an actual point, so it stays a lower bound of the
+    discrete supremum even if the minimization stops early.
 
     Raises :class:`IndefiniteEnergyError` if an iterate has nonpositive
-    energy, which contradicts the standing positivity assumption; at p = 2
-    also when the solve meets a direction of nonpositive curvature of ``K``.
+    energy, or if at p = 2 the Newton solve meets a direction of nonpositive
+    curvature; either contradicts the standing positivity assumption.
     """
     mesh = f.mesh
-    p = params.p
     r = f.plain_rep()
     if not np.any(r[mesh.free_mask]):  # f pairs to 0 with every admissible u
         return 0.0
-    v_vals = evaluate_potential(V, mesh)
-    if p == 2.0:
-        return _quadratic_dual_norm(mesh, r, v_vals)
     u = minimize_phi(DiscreteFunction.zeros(mesh), V, f, params.with_eps(0.0), tol, max_iter).u.values
-    qv = _q_v_arrays(mesh, u, v_vals, p)
+    qv = _q_v_arrays(mesh, u, evaluate_potential(V, mesh), params.p)
     _check_definite(qv, u)
-    return float(r @ u) / qv ** (1.0 / p)
-
-
-def _quadratic_dual_norm(mesh: Mesh, r: np.ndarray, v_vals: np.ndarray) -> float:
-    """:func:`dual_norm` at p = 2: one Jacobi-preconditioned conjugate-gradient
-    solve of the form's matrix on the free nodes, capped at their number of
-    iterations (where CG ends in exact arithmetic)."""
-    free = mesh.free_mask
-    mass = np.zeros(mesh.n_nodes)
-    mass[free] = mesh.weights[free] * v_vals[free]
-    K = (mesh.energy_stiffness() - sp.diags(mass)).tocsr()[free][:, free]
-    x = np.zeros(mesh.n_nodes)
-    x[free], witness = conjugate_gradient(K, r[free], int(free.sum()), 1e-12, inverse_diagonal(K))
-    if witness is not None:
-        raise IndefiniteEnergyError(
-            "energy form nonpositive on a conjugate-gradient direction; "
-            "the positivity assumption fails on this mesh"
-        )
-    qv = _q_v_arrays(mesh, x, v_vals, 2.0)
-    _check_definite(qv, x)
-    return float(r @ x) / np.sqrt(qv)
+    return float(r @ u) / qv ** (1.0 / params.p)
 
 
 def _interior_cutoff(mesh: Mesh) -> DiscreteFunction:

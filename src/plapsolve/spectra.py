@@ -204,8 +204,6 @@ def _quotient_descent(
     res_window: list[float] = []
     for k in range(max_iter):
         iterations = k + 1
-        if p != 2.0 and k % pre_refresh == 0:
-            pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=lagged_coefficient(s, p))
         k_grad = p * _dirichlet_gradient_rep(mesh, g, s, p, 0.0) / mesh.weights
         m_grad = p * w_mass * _power_mass(u, p)
         gq = k_grad - lam * m_grad
@@ -222,13 +220,12 @@ def _quotient_descent(
             g, s = _grad_square(mesh, u)
             lam = quotient_of(u, s)
             continue
+        if k % pre_refresh == 0:
+            pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=lagged_coefficient(s, p))
         # the energy gradient carries a factor p; removing it makes a unit
         # step the natural preconditioned-inverse-iteration step
         d = -pre.apply(gq) / p
         slope = float((mesh.weights * gq) @ d)
-        if slope >= 0.0:
-            d = -gq
-            slope = -float(integrate(gq * gq, mesh))
         noise = 32.0 * np.finfo(float).eps * (1.0 + abs(lam))
         taken, u_new, lam_new = armijo_backtrack(
             quotient, u, d, lam, slope, init_step=step, noise=noise

@@ -12,6 +12,7 @@ from plapsolve.cli import (
     _KIND_KEYS,
     _SCHEMA,
     ConfigError,
+    RunArtifact,
     emit_reports,
     evaluate_expression,
     main,
@@ -543,6 +544,21 @@ class TestMain:
         echoed = json.loads((run_dir / "config.json").read_text())
         assert echoed["solver"]["seed"] == 7
 
+
+    @pytest.mark.parametrize(
+        "subcommand, updates, seed",
+        [
+            ("solve", {}, 1),
+            ("eigen", {}, 2),
+            ("certify", {}, 3),
+            ("admissibility", {}, 3),
+            ("blowup", {"domain": _STRIP, "mesh.nodes_per_axis": [5, 5]}, 4),
+        ],
+    )
+    def test_provenance_records_the_seed_the_subcommand_reads(self, subcommand, updates, seed):
+        seeds = {"solver.seed": 1, "eigen.seed": 2, "certify.seed": 3, "blowup.seed": 4}
+        cfg = parse_config(json.dumps(_with(SMALL_SOLVE, {"subcommand": subcommand, **updates, **seeds})))
+        assert RunArtifact(config=cfg).provenance["seed"] == seed
 
     def test_profile_writes_pstats_and_changes_nothing_else(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,8 +1,8 @@
 """Preconditioner roles: the inner tolerance each role meets, descent
-directions from truncated solves, determinism, the gain of Jacobi scaling on
-lagged coefficients, nonpositive-curvature witnesses, exact dense solves on
-small positive definite blocks, and no sparse factorization on the metric
-paths."""
+directions from truncated and exact solves for every role, determinism, the
+gain of Jacobi scaling on lagged coefficients, the error conjugate gradients
+raise on nonpositive curvature, exact dense solves on small positive definite
+blocks, and no sparse factorization on the metric paths."""
 
 import os
 import subprocess
@@ -14,12 +14,15 @@ import pytest
 import scipy.sparse as sp
 
 import plapsolve
+import plapsolve.energy
+from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
     CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, inverse_diagonal,
     lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
 from plapsolve.grid import box, build_mesh, interval, punctured_box, strip
+from plapsolve.potentials import evaluate_potential
 
 MESHES = {
     "punctured_3d": lambda: build_mesh(
@@ -174,35 +177,75 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
 @ROLES
 def test_indefinite_small_block_falls_back_to_cg(rtol, monkeypatch):
     # lambda_1 of the interval pencil is about pi^2, so a mass shift of
-    # 1 - 50 makes the block indefinite while its diagonal stays positive
+    # 1 - 50 makes the block indefinite while its diagonal stays positive;
+    # Cholesky refuses it, and CG meets its negative curvature
     calls = _counting_cg(monkeypatch)
     mesh = SMALL_MESHES["interval_33"]()
     g, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol, mass_coeff=np.full(mesh.n_nodes, -50.0))
     assert pre.inverse is None
     assert np.linalg.eigvalsh(pre.op.toarray())[0] < 0.0
-    d = pre.apply(g)
+    assert np.all(pre.op.diagonal() > 0.0)
+    with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
+        pre.apply(g)
     assert len(calls) == 1
-    x, _ = conjugate_gradient(pre.op, (mesh.weights * g)[pre.free], CG_ITERS, rtol, inverse_diagonal(pre.op))
-    assert np.array_equal(d[pre.free], x)
 
 
 def test_conjugate_gradient_returns_a_negative_curvature_witness():
+    # an indefinite matrix raises (here on its negative diagonal entry); its
+    # positive definite twin is solved
     A = sp.diags([2.0, 1.0, -4.0]).tocsr()
     b = np.ones(3)
-    _, witness = conjugate_gradient(A, b, 10, 1e-12, inverse_diagonal(A))
-    assert witness is not None and float(witness @ (A @ witness)) <= 0.0
-    x, witness = conjugate_gradient(abs(A), b, 10, 1e-12, inverse_diagonal(abs(A)))
-    assert witness is None
+    with pytest.raises(IndefiniteEnergyError, match="unit vector"):
+        conjugate_gradient(A, b, 1e-12, inverse_diagonal(A))
+    x = conjugate_gradient(abs(A), b, 1e-12, inverse_diagonal(abs(A)))
     assert np.allclose(abs(A) @ x, b, rtol=1e-12)
 
 
 def test_zero_diagonal_entry_is_its_own_witness():
-    # positive semidefinite but singular: e_2 . A e_2 = 0
+    # positive semidefinite but singular: e_2 . A e_2 = 0 raises before any
+    # iteration, where Jacobi scaling would never meet the zero curvature
     A = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]]))
-    x, witness = conjugate_gradient(A, np.ones(3), 10, 1e-12, inverse_diagonal(A))
-    assert np.array_equal(witness, [0.0, 1.0, 0.0])
-    assert not np.any(x)
+    with pytest.raises(IndefiniteEnergyError, match="unit vector"):
+        conjugate_gradient(A, np.ones(3), 1e-12, inverse_diagonal(A))
+
+
+def test_indefinite_energy_error_has_one_home():
+    assert plapsolve.IndefiniteEnergyError is plapsolve.energy.IndefiniteEnergyError
+    assert plapsolve.IndefiniteEnergyError is plapsolve._descent.IndefiniteEnergyError
+
+
+def _role_preconditioners(mesh):
+    """One preconditioner per role the library builds: the lagged p = 3
+    metric of ``minimize_phi`` at ``METRIC_RTOL``, the p = 2 Newton operator
+    with a constant potential at 60 % of the first eigenvalue at
+    ``NEWTON_RTOL`` (eps = 0, so the potential is unshielded), and the
+    default ``K + M`` of the quotient descents and LOBPCG."""
+    _, coeff = _problem(mesh, 3.0)
+    lam1 = rayleigh_min(mesh, 2.0, tol=1e-10).value
+    v_vals = evaluate_potential(Potential.constant(0.6 * lam1), mesh)
+    return {
+        "metric_p3": Preconditioner(mesh, rtol=METRIC_RTOL, shift=1e-10, coeff=coeff),
+        "newton_p2": Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=-v_vals),
+        "default": Preconditioner(mesh, rtol=METRIC_RTOL),
+    }
+
+
+@pytest.mark.parametrize(
+    "make, dense",
+    [(SMALL_MESHES["interval_33"], True), (lambda: build_mesh(interval(0.0, 1.0), [401]), False)],
+    ids=["dense", "cg"],
+)
+def test_every_role_maps_a_gradient_to_a_descent_direction(make, dense):
+    # minimize_phi and the quotient descent take -apply(g) without an uphill
+    # fallback, so (w g) . apply(g) > 0 must hold on both paths and every role
+    mesh = make()
+    rng = np.random.default_rng(11)
+    for role, pre in _role_preconditioners(mesh).items():
+        assert (pre.inverse is not None) == dense, role
+        for _ in range(5):
+            g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+            assert float((mesh.weights * g) @ pre.apply(g)) > 0.0, role
 
 
 def test_metric_paths_import_no_factorization():

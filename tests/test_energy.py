@@ -352,7 +352,8 @@ class TestDualNorm:
 
     def test_signals_indefiniteness(self, mesh201):
         # constant potential far above the first eigenvalue breaks positivity;
-        # at p = 2 the conjugate-gradient solve meets the negative curvature
+        # at p = 2 the conjugate-gradient solve of the first Newton step meets
+        # the negative curvature
         f = ForcingTerm.manufactured(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
         with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
             dual_norm(f, Potential.constant(50.0), EnergyParams(p=2.0))

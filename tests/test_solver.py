@@ -19,6 +19,7 @@ from plapsolve import (
     integrate,
     interval,
     minimize_phi,
+    phi_gradient,
     punctured_box,
     q_v,
 )
@@ -57,25 +58,27 @@ class TestMinimizePhi:
         assert result.converged
 
     def test_failed_steepest_descent_search_counts_once(self, monkeypatch):
-        # the preconditioned direction points uphill, so the first search
-        # already runs along -g; its failure must not be retried along -g
-        import plapsolve._descent
-        import plapsolve.solver
-
+        # a failed preconditioned search is retried once along -g; the failed
+        # retry counts once more and ends the loop with a single warning
         calls = []
 
         def failing_search(objective, x, direction, *args, **kwargs):
             calls.append(direction)
             return None, None, None
 
-        monkeypatch.setattr(plapsolve._descent.Preconditioner, "apply", lambda self, g: -g)
         monkeypatch.setattr(plapsolve.solver, "armijo_backtrack", failing_search)
         mesh = build_mesh(interval(0.0, 1.0), [21])
         f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-        with pytest.warns(RuntimeWarning, match="line search stalled"):
-            result = minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, EnergyParams(p=2.0, eps=0.5))
-        assert len(calls) == 1
-        assert result.linesearch_failures == 1
+        start, params = DiscreteFunction.zeros(mesh), EnergyParams(p=2.0, eps=0.5)
+        with pytest.warns(RuntimeWarning, match="line search stalled") as record:
+            result = minimize_phi(start, Potential.zero(), f, params)
+        assert len(record) == 1
+        g = phi_gradient(start, Potential.zero(), f, params).values
+        assert len(calls) == 2
+        assert not np.array_equal(calls[0], -g)
+        assert np.array_equal(calls[1], -g)
+        assert result.linesearch_failures == 2
+        assert result.iterations == 1
 
     @pytest.mark.parametrize("p", [2.0, 2.5])
     def test_converged_call_evaluates_one_gradient_per_iteration(self, monkeypatch, p):
@@ -138,6 +141,18 @@ class TestMinimizePhi:
         f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
         result = minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), f, params, tol=1e-9)
         assert result.phi_increase_max <= 1e-12
+
+    def test_indefinite_newton_operator_raises_before_any_step(self, monkeypatch):
+        # V = 60 lies above the first eigenvalue (about pi^2): at eps = 0 the
+        # Newton operator is the form's own matrix plus 1e-10 M, so CG meets
+        # its negative curvature on the first apply, before any line search
+        searches = []
+        monkeypatch.setattr(plapsolve.solver, "armijo_backtrack", lambda *a, **k: searches.append(1))
+        mesh = build_mesh(interval(0.0, 1.0), [51])
+        f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
+            minimize_phi(DiscreteFunction.zeros(mesh), Potential.constant(60.0), f, EnergyParams(p=2.0))
+        assert not searches
 
     def test_indefinite_potential_raises(self):
         mesh = build_mesh(interval(0.0, 1.0), [51])

@@ -86,7 +86,8 @@ class TestRayleighMin:
 
     def test_descent_builds_one_preconditioner_per_refresh(self, monkeypatch):
         # away from p = 2 the lagged metric is rebuilt every 12 iterations,
-        # starting at the first; nothing is built before the loop
+        # starting at the first, after the stop tests; nothing is built before
+        # the loop, and the iteration that stops builds nothing
         builds = []
 
         class Counting(plapsolve.spectra.Preconditioner):
@@ -96,10 +97,17 @@ class TestRayleighMin:
 
         monkeypatch.setattr(plapsolve.spectra, "Preconditioner", Counting)
         mesh = build_mesh(interval(0.0, 1.0), [41])
-        _, _, iterations, _ = _quotient_descent(mesh, 2.5, tol=1e-10, max_iter=100)
+        lam, u, iterations, res = _quotient_descent(mesh, 2.5, tol=1e-10, max_iter=100)
         assert iterations > 12
-        assert len(builds) == math.ceil(iterations / 12)
+        assert len(builds) == math.ceil((iterations - 1) / 12)
         assert all(coeff is not None for coeff in builds)
+        # a start that already meets the tolerance stops on iteration 1, a
+        # refresh iteration, before building its metric
+        builds.clear()
+        tol = 2.0 * res / max(1.0, abs(lam))
+        _, _, iterations, _ = _quotient_descent(mesh, 2.5, tol=tol, max_iter=100, start_values=u)
+        assert iterations == 1
+        assert not builds
 
 
 def dense_lambda1(mesh, mass_weight=None):
