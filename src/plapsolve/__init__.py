@@ -18,7 +18,6 @@ from .energy import (
     q_v,
     sobolev_norm,
     truncate,
-    truncate_field,
     y_norm,
 )
 from .grid import (
@@ -27,8 +26,6 @@ from .grid import (
     Mesh,
     box,
     build_mesh,
-    divergence,
-    gradient,
     integrate,
     interval,
     punctured_box,

@@ -1,7 +1,7 @@
 """Shared descent machinery: deterministic Jacobi-preconditioned conjugate
 gradients that raise :class:`IndefiniteEnergyError` on nonpositive curvature,
-a compact second-order preconditioner that inverts small blocks exactly, and
-Armijo backtracking."""
+a compact second-order preconditioner that inverts small blocks exactly (and
+raises when Cholesky refuses one), and Armijo backtracking."""
 
 from __future__ import annotations
 
@@ -95,16 +95,18 @@ class Preconditioner:
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-node ``coeff`` turns it into the lagged-coefficient metric of the
-    degenerate problem.  A block of at most ``DENSE_MAX`` free nodes that
-    ``np.linalg.cholesky`` accepts is inverted densely once here and applied
-    as one product, an exact solve for every role.  Any other block, a small
-    one that Cholesky refuses included, is applied by :func:`conjugate_gradient`
+    degenerate problem.  A block of at most ``DENSE_MAX`` free nodes is
+    inverted densely once here and applied as one product, an exact solve
+    for every role.  A larger block is applied by :func:`conjugate_gradient`
     at unscaled relative residual ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL``
     by role), with the inverse diagonal computed once here.  Either action is
     deterministic.  Maps a nodal gradient (the quadrature-dual representation
     of a first variation) to a descent direction.  The operator is positive
     definite unless a negative ``mass_coeff`` (the potential in the p = 2
-    Newton operator) makes the energy form nonpositive, where CG raises.
+    Newton operator) makes the energy form nonpositive.  Then
+    :class:`IndefiniteEnergyError` is raised: here when ``np.linalg.cholesky``
+    refuses a small block, which shows exactly that, and by CG in ``apply``
+    when a large block shows it a direction of nonpositive curvature.
     """
 
     def __init__(
@@ -128,9 +130,8 @@ class Preconditioner:
             try:
                 np.linalg.cholesky(dense)
             except np.linalg.LinAlgError:
-                pass
-            else:
-                self.inverse = np.linalg.inv(dense)
+                raise IndefiniteEnergyError(_NONPOSITIVE % "a free-node block that Cholesky refuses") from None
+            self.inverse = np.linalg.inv(dense)
         self.inv_diag = inverse_diagonal(self.op)
         self.free = free
         self.rtol = rtol

@@ -28,7 +28,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .potentials import (
     evaluate_weight,
     validate_exponents,
 )
-from .solver import ContinuationBoundError, EpsSchedule, SolveReport, StageRecord, continuation_solve
+from .solver import ContinuationBoundError, EpsSchedule, SolveReport, continuation_solve
 from .spectra import (
     BlowupRow,
     CertificationRecord,
@@ -141,7 +141,10 @@ def evaluate_expression(expr: str, mesh: Mesh) -> np.ndarray:
     env["r"] = np.linalg.norm(pts, axis=1)
     try:
         code = compile(_check_expression(expr, env), "<expression>", "eval")
-        vals = eval(code, {"__builtins__": {}}, env)  # noqa: S307 - checked syntax tree
+        # a pole or an overflow is left for the consumer's finiteness check,
+        # which ignores excluded nodes
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = eval(code, {"__builtins__": {}}, env)  # noqa: S307 - checked syntax tree
     except Exception as exc:
         raise ConfigError([f"expression {expr!r}: {exc}"]) from exc
     return np.broadcast_to(np.asarray(vals, dtype=float), (mesh.n_nodes,)).copy()
@@ -306,20 +309,7 @@ class RunConfig:
     output: dict
 
     def to_dict(self) -> dict:
-        out = {
-            "subcommand": self.subcommand,
-            "physics": self.physics,
-            "solver": self.solver,
-            "eigen": self.eigen,
-            "certify": self.certify,
-            "blowup": self.blowup,
-            "output": self.output,
-        }
-        if self.domain is not None:
-            out["domain"] = self.domain
-        if self.mesh is not None:
-            out["mesh"] = self.mesh
-        return out
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @property
     def config_hash(self) -> str:
@@ -494,7 +484,10 @@ def _build_potential(cfg: RunConfig, mesh: Mesh) -> Potential:
         pot["value"] = section_eigenvalue(_omega_mesh(cfg), p, 1e-10, cfg.solver["seed"]).value
     with _config_errors():
         if pot["kind"] == "tabulated":
-            V = Potential.tabulated(evaluate_expression(pot["expr"], mesh))
+            # excluded nodes never enter an integral, so a pole there is allowed
+            table = evaluate_expression(pot["expr"], mesh)
+            table[mesh.excluded_mask] = 0.0
+            V = Potential.tabulated(table)
         else:
             V = _potential(pot, p, mesh.domain.dims)
         evaluate_potential(V, mesh)
@@ -513,8 +506,7 @@ def _build_forcing(cfg: RunConfig, mesh: Mesh) -> ForcingTerm:
     forcing = cfg.physics["forcing"]
     if forcing["kind"] == "zero":
         return ForcingTerm.zero(mesh)
-    vals = evaluate_expression(forcing["expr"], mesh)
-    return ForcingTerm("manufactured", mesh, density=vals)
+    return ForcingTerm.density(mesh, evaluate_expression(forcing["expr"], mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +752,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> list[Path]:
     """Write the artifact to ``<out>/run_<hash>/``: CSV tables (one row per
     record), a JSON summary, the config echo, and the solution field."""
@@ -790,15 +774,16 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
     if artifact.failure:
         summary["failure"] = artifact.failure
 
+    # file name -> rows of column -> value; the first row's keys are the header
+    tables: dict[str, list[dict]] = {}
+
     if artifact.admissibility is not None:
         rep = artifact.admissibility
-        path = run_dir / "admissibility.csv"
-        _write_csv(
-            path,
-            ["p", "q", "n_dims", "r", "r_alt", "local_integrability_proxy", "sampled_margin", "violations"],
-            [[rep.p, rep.q, rep.n_dims, rep.r, rep.r_alt if rep.r_alt is not None else "", rep.local_integrability_proxy, rep.sampled_margin, len(rep.violations)]],
-        )
-        written.append(path)
+        tables["admissibility.csv"] = [{
+            "p": rep.p, "q": rep.q, "n_dims": rep.n_dims, "r": rep.r, "r_alt": "" if rep.r_alt is None else rep.r_alt,
+            "local_integrability_proxy": rep.local_integrability_proxy, "sampled_margin": rep.sampled_margin,
+            "violations": len(rep.violations),
+        }]
         summary["admissibility"] = {
             "r": rep.r,
             "r_alt": rep.r_alt,
@@ -808,9 +793,7 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
 
     if artifact.solve_report is not None:
         rep = artifact.solve_report
-        path = run_dir / "solve_stages.csv"
-        _write_csv(path, [f.name for f in fields(StageRecord)], [astuple(s) for s in rep.stages])
-        written.append(path)
+        tables["solve_stages.csv"] = [asdict(s) for s in rep.stages]
         summary["solve"] = {
             "terminal_residual": rep.terminal_residual,
             "dual_norm_estimate": rep.dual_norm_estimate,
@@ -819,23 +802,13 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
         }
 
     if artifact.eigen_rows:
-        path = run_dir / "eigen.csv"
         header = sorted({k for row in artifact.eigen_rows for k in row})
-        _write_csv(path, header, [[row.get(k, "") for k in header] for row in artifact.eigen_rows])
-        written.append(path)
+        tables["eigen.csv"] = [{k: row.get(k, "") for k in header} for row in artifact.eigen_rows]
         summary["eigen"] = artifact.eigen_rows
 
     if artifact.certifications:
-        path = run_dir / "certifications.csv"
-        _write_csv(
-            path,
-            ["inequality_id", "sample_count", "worst_margin", "worst_sample", "verdict", "tolerance"],
-            [
-                [r.inequality_id, r.sample_count, r.worst_margin, r.worst_sample, r.verdict, r.tolerance]
-                for r in artifact.certifications
-            ],
-        )
-        written.append(path)
+        columns = ["inequality_id", "sample_count", "worst_margin", "worst_sample", "verdict", "tolerance"]
+        tables["certifications.csv"] = [{k: getattr(r, k) for k in columns} for r in artifact.certifications]
         summary["certifications"] = [
             {
                 "inequality_id": r.inequality_id,
@@ -847,25 +820,29 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
         ]
 
     if artifact.blowup_rows:
-        path = run_dir / "blowup.csv"
-        header = [f.name for f in fields(BlowupRow)]
-        _write_csv(path, header, [[row[k] for k in header] for row in artifact.blowup_rows])
-        written.append(path)
+        tables["blowup.csv"] = artifact.blowup_rows
 
     if artifact.solution is not None:
-        if cfg.output["field_format"] == "bin":
-            path = run_dir / "solution.bin"
-            artifact.solution.values.astype("<f8").tofile(path)
+        field_file = f"solution.{cfg.output['field_format']}"
+        if field_file == "solution.bin":
+            artifact.solution.values.astype("<f8").tofile(run_dir / field_file)
+            written.append(run_dir / field_file)
         else:
-            path = run_dir / "solution.csv"
-            _write_csv(path, ["value"], [[v] for v in artifact.solution.values])
-        written.append(path)
+            tables[field_file] = [{"value": v} for v in artifact.solution.values]
         summary["solution"] = {
-            "file": path.name,
+            "file": field_file,
             "nodes_per_axis": list(artifact.solution.mesh.shape),
             "dtype": "<f8",
             "order": "C",
         }
+
+    for name, rows in tables.items():
+        path = run_dir / name
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+        written.append(path)
 
     spath = run_dir / "summary.json"
     spath.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_fmt) + "\n")

@@ -1,13 +1,17 @@
 """Energy functionals and norms for the forced problem
 ``-div(|grad u|^(p-2) grad u) - V |u|^(p-2) u = f``.
 
-Provides the energy gap form ``q_v``, the regularized objective ``phi`` with
-its exact discrete first variation, the truncation clamp, a Cauchy-type
-gradient diagnostic, and the weighted Sobolev norm ``y_norm``.
+Provides the forcing term as its pairing vector, the energy gap form
+``q_v``, the regularized objective ``phi`` with its exact discrete first
+variation, the truncation clamp, a Cauchy-type gradient diagnostic, and the
+weighted Sobolev norm ``y_norm``.
 
 All functionals integrate with the mesh quadrature; ``phi_gradient`` is the
 quadrature-exact adjoint of the discrete energy, so central finite
-differences of ``phi`` reproduce it to second order.
+differences of ``phi`` reproduce it to second order.  Every gradient in the
+library comes from ``_grad_square`` and every flux goes back through
+``_dirichlet_gradient_rep``; nothing else applies the mesh's difference
+operator.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ __all__ = [
     "phi",
     "phi_gradient",
     "truncate",
-    "truncate_field",
     "cauchy_diagnostic",
     "y_norm",
     "sobolev_norm",
@@ -71,97 +74,69 @@ class EnergyParams:
 
 
 class ForcingTerm:
-    """Right-hand side of the forced problem.
+    """Right-hand side of the forced problem, held as its pairing vector r:
+    ``<f, u> = r . values(u)`` for every boundary-vanishing u.
 
-    Three kinds: ``tabulated_density`` pairs by quadrature, ``manufactured``
-    samples a callable into a density, and ``distributional_sum`` pairs a list
-    of (source function, multiplier) components by integration by parts:
-    each component contributes ``int grad(u_n) . grad(u) - lam int u_n u``.
+    ``density`` pairs a nodal density by quadrature, ``manufactured`` samples
+    a callable into one, and ``distributional_sum`` pairs a list of (source
+    function, multiplier) components by integration by parts: each component
+    contributes ``int grad(u_n) . grad(u) - lam int u_n u``.
     """
 
-    def __init__(self, kind: str, mesh: Mesh, density: np.ndarray | None = None,
-                 components: Sequence[tuple[DiscreteFunction, float]] | None = None):
-        self.kind = kind
+    def __init__(self, mesh: Mesh, rep: np.ndarray):
         self.mesh = mesh
-        self._density = None if density is None else np.asarray(density, dtype=float).ravel()
-        self._components = None if components is None else tuple(components)
-        if self._density is not None:
-            if self._density.size != mesh.n_nodes:
-                raise ValueError("density size does not match mesh")
-            if not np.all(np.isfinite(self._density[~mesh.excluded_mask])):
-                raise ValueError("density must be finite at non-excluded nodes")
-        self._plain_rep: np.ndarray | None = None
+        self._rep = rep
 
     @classmethod
     def zero(cls, mesh: Mesh) -> "ForcingTerm":
-        return cls("tabulated_density", mesh, density=np.zeros(mesh.n_nodes))
+        return cls(mesh, np.zeros(mesh.n_nodes))
 
     @classmethod
     def density(cls, mesh: Mesh, values: np.ndarray) -> "ForcingTerm":
-        return cls("tabulated_density", mesh, density=values)
+        """Quadrature against ``values``; excluded nodes may carry anything."""
+        dens = np.asarray(values, dtype=float).ravel()
+        if dens.size != mesh.n_nodes:
+            raise ValueError("density size does not match mesh")
+        if not np.all(np.isfinite(dens[~mesh.excluded_mask])):
+            raise ValueError("density must be finite at non-excluded nodes")
+        w_act = mesh.weights * ~mesh.excluded_mask
+        return cls(mesh, w_act * np.where(mesh.excluded_mask, 0.0, dens))
 
     @classmethod
     def manufactured(cls, mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> "ForcingTerm":
-        return cls("manufactured", mesh, density=np.asarray(fn(mesh.points), dtype=float))
+        return cls.density(mesh, fn(mesh.points))
 
     @classmethod
     def distributional_sum(cls, components: Sequence[tuple[DiscreteFunction, float]]) -> "ForcingTerm":
         if not components:
             raise ValueError("distributional_sum needs at least one component")
         mesh = components[0][0].mesh
-        for u, _ in components:
-            if u.mesh is not mesh:
+        w_act = mesh.weights * ~mesh.excluded_mask
+        rep = np.zeros(mesh.n_nodes)
+        for u_n, lam in components:
+            if u_n.mesh is not mesh:
                 raise ValueError("all components must share one mesh")
-        return cls("distributional_sum", mesh, components=components)
+            g, s = _grad_square(mesh, u_n.values)
+            rep += _dirichlet_gradient_rep(mesh, g, s, 2.0, 0.0) - lam * w_act * u_n.values
+        return cls(mesh, rep)
 
     def plain_rep(self) -> np.ndarray:
         """Vector r with ``<f, u> = r . values(u)`` for boundary-vanishing u."""
-        if self._plain_rep is None:
-            mesh = self.mesh
-            w_act = mesh.weights * ~mesh.excluded_mask
-            if self._density is not None:
-                dens = np.where(mesh.excluded_mask, 0.0, self._density)
-                self._plain_rep = w_act * dens
-            else:
-                r = np.zeros(mesh.n_nodes)
-                for u_n, lam in self._components:
-                    r += mesh.grad_adjoint(w_act * mesh.grad(u_n.values)) - lam * w_act * u_n.values
-                self._plain_rep = r
-        return self._plain_rep
+        return self._rep
 
     def pairing(self, u: DiscreteFunction) -> float:
         """Duality pairing ``<f, u>``; linear in u."""
-        return float(self.plain_rep() @ u.values)
+        return float(self._rep @ u.values)
 
     def nodal_density(self) -> np.ndarray:
         """Nodal representation: pairing equals quadrature against it."""
         mesh = self.mesh
-        out = self.plain_rep() / mesh.weights
+        out = self._rep / mesh.weights
         out[mesh.constrained_mask] = 0.0
         return out
 
-    def dual_upper_bound(self, p: float) -> float:
-        """Upper estimate of the norm pairing against the unweighted Sobolev
-        norm, via the Hoelder inequality on each piece."""
-        pc = p / (p - 1.0)
-        mesh = self.mesh
-        if self._density is not None:
-            dens = np.where(mesh.excluded_mask, 0.0, self._density)
-            return integrate(np.abs(dens) ** pc, mesh) ** (1.0 / pc)
-        total = 0.0
-        for u_n, lam in self._components:
-            _, s = _grad_square(mesh, u_n.values)
-            gn = np.sqrt(s)
-            total += integrate(gn ** pc, mesh) ** (1.0 / pc)
-            total += abs(lam) * integrate(np.abs(u_n.values) ** pc, mesh) ** (1.0 / pc)
-        return total
-
     def __mul__(self, scalar: float) -> "ForcingTerm":
-        t = float(scalar)
-        if self._density is not None:
-            return ForcingTerm(self.kind, self.mesh, density=self._density * t)
-        comps = [(u_n * t, lam) for u_n, lam in self._components]
-        return ForcingTerm(self.kind, self.mesh, components=comps)
+        return ForcingTerm(self.mesh, self._rep * float(scalar))
 
     __rmul__ = __mul__
 
@@ -275,11 +250,6 @@ def truncate(s):
     return np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
 
 
-def truncate_field(u: DiscreteFunction) -> DiscreteFunction:
-    """Apply the clamp nodewise."""
-    return DiscreteFunction(u.mesh, truncate(u.values))
-
-
 def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
                       cutoff: DiscreteFunction, params: EnergyParams) -> float:
     """Localized monotonicity pairing of the p-gradient fluxes.
@@ -295,7 +265,7 @@ def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
     g_a, s_a = _grad_square(mesh, u_a.values)
     g_b, s_b = _grad_square(mesh, u_b.values)
     flux = _flux_coeff(s_a, p, 0.0) * g_a - _flux_coeff(s_b, p, 0.0) * g_b
-    g_t = mesh.grad(truncate(u_a.values - u_b.values))
+    g_t, _ = _grad_square(mesh, truncate(u_a.values - u_b.values))
     integrand = cutoff.values * np.einsum("ai,ai->i", flux, g_t)
     return integrate(integrand, mesh)
 

@@ -1,5 +1,5 @@
 """Structured tensor-product grids with boundary masks, trapezoidal quadrature,
-and first-order difference calculus.
+and the stacked first-order difference operator of the discrete energy.
 
 Domains are boxes, intervals, strips (a bounded cross-section times truncated
 unbounded axes), and boxes punctured at the origin.  All fields live as flat
@@ -24,8 +24,6 @@ __all__ = [
     "strip",
     "punctured_box",
     "build_mesh",
-    "gradient",
-    "divergence",
     "integrate",
 ]
 
@@ -202,16 +200,10 @@ class Mesh:
         self.excluded_mask = excluded
         self.constrained_mask = self.boundary_mask | self.excluded_mask
         self.free_mask = ~self.constrained_mask
-        self.interior_mask = self.free_mask
 
         self._grad: sp.csr_matrix | None = None
         self._grad_t: sp.csc_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
-
-    @property
-    def excluded_volume(self) -> float:
-        """Quadrature volume attributed to excluded nodes."""
-        return float(self.weights[self.excluded_mask].sum())
 
     def _grad_op(self) -> sp.csr_matrix:
         if self._grad is None:
@@ -344,19 +336,6 @@ class DiscreteFunction:
     def _check_mesh(self, other: "DiscreteFunction"):
         if other.mesh is not self.mesh:
             raise ValueError("functions live on different meshes")
-
-
-def gradient(u: DiscreteFunction) -> np.ndarray:
-    """Per-node gradient of ``u`` as an (n_nodes, dims) array."""
-    return u.mesh.grad(u.values).T
-
-
-def divergence(field: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Per-node divergence of an (n_nodes, dims) vector field."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != (mesh.n_nodes, mesh.domain.dims):
-        raise ValueError(f"expected shape {(mesh.n_nodes, mesh.domain.dims)}, got {field.shape}")
-    return np.einsum("aia->i", mesh.grad(field))
 
 
 def integrate(field: np.ndarray, mesh: Mesh) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import pstats
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,18 @@ class TestRunAndEmit:
         assert artifact.exit_code == 2
         assert any(r.verdict == "violation" for r in artifact.certifications)
 
+    def test_tabulated_pole_inside_the_puncture(self):
+        # the origin is an excluded node of the hardy_quadratic mesh, so a
+        # table with its pole there is the quadratic Hardy potential itself
+        builtin = _with(presets.get("hardy_quadratic"), {"subcommand": "admissibility"})
+        tabulated = _with(builtin, {"physics.potential": {"kind": "tabulated", "expr": "0.25/r**2"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(parse_config(json.dumps(tabulated)))
+        ref = run(parse_config(json.dumps(builtin)))
+        assert got.exit_code == ref.exit_code == 0, got.failure
+        assert got.admissibility.sampled_margin == pytest.approx(ref.admissibility.sampled_margin, rel=1e-12)
+
     def test_eigen_sweep_rows(self, tmp_path):
         cfg = parse_config(
             json.dumps(
@@ -472,8 +485,15 @@ class TestMain:
                 {"domain": {"kind": "box", "bounds": [[-1.0, 1.0]] * 3}, "mesh": {"nodes_per_axis": [5, 5, 5]}},
             ),
             ({"weight": {"kind": "cylinder_decay", "value": 0.45}}, None),
+            (
+                {"potential": {"kind": "tabulated", "expr": "1/y**2"}, "forcing": {"kind": "zero"}},
+                {"domain": _PUNCTURED, "mesh": {"nodes_per_axis": [5, 5, 5]}},
+            ),
         ],
-        ids=["unknown_function", "negative_tabulated_potential", "uncapped_singular_node", "strip_weight_off_strip"],
+        ids=[
+            "unknown_function", "negative_tabulated_potential", "uncapped_singular_node", "strip_weight_off_strip",
+            "tabulated_pole_off_the_puncture",
+        ],
     )
     def test_config_derived_run_error_exits_one(self, tmp_path, capsys, physics, mesh):
         cfg = json.loads(json.dumps(SMALL_SOLVE))

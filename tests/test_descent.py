@@ -2,7 +2,8 @@
 directions from truncated and exact solves for every role, determinism, the
 gain of Jacobi scaling on lagged coefficients, the error conjugate gradients
 raise on nonpositive curvature, exact dense solves on small positive definite
-blocks, and no sparse factorization on the metric paths."""
+blocks and the error an indefinite small block raises at construction, and no
+sparse factorization on the metric paths."""
 
 import os
 import subprocess
@@ -175,20 +176,21 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
 
 
 @ROLES
-def test_indefinite_small_block_falls_back_to_cg(rtol, monkeypatch):
+def test_indefinite_small_block_raises_at_construction(rtol, monkeypatch):
     # lambda_1 of the interval pencil is about pi^2, so a mass shift of
     # 1 - 50 makes the block indefinite while its diagonal stays positive;
-    # Cholesky refuses it, and CG meets its negative curvature
+    # Cholesky refuses it, which certifies the indefiniteness before any apply
     calls = _counting_cg(monkeypatch)
     mesh = SMALL_MESHES["interval_33"]()
-    g, _ = _problem(mesh, None)
-    pre = Preconditioner(mesh, rtol=rtol, mass_coeff=np.full(mesh.n_nodes, -50.0))
-    assert pre.inverse is None
-    assert np.linalg.eigvalsh(pre.op.toarray())[0] < 0.0
-    assert np.all(pre.op.diagonal() > 0.0)
-    with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
-        pre.apply(g)
-    assert len(calls) == 1
+    mass_coeff = np.full(mesh.n_nodes, -50.0)
+    free = mesh.free_mask
+    op = (mesh.energy_stiffness() + sp.diags(mesh.weights * (1.0 + mass_coeff))).toarray()[free][:, free]
+    assert op.shape[0] <= DENSE_MAX
+    assert np.linalg.eigvalsh(op)[0] < 0.0
+    assert np.all(np.diagonal(op) > 0.0)
+    with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
+        Preconditioner(mesh, rtol=rtol, mass_coeff=mass_coeff)
+    assert not calls
 
 
 def test_conjugate_gradient_returns_a_negative_curvature_witness():

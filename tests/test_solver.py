@@ -144,13 +144,14 @@ class TestMinimizePhi:
 
     def test_indefinite_newton_operator_raises_before_any_step(self, monkeypatch):
         # V = 60 lies above the first eigenvalue (about pi^2): at eps = 0 the
-        # Newton operator is the form's own matrix plus 1e-10 M, so CG meets
-        # its negative curvature on the first apply, before any line search
+        # Newton operator is the form's own matrix plus 1e-10 M, and its
+        # 49-node block is small, so Cholesky refuses it when the
+        # preconditioner is built, before any line search
         searches = []
         monkeypatch.setattr(plapsolve.solver, "armijo_backtrack", lambda *a, **k: searches.append(1))
         mesh = build_mesh(interval(0.0, 1.0), [51])
         f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-        with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
+        with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
             minimize_phi(DiscreteFunction.zeros(mesh), Potential.constant(60.0), f, EnergyParams(p=2.0))
         assert not searches
 
