@@ -178,18 +178,17 @@ def armijo_backtrack(
     f0: float,
     slope: float,
     init_step: float = 1.0,
-    noise: float = 0.0,
 ):
     """Backtracking line search for sufficient decrease.
 
     Halves the step until ``f_new <= f0 + 1e-4 * step * slope + noise``.
     Returns (step, x_new, f_new) on success or (None, None, None) when no
     acceptable step of at least 1e-14 exists.  ``slope`` must be the
-    directional derivative at ``x`` and should be negative.  ``noise`` relaxes
-    the acceptance by an absolute amount, which keeps well-scaled steps
-    acceptable once objective differences fall below the floating-point
-    resolution of the objective itself.
+    directional derivative at ``x`` and should be negative.  ``noise``, the
+    floating-point resolution ``32 eps (1 + |f0|)`` of the objective, keeps
+    well-scaled steps acceptable once objective differences fall below it.
     """
+    noise = 32.0 * np.finfo(float).eps * (1.0 + abs(f0))
     step = init_step
     while step >= 1e-14:
         x_new = x + step * direction

@@ -8,13 +8,15 @@ construction), and ``admissibility`` (the report alone).
 Configs are JSON documents checked against one schema table; unknown keys
 are errors, a key that another kind adds is refused as ``only valid for
 <kind> <section>s`` (``physics.potential.value`` on a zero potential), and
-every validation error names its config section.  Reports land in a
-directory named from the config hash: delimited tables (one row per record),
-a JSON summary, the config echo, and the solution field.  Identical configs
-byte-reproduce all numeric outputs.
+every validation error names its config section.  The parse also evaluates,
+for ``solve`` and ``admissibility``, the potential, weight and (``solve``)
+forcing on the mesh with the builders the run calls, so every config error is
+refused before any run.  Reports land in a directory named from the config
+hash: delimited tables (one row per record), a JSON summary, the config echo,
+and the solution field.  Identical configs byte-reproduce all numeric outputs.
 
-Exit codes: 0 success, 1 config error, 2 certification or admissibility
-violation, 3 solver failure.
+Exit codes: 0 success, 1 config error (before any run), 2 certification or
+admissibility violation, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -337,27 +338,67 @@ def _domain(d: dict, cross_section: bool = False) -> Domain:
     return Domain(d["kind"], bounds, puncture_radius=d.get("puncture_radius", 0.0))
 
 
-def _potential(pot: dict, p: float, dims: int | None) -> Potential:
-    """The configured potential on a ``dims``-dimensional domain; a tabulated
-    potential has no table until a mesh evaluates its expression."""
+def _build_mesh(cfg: RunConfig) -> Mesh:
+    return build_mesh(_domain(cfg.domain), **cfg.mesh)
+
+
+def _omega_mesh(cfg: RunConfig) -> Mesh:
+    """Cross-section mesh of a strip config (the bounded axes only)."""
+    n_omega = len(cfg.domain["bounds"])
+    return build_mesh(_domain(cfg.domain, cross_section=True), cfg.mesh["nodes_per_axis"][:n_omega])
+
+
+def _build_potential(cfg: RunConfig, mesh: Mesh | None, dims: int | None = None) -> Potential:
+    """The configured potential, evaluated once on ``mesh`` so that a
+    potential the mesh cannot carry is refused.  Without a mesh it is only
+    constructed, on a ``dims``-dimensional domain, and a tabulated potential
+    has no table."""
+    pot = cfg.physics["potential"]
+    p = cfg.physics["p"]
+    if pot.get("value") == "lambda1_omega":
+        pot = {**pot, "value": section_eigenvalue(_omega_mesh(cfg), p, 1e-10, cfg.solver["seed"]).value}
+    if mesh is not None:
+        dims = mesh.domain.dims
     kind = pot["kind"]
     if kind == "quadratic_hardy":
-        return Potential.quadratic_hardy(dims)
-    if kind == "hardy_p":
-        return Potential.hardy(dims, p)
-    if kind == "cylindrical_hardy":
-        return Potential.cylindrical_hardy(pot["k_axes"], p)
-    if kind == "constant":
-        return Potential.constant(pot["value"])
-    if kind in ("zero", "tabulated"):
-        return Potential(kind)
-    raise ValueError(f"unknown potential kind {kind!r}")
+        V = Potential.quadratic_hardy(dims)
+    elif kind == "hardy_p":
+        V = Potential.hardy(dims, p)
+    elif kind == "cylindrical_hardy":
+        V = Potential.cylindrical_hardy(pot["k_axes"], p)
+    elif kind == "constant":
+        V = Potential.constant(pot["value"])
+    elif kind == "tabulated" and mesh is not None:
+        # excluded nodes never enter an integral, so a pole there is allowed
+        table = evaluate_expression(pot["expr"], mesh)
+        table[mesh.excluded_mask] = 0.0
+        V = Potential.tabulated(table)
+    elif kind in ("zero", "tabulated"):
+        V = Potential(kind)
+    else:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    if mesh is not None:
+        evaluate_potential(V, mesh)
+    return V
 
 
-def _weight(wt: dict) -> Weight:
+def _build_weight(cfg: RunConfig, mesh: Mesh | None) -> Weight:
+    """The configured weight, evaluated once on ``mesh`` when there is one."""
+    wt = cfg.physics["weight"]
     if wt["kind"] == "cylinder_decay":
-        return Weight.cylinder_decay(wt["value"], wt["p"])
-    return Weight(wt["kind"], wt["value"])
+        W = Weight.cylinder_decay(wt["value"], wt["p"])
+    else:
+        W = Weight(wt["kind"], wt["value"])
+    if mesh is not None:
+        evaluate_weight(W, mesh)
+    return W
+
+
+def _build_forcing(cfg: RunConfig, mesh: Mesh) -> ForcingTerm:
+    forcing = cfg.physics["forcing"]
+    if forcing["kind"] == "zero":
+        return ForcingTerm.zero(mesh)
+    return ForcingTerm.density(mesh, evaluate_expression(forcing["expr"], mesh))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -367,7 +408,8 @@ def parse_config(text: str) -> RunConfig:
     constraint``; unknown keys and keys of another kind are errors.  The
     domain, mesh, exponents, potential, weight and eps schedule are then
     built once, and each constructor's refusal is reported as ``section:
-    message``.
+    message``; for ``solve`` and ``admissibility`` that includes evaluating
+    the potential, weight and (``solve``) forcing on the mesh.
     """
     errors: list[str] = []
     try:
@@ -405,16 +447,20 @@ def parse_config(text: str) -> RunConfig:
     if "p" in weight and weight["p"] is None:
         weight["p"] = p
 
+    config = RunConfig(subcommand=sub, **cfg)
     dom = _built("domain", errors, _domain, domain) if domain is not None else None
-    if dom and cfg["mesh"]:
-        _built("mesh", errors, build_mesh, dom, **cfg["mesh"])
+    mesh = _built("mesh", errors, build_mesh, dom, **cfg["mesh"]) if dom and cfg["mesh"] else None
     _built("physics", errors, EnergyParams, p, physics["q"])
+    # only solve and admissibility runs evaluate the potential and the weight;
     # a 'lambda1_omega' value is computed at run time, and the Hardy kinds
     # need the domain's dimension
+    fields_mesh = mesh if sub in ("solve", "admissibility") else None
     dims = dom.dims if dom else None
     if pot.get("value") != "lambda1_omega" and (dims or pot["kind"] not in ("quadratic_hardy", "hardy_p")):
-        _built("physics.potential", errors, _potential, pot, p, dims)
-    _built("physics.weight", errors, _weight, weight)
+        _built("physics.potential", errors, _build_potential, config, fields_mesh, dims)
+    _built("physics.weight", errors, _build_weight, config, fields_mesh)
+    if sub == "solve" and mesh is not None:
+        _built("physics.forcing", errors, _build_forcing, config, mesh)
     solver = cfg["solver"]
     _built("solver", errors, EpsSchedule, solver["eps0"], solver["ratio"], solver["steps"])
     for p_cert in certify["p_values"]:
@@ -445,68 +491,7 @@ def parse_config(text: str) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(subcommand=sub, **cfg)
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-@contextmanager
-def _config_errors():
-    """Report a ``ValueError`` raised while building the problem from a parsed
-    config as a :class:`ConfigError`: the config asked for something the
-    constructors refuse."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from exc
-
-
-def _build_mesh(cfg: RunConfig) -> Mesh:
-    return build_mesh(_domain(cfg.domain), **cfg.mesh)
-
-
-def _omega_mesh(cfg: RunConfig) -> Mesh:
-    """Cross-section mesh of a strip config (the bounded axes only)."""
-    n_omega = len(cfg.domain["bounds"])
-    return build_mesh(_domain(cfg.domain, cross_section=True), cfg.mesh["nodes_per_axis"][:n_omega])
-
-
-def _build_potential(cfg: RunConfig, mesh: Mesh) -> Potential:
-    """The configured potential, evaluated once on ``mesh`` so that a
-    potential the mesh cannot carry is a config error."""
-    pot = dict(cfg.physics["potential"])
-    p = cfg.physics["p"]
-    if pot.get("value") == "lambda1_omega":
-        pot["value"] = section_eigenvalue(_omega_mesh(cfg), p, 1e-10, cfg.solver["seed"]).value
-    with _config_errors():
-        if pot["kind"] == "tabulated":
-            # excluded nodes never enter an integral, so a pole there is allowed
-            table = evaluate_expression(pot["expr"], mesh)
-            table[mesh.excluded_mask] = 0.0
-            V = Potential.tabulated(table)
-        else:
-            V = _potential(pot, p, mesh.domain.dims)
-        evaluate_potential(V, mesh)
-    return V
-
-
-@_config_errors()
-def _build_weight(cfg: RunConfig, mesh: Mesh) -> Weight:
-    W = _weight(cfg.physics["weight"])
-    evaluate_weight(W, mesh)
-    return W
-
-
-@_config_errors()
-def _build_forcing(cfg: RunConfig, mesh: Mesh) -> ForcingTerm:
-    forcing = cfg.physics["forcing"]
-    if forcing["kind"] == "zero":
-        return ForcingTerm.zero(mesh)
-    return ForcingTerm.density(mesh, evaluate_expression(forcing["expr"], mesh))
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +526,26 @@ class RunArtifact:
         }
 
 
-def _run_admissibility(cfg: RunConfig, mesh: Mesh, V: Potential, W: Weight) -> AdmissibilityReport:
-    return admissibility_report(
-        V,
-        mesh,
-        cfg.physics["p"],
-        cfg.physics["q"],
-        W,
-        samples=min(cfg.certify["samples"], 64),
-        seed=cfg.certify["seed"],
-    )
-
-
 def _run_solve(cfg: RunConfig, artifact: RunArtifact, override: bool) -> None:
+    """The admissibility gate, then, for ``solve``, the continuation."""
+    gate_only = cfg.subcommand == "admissibility"
     mesh = _build_mesh(cfg)
     V = _build_potential(cfg, mesh)
     W = _build_weight(cfg, mesh)
-    artifact.admissibility = _run_admissibility(cfg, mesh, V, W)
-    if artifact.admissibility.violations and not override:
-        artifact.failure = "admissibility violations; rerun with --override-admissibility to proceed"
+    p, q = cfg.physics["p"], cfg.physics["q"]
+    artifact.admissibility = admissibility_report(
+        V, mesh, p, q, W, samples=min(cfg.certify["samples"], 64), seed=cfg.certify["seed"]
+    )
+    if artifact.admissibility.violations and (gate_only or not override):
+        artifact.failure = "admissibility violations" if gate_only else (
+            "admissibility violations; rerun with --override-admissibility to proceed"
+        )
         artifact.exit_code = 2
+    if gate_only or artifact.exit_code:
         return
     f = _build_forcing(cfg, mesh)
     s = cfg.solver
-    params = EnergyParams(p=cfg.physics["p"], q=cfg.physics["q"], delta=s["delta0"])
+    params = EnergyParams(p=p, q=q, delta=s["delta0"])
     schedule = EpsSchedule(s["eps0"], s["ratio"], s["steps"])
     report = continuation_solve(
         V, f, params, schedule,
@@ -708,31 +689,20 @@ def run(config: RunConfig, override_admissibility: bool = False) -> RunArtifact:
     """Execute the configured pipeline and return the artifact.
 
     Never raises for run failures; they are recorded on the artifact with
-    the corresponding exit code (1 a config the problem cannot be built
-    from, 2 violations, 3 solver failure).
+    the corresponding exit code (2 violations, 3 solver failure); every
+    config error was refused by :func:`parse_config`.
     """
     artifact = RunArtifact(config=config)
     t0 = time.perf_counter()
     try:
-        if config.subcommand == "solve":
+        if config.subcommand in ("solve", "admissibility"):
             _run_solve(config, artifact, override_admissibility)
         elif config.subcommand == "eigen":
             _run_eigen(config, artifact)
         elif config.subcommand == "certify":
             _run_certify(config, artifact)
-        elif config.subcommand == "blowup":
-            _run_blowup(config, artifact)
         else:
-            mesh = _build_mesh(config)
-            artifact.admissibility = _run_admissibility(
-                config, mesh, _build_potential(config, mesh), _build_weight(config, mesh)
-            )
-            if artifact.admissibility.violations:
-                artifact.failure = "admissibility violations"
-                artifact.exit_code = 2
-    except ConfigError as exc:
-        artifact.failure = f"{type(exc).__name__}: {exc}"
-        artifact.exit_code = 1
+            _run_blowup(config, artifact)
     except (IndefiniteEnergyError, ContinuationBoundError, ValueError, RuntimeError) as exc:
         artifact.failure = f"{type(exc).__name__}: {exc}"
         artifact.exit_code = 3

@@ -272,11 +272,15 @@ def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
 
 def y_norm(u: DiscreteFunction, W: Weight, params: EnergyParams) -> float:
     """Weighted Sobolev norm ``(int (|grad u|^q + |u|^q) W)^(1/q)``."""
-    mesh = u.mesh
-    q = params.q
-    _, s = _grad_square(mesh, u.values)
-    w_vals = evaluate_weight(W, mesh)
-    total = integrate((s ** (q / 2.0) + np.abs(u.values) ** q) * w_vals, mesh)
+    w_vals = evaluate_weight(W, u.mesh)
+    return _y_norm_arrays(u.mesh, u.values, w_vals, params.q)
+
+
+def _y_norm_arrays(mesh: Mesh, values: np.ndarray, w_vals: np.ndarray, q: float,
+                   gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """:func:`y_norm` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
+    _, s = _grad_square(mesh, values) if gs is None else gs
+    total = integrate((s ** (q / 2.0) + np.abs(values) ** q) * w_vals, mesh)
     return total ** (1.0 / q)
 
 

@@ -289,6 +289,7 @@ def admissibility_report(
         r_alt = None
 
     v_vals = evaluate_potential(V, mesh)
+    w_vals = evaluate_weight(W, mesh)
     proxy = integrate(v_vals ** r, mesh)
 
     params = _energy.EnergyParams(p=p, q=q)
@@ -301,8 +302,9 @@ def admissibility_report(
     worst = np.inf
     violations: list[str] = []
     for i, u in enumerate(candidates):
-        qv = _energy.q_v(u, V, params)
-        yp = _energy.y_norm(u, W, params) ** p
+        gs = _energy._grad_square(mesh, u.values)
+        qv = _energy._q_v_arrays(mesh, u.values, v_vals, params.p, gs)
+        yp = _energy._y_norm_arrays(mesh, u.values, w_vals, params.q, gs) ** p
         margin = qv - yp
         if margin < worst:
             worst = margin

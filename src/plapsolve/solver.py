@@ -235,17 +235,12 @@ def minimize_phi(
             accepted = _grad_square(mesh, vals)
             return _phi_arrays(mesh, vals, v_vals, f, params_k, accepted)
 
-        noise = 32.0 * np.finfo(float).eps * (1.0 + abs(phi_u))
-        taken, u_new, phi_new = armijo_backtrack(
-            objective, u, d, phi_u, slope, init_step=step, noise=noise
-        )
+        taken, u_new, phi_new = armijo_backtrack(objective, u, d, phi_u, slope, init_step=step)
         if taken is None:
             failures += 1
             d = -g
             slope = -float(integrate(g * g, mesh))
-            taken, u_new, phi_new = armijo_backtrack(
-                objective, u, d, phi_u, slope, init_step=step, noise=noise
-            )
+            taken, u_new, phi_new = armijo_backtrack(objective, u, d, phi_u, slope, init_step=step)
         if taken is None:
             failures += 1
             warnings.warn(

@@ -226,10 +226,7 @@ def _quotient_descent(
         # step the natural preconditioned-inverse-iteration step
         d = -pre.apply(gq) / p
         slope = float((mesh.weights * gq) @ d)
-        noise = 32.0 * np.finfo(float).eps * (1.0 + abs(lam))
-        taken, u_new, lam_new = armijo_backtrack(
-            quotient, u, d, lam, slope, init_step=step, noise=noise
-        )
+        taken, u_new, lam_new = armijo_backtrack(quotient, u, d, lam, slope, init_step=step)
         if taken is None:
             break
         step = min(max(taken * 2.0, 1e-10), 1.0)

@@ -218,8 +218,10 @@ def test_10_determinism_of_report_tables(tmp_path):
     compared = 0
     for name in matrix:
         cfg = parse_config(json.dumps(presets.get(name)))
-        files_a = emit_reports(run(cfg), tmp_path / "a")
-        files_b = emit_reports(run(cfg), tmp_path / "b")
+        artifact_a, artifact_b = run(cfg), run(cfg)
+        assert artifact_a.exit_code == artifact_b.exit_code == 0, f"{name}: {artifact_a.failure}"
+        files_a = emit_reports(artifact_a, tmp_path / "a")
+        files_b = emit_reports(artifact_b, tmp_path / "b")
         for pa, pb in zip(files_a, files_b):
             if pa.name == "summary.json":
                 continue  # wall time and timestamp live here

@@ -476,18 +476,20 @@ class TestMain:
         assert "config error" in err
 
     @pytest.mark.parametrize(
-        "physics, mesh",
+        "physics, mesh, section",
         [
-            ({"forcing": {"kind": "expression", "expr": "nope(x)"}}, None),
-            ({"potential": {"kind": "tabulated", "expr": "x - 2"}}, None),
+            ({"forcing": {"kind": "expression", "expr": "nope(x)"}}, None, "physics.forcing"),
+            ({"potential": {"kind": "tabulated", "expr": "x - 2"}}, None, "physics.potential"),
             (
                 {"potential": {"kind": "quadratic_hardy"}, "forcing": {"kind": "zero"}},
                 {"domain": {"kind": "box", "bounds": [[-1.0, 1.0]] * 3}, "mesh": {"nodes_per_axis": [5, 5, 5]}},
+                "physics.potential",
             ),
-            ({"weight": {"kind": "cylinder_decay", "value": 0.45}}, None),
+            ({"weight": {"kind": "cylinder_decay", "value": 0.45}}, None, "physics.weight"),
             (
                 {"potential": {"kind": "tabulated", "expr": "1/y**2"}, "forcing": {"kind": "zero"}},
                 {"domain": _PUNCTURED, "mesh": {"nodes_per_axis": [5, 5, 5]}},
+                "physics.potential",
             ),
         ],
         ids=[
@@ -495,15 +497,28 @@ class TestMain:
             "tabulated_pole_off_the_puncture",
         ],
     )
-    def test_config_derived_run_error_exits_one(self, tmp_path, capsys, physics, mesh):
+    def test_config_derived_run_error_exits_one(self, tmp_path, capsys, physics, mesh, section):
+        # the parse evaluates the fields on the run's mesh, so a field the
+        # mesh cannot carry is refused before any run, like a mistyped key
         cfg = json.loads(json.dumps(SMALL_SOLVE))
         cfg["physics"].update(physics)
         cfg.update(mesh or {})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "failed: ConfigError" in capsys.readouterr().out
+        assert f"config error: {section}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_a_config_error_runs_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_SOLVE))
+        sweep = ["--sweep", 'physics.forcing.expr="sin(pi*x)","nope(x)"']
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *sweep]) == 1
+        captured = capsys.readouterr()
+        assert "config error: physics.forcing: expression 'nope(x)'" in captured.err
+        assert not captured.out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "config, extra",
