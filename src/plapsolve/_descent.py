@@ -1,10 +1,12 @@
-"""Shared descent machinery: deterministic Jacobi-preconditioned conjugate
-gradients that raise :class:`IndefiniteEnergyError` on nonpositive curvature,
-a compact second-order preconditioner that inverts small blocks exactly (and
-raises when Cholesky refuses one), and Armijo backtracking."""
+"""Shared descent machinery: deterministic preconditioned conjugate gradients
+that raise :class:`IndefiniteEnergyError` on nonpositive curvature, a compact
+second-order preconditioner that inverts small blocks exactly and one-axis
+meshes block by block (and raises when Cholesky refuses a block), and Armijo
+backtracking."""
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,10 +23,12 @@ from .grid import Mesh
 METRIC_RTOL = 1e-4
 NEWTON_RTOL = 1e-10
 CG_ITERS = 300
-# Free-node count up to which a positive definite preconditioner block is
-# inverted densely once per build.  Memory sets it: at 128 nodes the dense
-# path raises peak RSS by about 1 MB, but past that LAPACK's blocked
-# factorizations make OpenBLAS allocate level-3 buffers (+7 MB at 399 nodes).
+# Largest free-node block that is inverted densely once per build: the whole
+# operator up to this size, and each diagonal block of a one-axis operator
+# above it (at most DENSE_MAX * 8 bytes per free node, 0.32 MB on 399 nodes).
+# Memory sets it: at 128 nodes the dense path raises peak RSS by about 1 MB,
+# but past that LAPACK's blocked factorizations make OpenBLAS allocate level-3
+# buffers (+7 MB for one block of 399 nodes).
 DENSE_MAX = 128
 
 
@@ -35,41 +39,80 @@ class IndefiniteEnergyError(RuntimeError):
 _NONPOSITIVE = "energy form nonpositive on %s; the positivity assumption fails on this mesh"
 
 
-def inverse_diagonal(A: sp.spmatrix) -> np.ndarray:
-    """Jacobi scaling for :func:`conjugate_gradient`: ``1 / A_ii`` where the
-    diagonal is positive and 0 where it is not, which the solve refuses."""
+def jacobi(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Jacobi scaling ``r -> r / diag(A)`` for :func:`conjugate_gradient`.
+
+    Raises :class:`IndefiniteEnergyError` on a nonpositive diagonal entry,
+    before any iteration: Jacobi scaling would otherwise solve a diagonal
+    matrix in one step and never meet its negative curvature.
+    """
     diag = A.diagonal()
-    inv = np.zeros_like(diag)
-    np.divide(1.0, diag, out=inv, where=diag > 0.0)
-    return inv
+    if np.any(diag <= 0.0):
+        raise IndefiniteEnergyError(_NONPOSITIVE % "a unit vector")
+    inv_diag = 1.0 / diag
+    return lambda r: inv_diag * r
+
+
+def block_inverses(A: sp.spmatrix) -> np.ndarray:
+    """Inverses of the diagonal blocks of ``A``, shape ``(count, size, size)``:
+    contiguous blocks of at most ``DENSE_MAX`` rows and near-equal size, the
+    last padded with an identity; one block, the exact inverse, when ``A`` is
+    that small.
+
+    The blocks are checked with one batched ``np.linalg.cholesky``, which
+    raises :class:`IndefiniteEnergyError` when it refuses any of them (a
+    principal block that is not positive definite shows that ``A`` is not),
+    and inverted with one batched ``np.linalg.inv``.
+    """
+    n = A.shape[0]
+    count = -(-n // DENSE_MAX)
+    size = -(-n // count)
+    coo = A.tocoo()
+    block = coo.row // size
+    inside = block == coo.col // size
+    blocks = np.zeros((count, size, size))
+    blocks[block[inside], coo.row[inside] % size, coo.col[inside] % size] = coo.data[inside]
+    pad = np.arange(n - (count - 1) * size, size)
+    blocks[-1, pad, pad] = 1.0
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        raise IndefiniteEnergyError(_NONPOSITIVE % "a free-node block that Cholesky refuses") from None
+    return np.linalg.inv(blocks)
+
+
+def apply_blocks(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Block-Jacobi action of :func:`block_inverses` on ``r`` (Concus, Golub &
+    Meurant, SIAM J. Sci. Stat. Comput. 6, 1985)."""
+    count, size, _ = inverses.shape
+    padded = np.zeros(count * size)
+    padded[: r.size] = r
+    return (inverses @ padded.reshape(count, size, 1)).ravel()[: r.size]
 
 
 def conjugate_gradient(
     A: sp.spmatrix,
     b: np.ndarray,
     rel_tol: float,
-    inv_diag: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Jacobi-preconditioned CG from a zero start; deterministic for fixed
-    inputs.
+    """Preconditioned CG from a zero start; deterministic for fixed inputs.
 
-    ``inv_diag`` is :func:`inverse_diagonal` of ``A``.  Returns the iterate
-    once ``||b - A x|| <= rel_tol ||b||`` (the unscaled residual) or after
-    ``CG_ITERS`` iterations; every step has positive curvature, so
+    ``precondition`` is a symmetric positive definite approximate inverse of
+    ``A``, such as :func:`jacobi` or :func:`block_inverses` of ``A``.  Returns
+    the iterate once ``||b - A x|| <= rel_tol ||b||`` (the unscaled residual)
+    or after ``CG_ITERS`` iterations; every step has positive curvature, so
     ``b . x = x . A x > 0`` for ``b != 0``.  Raises
-    :class:`IndefiniteEnergyError` on a nonpositive diagonal entry, before
-    any iteration, or on a search direction with ``p . A p <= 0`` (the
-    truncated-CG test of Steihaug, SIAM J. Numer. Anal. 20, 1983): either
+    :class:`IndefiniteEnergyError` on a search direction with ``p . A p <= 0``
+    (the truncated-CG test of Steihaug, SIAM J. Numer. Anal. 20, 1983), which
     shows that ``A`` is not positive definite.
     """
-    if np.any(inv_diag <= 0.0):
-        raise IndefiniteEnergyError(_NONPOSITIVE % "a unit vector")
     x = np.zeros_like(b)
     b2 = float(b @ b)
     if b2 == 0.0:
         return x
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z
     rz = float(r @ z)
     for _ in range(CG_ITERS):
@@ -82,7 +125,7 @@ def conjugate_gradient(
         r -= alpha * Ap
         if float(r @ r) <= rel_tol**2 * b2:
             break
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -99,14 +142,15 @@ class Preconditioner:
     inverted densely once here and applied as one product, an exact solve
     for every role.  A larger block is applied by :func:`conjugate_gradient`
     at unscaled relative residual ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL``
-    by role), with the inverse diagonal computed once here.  Either action is
+    by role), preconditioned by :func:`block_inverses` on a one-axis mesh and
+    by :func:`jacobi` otherwise, either built once here.  Every action is
     deterministic.  Maps a nodal gradient (the quadrature-dual representation
     of a first variation) to a descent direction.  The operator is positive
     definite unless a negative ``mass_coeff`` (the potential in the p = 2
     Newton operator) makes the energy form nonpositive.  Then
     :class:`IndefiniteEnergyError` is raised: here when ``np.linalg.cholesky``
-    refuses a small block, which shows exactly that, and by CG in ``apply``
-    when a large block shows it a direction of nonpositive curvature.
+    refuses a dense block or Jacobi scaling meets a nonpositive diagonal entry,
+    and by CG in ``apply`` when it meets a direction of nonpositive curvature.
     """
 
     def __init__(
@@ -124,25 +168,23 @@ class Preconditioner:
         diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
         op = (A + sp.diags(mesh.weights * diag)).tocsr()
         self.op = op[free][:, free]
-        self.inverse = None
-        if self.op.shape[0] <= DENSE_MAX:
-            dense = self.op.toarray()
-            try:
-                np.linalg.cholesky(dense)
-            except np.linalg.LinAlgError:
-                raise IndefiniteEnergyError(_NONPOSITIVE % "a free-node block that Cholesky refuses") from None
-            self.inverse = np.linalg.inv(dense)
-        self.inv_diag = inverse_diagonal(self.op)
+        self.exact = self.op.shape[0] <= DENSE_MAX
+        self.inverses = None
+        if self.exact or mesh.domain.dims == 1:
+            self.inverses = block_inverses(self.op)
+            self.precondition = partial(apply_blocks, self.inverses)
+        else:
+            self.precondition = jacobi(self.op)
         self.free = free
         self.rtol = rtol
 
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]
         d = np.zeros(self.mesh.n_nodes)
-        if self.inverse is not None:
-            d[self.free] = self.inverse @ rhs
+        if self.exact:
+            d[self.free] = self.precondition(rhs)
         else:
-            d[self.free] = conjugate_gradient(self.op, rhs, self.rtol, self.inv_diag)
+            d[self.free] = conjugate_gradient(self.op, rhs, self.rtol, self.precondition)
         return d
 
 

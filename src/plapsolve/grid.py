@@ -199,6 +199,9 @@ class Mesh:
             excluded |= d < singular_cap_radius
         self.excluded_mask = excluded
         self.constrained_mask = self.boundary_mask | self.excluded_mask
+        # quadrature over the non-excluded nodes, for ``integrate``
+        self._active = np.flatnonzero(~excluded) if excluded.any() else None
+        self._active_weights = self.weights if self._active is None else self.weights[self._active]
         self.free_mask = ~self.constrained_mask
 
         self._grad: sp.csr_matrix | None = None
@@ -343,5 +346,6 @@ def integrate(field: np.ndarray, mesh: Mesh) -> float:
     field = np.asarray(field, dtype=float).ravel()
     if field.size != mesh.n_nodes:
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got {field.size}")
-    active = ~mesh.excluded_mask
-    return float(np.dot(field[active], mesh.weights[active]))
+    if mesh._active is not None:
+        field = field[mesh._active]
+    return float(np.dot(field, mesh._active_weights))

@@ -2,8 +2,9 @@
 directions from truncated and exact solves for every role, determinism, the
 gain of Jacobi scaling on lagged coefficients, the error conjugate gradients
 raise on nonpositive curvature, exact dense solves on small positive definite
-blocks and the error an indefinite small block raises at construction, and no
-sparse factorization on the metric paths."""
+blocks, block-Jacobi solves on one-axis meshes, the error an indefinite dense
+block raises at construction, and no sparse factorization on the metric
+paths."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ import plapsolve
 import plapsolve.energy
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
-    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, inverse_diagonal,
+    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, jacobi,
     lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
@@ -105,7 +106,7 @@ def test_cg_meshes_are_above_the_dense_cap(mesh):
     # the CG tests below would pass vacuously on a dense inverse
     pre = Preconditioner(mesh, rtol=METRIC_RTOL)
     assert pre.op.shape[0] > DENSE_MAX
-    assert pre.inverse is None
+    assert pre.inverses is None
 
 
 @LAGGED
@@ -175,22 +176,39 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
     assert not calls
 
 
+def _refused_at_construction(mesh, mass_coeff, rtol, monkeypatch, block):
+    """The free-node operator with ``mass_coeff``, after checking that its
+    leading ``block`` is indefinite while its diagonal stays positive, and
+    that the preconditioner raises the Cholesky refusal with no CG call."""
+    calls = _counting_cg(monkeypatch)
+    free = mesh.free_mask
+    op = (mesh.energy_stiffness() + sp.diags(mesh.weights * (1.0 + mass_coeff))).toarray()[free][:, free]
+    assert np.linalg.eigvalsh(op[:block, :block])[0] < 0.0
+    assert np.all(np.diagonal(op) > 0.0)
+    with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
+        Preconditioner(mesh, rtol=rtol, mass_coeff=mass_coeff)
+    assert not calls
+    return op
+
+
 @ROLES
 def test_indefinite_small_block_raises_at_construction(rtol, monkeypatch):
     # lambda_1 of the interval pencil is about pi^2, so a mass shift of
     # 1 - 50 makes the block indefinite while its diagonal stays positive;
     # Cholesky refuses it, which certifies the indefiniteness before any apply
-    calls = _counting_cg(monkeypatch)
     mesh = SMALL_MESHES["interval_33"]()
-    mass_coeff = np.full(mesh.n_nodes, -50.0)
-    free = mesh.free_mask
-    op = (mesh.energy_stiffness() + sp.diags(mesh.weights * (1.0 + mass_coeff))).toarray()[free][:, free]
+    op = _refused_at_construction(mesh, np.full(mesh.n_nodes, -50.0), rtol, monkeypatch, DENSE_MAX)
     assert op.shape[0] <= DENSE_MAX
-    assert np.linalg.eigvalsh(op)[0] < 0.0
-    assert np.all(np.diagonal(op) > 0.0)
-    with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
-        Preconditioner(mesh, rtol=rtol, mass_coeff=mass_coeff)
-    assert not calls
+
+
+@ROLES
+def test_indefinite_interval_block_raises_at_construction(rtol, monkeypatch):
+    # each 100-node block of the 401-node interval has its first eigenvalue
+    # near (4 pi)^2 = 158, so a mass shift of 1 - 1000 makes the blocks
+    # indefinite; Cholesky refuses them before any apply
+    mesh = build_mesh(interval(0.0, 1.0), [401])
+    op = _refused_at_construction(mesh, np.full(mesh.n_nodes, -1000.0), rtol, monkeypatch, 100)
+    assert op.shape[0] > DENSE_MAX
 
 
 def test_conjugate_gradient_returns_a_negative_curvature_witness():
@@ -199,8 +217,8 @@ def test_conjugate_gradient_returns_a_negative_curvature_witness():
     A = sp.diags([2.0, 1.0, -4.0]).tocsr()
     b = np.ones(3)
     with pytest.raises(IndefiniteEnergyError, match="unit vector"):
-        conjugate_gradient(A, b, 1e-12, inverse_diagonal(A))
-    x = conjugate_gradient(abs(A), b, 1e-12, inverse_diagonal(abs(A)))
+        conjugate_gradient(A, b, 1e-12, jacobi(A))
+    x = conjugate_gradient(abs(A), b, 1e-12, jacobi(abs(A)))
     assert np.allclose(abs(A) @ x, b, rtol=1e-12)
 
 
@@ -209,7 +227,7 @@ def test_zero_diagonal_entry_is_its_own_witness():
     # iteration, where Jacobi scaling would never meet the zero curvature
     A = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]]))
     with pytest.raises(IndefiniteEnergyError, match="unit vector"):
-        conjugate_gradient(A, np.ones(3), 1e-12, inverse_diagonal(A))
+        conjugate_gradient(A, np.ones(3), 1e-12, jacobi(A))
 
 
 def test_indefinite_energy_error_has_one_home():
@@ -233,21 +251,52 @@ def _role_preconditioners(mesh):
     }
 
 
+def _path(pre):
+    if pre.inverses is None:
+        return "jacobi"
+    return "dense" if len(pre.inverses) == 1 else "block"
+
+
 @pytest.mark.parametrize(
-    "make, dense",
-    [(SMALL_MESHES["interval_33"], True), (lambda: build_mesh(interval(0.0, 1.0), [401]), False)],
-    ids=["dense", "cg"],
+    "make, path",
+    [
+        (SMALL_MESHES["interval_33"], "dense"),
+        (lambda: build_mesh(interval(0.0, 1.0), [401]), "block"),
+        (lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [17, 17]), "jacobi"),
+    ],
+    ids=["dense", "block", "jacobi"],
 )
-def test_every_role_maps_a_gradient_to_a_descent_direction(make, dense):
+def test_every_role_maps_a_gradient_to_a_descent_direction(make, path):
     # minimize_phi and the quotient descent take -apply(g) without an uphill
-    # fallback, so (w g) . apply(g) > 0 must hold on both paths and every role
+    # fallback, so (w g) . apply(g) > 0 must hold on every path and every role
     mesh = make()
     rng = np.random.default_rng(11)
     for role, pre in _role_preconditioners(mesh).items():
-        assert (pre.inverse is not None) == dense, role
+        assert _path(pre) == path, role
         for _ in range(5):
             g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
             assert float((mesh.weights * g) @ pre.apply(g)) > 0.0, role
+
+
+def test_block_jacobi_meets_every_roles_residual_in_few_products():
+    # 399 free nodes make 4 blocks.  Each of the 3 interfaces cuts two
+    # couplings of each sublattice of the centered stencil, so the
+    # block-preconditioned operator is the identity plus a rank-12 term: CG
+    # ends after 13 products in exact arithmetic, 14 with rounding, where
+    # Jacobi scaling takes 200-300
+    mesh = build_mesh(interval(0.0, 1.0), [401])
+    rng = np.random.default_rng(11)
+    for role, pre in _role_preconditioners(mesh).items():
+        assert _path(pre) == "block", role
+        bound = 4 * (len(pre.inverses) - 1) + 2
+        pre.op = counting = _CountingOperator(pre.op)
+        for _ in range(3):
+            g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+            counting.products = 0
+            d = pre.apply(g)
+            b = (mesh.weights * g)[pre.free]
+            assert np.linalg.norm(b - counting.A @ d[pre.free]) <= pre.rtol * np.linalg.norm(b), role
+            assert counting.products <= bound, (role, counting.products)
 
 
 def test_metric_paths_import_no_factorization():

@@ -370,11 +370,21 @@ class TestDualNorm:
 
     def test_signals_indefiniteness(self, mesh201):
         # constant potential far above the first eigenvalue breaks positivity;
-        # at p = 2 the conjugate-gradient solve of the first Newton step meets
-        # the negative curvature
+        # at p = 2 it lies above the first eigenvalue of each 100-node block
+        # too (about (2 pi)^2), so Cholesky refuses the Newton operator's
+        # blocks when the first preconditioner is built
+        f = ForcingTerm.manufactured(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
+            dual_norm(f, Potential.constant(50.0), EnergyParams(p=2.0))
+
+    def test_signals_indefiniteness_through_cg(self, mesh201):
+        # a potential between the first eigenvalue (about pi^2) and those of
+        # the 100-node blocks leaves every block positive definite; the
+        # block-preconditioned solve of the first Newton step meets the
+        # negative curvature of the whole operator
         f = ForcingTerm.manufactured(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
         with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
-            dual_norm(f, Potential.constant(50.0), EnergyParams(p=2.0))
+            dual_norm(f, Potential.constant(20.0), EnergyParams(p=2.0))
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
     @pytest.mark.parametrize("call", ["dual_norm", "minimize_phi", "continuation_solve"])
