@@ -137,7 +137,7 @@ class Preconditioner:
 
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
-    per-node ``coeff`` turns it into the lagged-coefficient metric of the
+    per-sample ``coeff`` turns it into the lagged-coefficient metric of the
     degenerate problem.  A block of at most ``DENSE_MAX`` free nodes is
     inverted densely once here and applied as one product, an exact solve
     for every role.  A larger block is applied by :func:`conjugate_gradient`

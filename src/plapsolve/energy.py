@@ -6,12 +6,13 @@ Provides the forcing term as its pairing vector, the energy gap form
 variation, the truncation clamp, a Cauchy-type gradient diagnostic, and the
 weighted Sobolev norm ``y_norm``.
 
-All functionals integrate with the mesh quadrature; ``phi_gradient`` is the
-quadrature-exact adjoint of the discrete energy, so central finite
-differences of ``phi`` reproduce it to second order.  Every gradient in the
-library comes from ``_grad_square`` and every flux goes back through
-``_dirichlet_gradient_rep``; nothing else applies the mesh's difference
-operator.
+Gradient terms integrate with the mesh's gradient quadrature
+(``Mesh.integrate_samples`` over ``Mesh.sample_weights``, nodal weights and
+cutoffs mapped by ``Mesh.to_samples``), mass terms with the nodal rule of
+``integrate``.  ``phi_gradient`` is the quadrature-exact adjoint of the
+discrete energy, so central finite differences of ``phi`` reproduce it to
+second order.  Every gradient in the library comes from ``_grad_square`` and
+every flux goes back through ``_dirichlet_gradient_rep``.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ class ForcingTerm:
             raise ValueError("density size does not match mesh")
         if not np.all(np.isfinite(dens[~mesh.excluded_mask])):
             raise ValueError("density must be finite at non-excluded nodes")
-        w_act = mesh.weights * ~mesh.excluded_mask
-        return cls(mesh, w_act * np.where(mesh.excluded_mask, 0.0, dens))
+        return cls(mesh, mesh.weights * np.where(mesh.excluded_mask, 0.0, dens))
 
     @classmethod
     def manufactured(cls, mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> "ForcingTerm":
@@ -111,13 +111,12 @@ class ForcingTerm:
         if not components:
             raise ValueError("distributional_sum needs at least one component")
         mesh = components[0][0].mesh
-        w_act = mesh.weights * ~mesh.excluded_mask
         rep = np.zeros(mesh.n_nodes)
         for u_n, lam in components:
             if u_n.mesh is not mesh:
                 raise ValueError("all components must share one mesh")
             g, s = _grad_square(mesh, u_n.values)
-            rep += _dirichlet_gradient_rep(mesh, g, s, 2.0, 0.0) - lam * w_act * u_n.values
+            rep += _dirichlet_gradient_rep(mesh, g, s, 2.0, 0.0) - lam * mesh.weights * u_n.values
         return cls(mesh, rep)
 
     def plain_rep(self) -> np.ndarray:
@@ -142,19 +141,23 @@ class ForcingTerm:
 
 
 def _grad_square(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient ``g`` of shape (dims, n_nodes) and its pointwise square ``|g|^2``."""
+    """Gradient ``g`` of shape (dims, n_samples) and its pointwise square ``|g|^2``."""
     g = mesh.grad(values)
     return g, np.einsum("ai,ai->i", g, g)
 
 
+def _dirichlet(mesh: Mesh, s: np.ndarray, p: float) -> float:
+    """``int |grad u|^p`` from the squared gradient ``s`` of u."""
+    return mesh.integrate_samples(s ** (p / 2.0))
+
+
 def _flux_coeff(s: np.ndarray, p: float, delta: float) -> np.ndarray:
     """Coefficient ``(s + delta^2)^((p-2)/2)`` with the removable zero guarded."""
-    base = s + delta * delta
     if p == 2.0:
         return np.ones_like(s)
+    base = s + delta * delta
     with np.errstate(divide="ignore"):
-        coeff = np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
-    return coeff
+        return np.where(base > 0.0, base ** ((p - 2.0) / 2.0), 0.0)
 
 
 def _power_mass(values: np.ndarray, p: float) -> np.ndarray:
@@ -165,22 +168,20 @@ def _power_mass(values: np.ndarray, p: float) -> np.ndarray:
 def _dirichlet_gradient_rep(mesh: Mesh, g: np.ndarray, s: np.ndarray, p: float, delta: float) -> np.ndarray:
     """Plain-dot representation of the first variation of
     ``(1/p) int (|grad u|^2 + delta^2)^(p/2)``."""
-    w_act = mesh.weights * ~mesh.excluded_mask
-    return mesh.grad_adjoint(w_act * _flux_coeff(s, p, delta) * g)
+    return mesh.grad_adjoint(mesh.sample_weights * _flux_coeff(s, p, delta) * g)
 
 
 def q_v(u: DiscreteFunction, V: Potential, params: EnergyParams) -> float:
     """Energy gap ``int |grad u|^p - int V |u|^p``; the p-Dirichlet energy
     when V = 0, and p-homogeneous in u."""
-    v_vals = evaluate_potential(V, u.mesh)
-    return _q_v_arrays(u.mesh, u.values, v_vals, params.p)
+    return _q_v_arrays(u.mesh, u.values, evaluate_potential(V, u.mesh), params.p)
 
 
 def _q_v_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray, p: float,
                 gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """:func:`q_v` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
     _, s = _grad_square(mesh, values) if gs is None else gs
-    return integrate(s ** (p / 2.0), mesh) - integrate(v_vals * np.abs(values) ** p, mesh)
+    return _dirichlet(mesh, s, p) - integrate(v_vals * np.abs(values) ** p, mesh)
 
 
 def phi(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams) -> float:
@@ -192,9 +193,7 @@ def phi(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams)
     delta^p)`` so that it stays the exact antiderivative of
     :func:`phi_gradient` and vanishes at u = 0.
     """
-    mesh = u.mesh
-    v_vals = evaluate_potential(V, mesh)
-    return _phi_arrays(mesh, u.values, v_vals, f, params)
+    return _phi_arrays(u.mesh, u.values, evaluate_potential(V, u.mesh), f, params)
 
 
 def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
@@ -204,8 +203,7 @@ def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
     the caller already has it."""
     p, eps, delta = params.p, params.eps, params.delta
     _, s = _grad_square(mesh, values) if gs is None else gs
-    smoothed = (s + delta * delta) ** (p / 2.0) - delta**p
-    total = integrate(smoothed, mesh) / p
+    total = mesh.integrate_samples((s + delta * delta) ** (p / 2.0) - delta**p) / p
     mass = np.abs(values) ** p
     total -= (1.0 - eps) / p * integrate(v_vals * mass, mesh)
     if eps != 0.0:
@@ -221,10 +219,8 @@ def phi_gradient(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: Ener
     ``<phi_gradient(u), w> = d/dt phi(u + t w)|_{t=0}`` exactly in the mesh
     quadrature pairing, for every w vanishing on constrained nodes.
     """
-    mesh = u.mesh
-    v_vals = evaluate_potential(V, mesh)
-    nodal = _phi_gradient_arrays(mesh, u.values, v_vals, f, params)
-    return DiscreteFunction(mesh, nodal)
+    nodal = _phi_gradient_arrays(u.mesh, u.values, evaluate_potential(V, u.mesh), f, params)
+    return DiscreteFunction(u.mesh, nodal)
 
 
 def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
@@ -266,27 +262,22 @@ def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
     g_b, s_b = _grad_square(mesh, u_b.values)
     flux = _flux_coeff(s_a, p, 0.0) * g_a - _flux_coeff(s_b, p, 0.0) * g_b
     g_t, _ = _grad_square(mesh, truncate(u_a.values - u_b.values))
-    integrand = cutoff.values * np.einsum("ai,ai->i", flux, g_t)
-    return integrate(integrand, mesh)
+    return mesh.integrate_samples(mesh.to_samples(cutoff.values) * np.einsum("ai,ai->i", flux, g_t))
 
 
 def y_norm(u: DiscreteFunction, W: Weight, params: EnergyParams) -> float:
     """Weighted Sobolev norm ``(int (|grad u|^q + |u|^q) W)^(1/q)``."""
-    w_vals = evaluate_weight(W, u.mesh)
-    return _y_norm_arrays(u.mesh, u.values, w_vals, params.q)
+    return _y_norm_arrays(u.mesh, u.values, evaluate_weight(W, u.mesh), params.q)
 
 
 def _y_norm_arrays(mesh: Mesh, values: np.ndarray, w_vals: np.ndarray, q: float,
                    gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """:func:`y_norm` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
+    """:func:`y_norm` on raw arrays (``w_vals`` may be 1.0); ``gs`` as in :func:`_phi_arrays`."""
     _, s = _grad_square(mesh, values) if gs is None else gs
-    total = integrate((s ** (q / 2.0) + np.abs(values) ** q) * w_vals, mesh)
-    return total ** (1.0 / q)
+    total = mesh.integrate_samples(s ** (q / 2.0) * mesh.to_samples(w_vals))
+    return (total + integrate(np.abs(values) ** q * w_vals, mesh)) ** (1.0 / q)
 
 
 def sobolev_norm(u: DiscreteFunction, p: float) -> float:
     """Unweighted norm ``(int |grad u|^p + int |u|^p)^(1/p)``."""
-    mesh = u.mesh
-    _, s = _grad_square(mesh, u.values)
-    total = integrate(s ** (p / 2.0) + np.abs(u.values) ** p, mesh)
-    return total ** (1.0 / p)
+    return _y_norm_arrays(u.mesh, u.values, 1.0, p)

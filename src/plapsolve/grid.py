@@ -200,9 +200,11 @@ class Mesh:
         self.excluded_mask = excluded
         self.constrained_mask = self.boundary_mask | self.excluded_mask
         # quadrature over the non-excluded nodes, for ``integrate``
-        self._active = np.flatnonzero(~excluded) if excluded.any() else None
-        self._active_weights = self.weights if self._active is None else self.weights[self._active]
+        self._active = np.flatnonzero(~excluded) if excluded.any() else slice(None)
+        self._active_weights = self.weights[self._active]
         self.free_mask = ~self.constrained_mask
+        # gradient quadrature (see ``grad``)
+        self.sample_weights = self.weights * ~excluded
 
         self._grad: sp.csr_matrix | None = None
         self._grad_t: sp.csc_matrix | None = None
@@ -248,24 +250,37 @@ class Mesh:
         return sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
 
     def grad(self, values: np.ndarray) -> np.ndarray:
-        """Per-axis derivatives of nodal ``values``, shape ``(dims,) + values.shape``."""
+        """Per-axis derivatives of nodal ``values`` at the gradient samples,
+        shape ``(dims,) + values.shape``.  A per-sample density integrates by
+        :meth:`integrate_samples` against ``sample_weights``, nodal fields in it
+        (weights, cutoffs) first pass :meth:`to_samples`, and mass terms keep
+        the nodal rule of :func:`integrate`.  The samples are the nodes, their
+        weights the nodal weights zeroed at excluded nodes, the map the identity.
+        """
         return (self._grad_op() @ values).reshape(self.domain.dims, *np.shape(values))
 
+    def integrate_samples(self, density: np.ndarray) -> float:
+        """Quadrature of a per-sample density against ``sample_weights``, summed
+        over the non-excluded nodes in the order of :func:`integrate`."""
+        return float(np.dot(density[self._active], self.sample_weights[self._active]))
+
+    def to_samples(self, field: np.ndarray) -> np.ndarray:
+        """A nodal field's values at the gradient samples."""
+        return field
+
     def grad_adjoint(self, flux: np.ndarray) -> np.ndarray:
-        """Transpose of :meth:`grad` applied to a ``(dims, n_nodes)`` flux."""
+        """Transpose of :meth:`grad` applied to a ``(dims, n_samples)`` flux."""
         self._grad_op()
         return self._grad_t @ np.ravel(flux)
 
     def energy_stiffness(self, coeff: np.ndarray | None = None) -> sp.csr_matrix:
-        """Quadratic form ``G^T diag(active weights * coeff) G`` of the discrete
-        weighted Dirichlet energy; at ``coeff = None`` the exact Hessian of
-        ``(1/2) int |grad u|^2`` in this discretization, cached.
+        """Quadratic form ``G^T diag(sample_weights * coeff) G`` of the discrete
+        weighted Dirichlet energy, ``coeff`` per sample; at ``coeff = None`` the
+        exact Hessian of ``(1/2) int |grad u|^2`` in this discretization, cached.
         """
         if coeff is None and self._stiffness is not None:
             return self._stiffness
-        w = self.weights * ~self.excluded_mask
-        if coeff is not None:
-            w = w * coeff
+        w = self.sample_weights if coeff is None else self.sample_weights * coeff
         G = self._grad_op()
         A = (self._grad_t @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
         if coeff is None:
@@ -346,6 +361,4 @@ def integrate(field: np.ndarray, mesh: Mesh) -> float:
     field = np.asarray(field, dtype=float).ravel()
     if field.size != mesh.n_nodes:
         raise ValueError(f"expected {mesh.n_nodes} nodal values, got {field.size}")
-    if mesh._active is not None:
-        field = field[mesh._active]
-    return float(np.dot(field, mesh._active_weights))
+    return float(np.dot(field[mesh._active], mesh._active_weights))

@@ -30,13 +30,11 @@ from .energy import (
     _phi_arrays,
     _phi_gradient_arrays,
     _q_v_arrays,
+    _y_norm_arrays,
     cauchy_diagnostic,
-    q_v,
-    sobolev_norm,
-    y_norm,
 )
 from .grid import DiscreteFunction, Mesh, integrate
-from .potentials import Potential, Weight, evaluate_potential
+from .potentials import Potential, Weight, evaluate_potential, evaluate_weight
 from .sampling import plateau_profile
 
 __all__ = [
@@ -343,7 +341,8 @@ def continuation_solve(
             f"dual norm estimate {estimate!r} is not usably finite; "
             "the forcing term is out of reach of the continuation"
         )
-    w_norm = W or Weight.constant(1.0)
+    v_vals = evaluate_potential(V, mesh)
+    w_vals = evaluate_weight(W or Weight.constant(1.0), mesh)
     cutoff = _interior_cutoff(mesh)
     p = params.p
     pc = params.p_conjugate
@@ -356,7 +355,9 @@ def continuation_solve(
         result = minimize_phi(u, V, f, params_n, tol=tol, max_iter=max_iter)
         all_converged &= result.converged
         u_new = result.u
-        qv = q_v(u_new, V, params)
+        # one gradient serves q_v and both norms of the stage record
+        gs = _grad_square(mesh, u_new.values)
+        qv = _q_v_arrays(mesh, u_new.values, v_vals, p, gs)
         pairing = f.pairing(u_new)
         _check_definite(qv, u_new.values)
         quotient = pairing / qv ** (1.0 / p) if qv > 0.0 else 0.0
@@ -372,8 +373,8 @@ def continuation_solve(
                 phi_value=result.phi_value,
                 phi_start=result.phi_start,
                 q_v_value=qv,
-                y_norm_value=y_norm(u_new, w_norm, params),
-                sobolev_norm_value=sobolev_norm(u_new, p),
+                y_norm_value=_y_norm_arrays(mesh, u_new.values, w_vals, params.q, gs),
+                sobolev_norm_value=_y_norm_arrays(mesh, u_new.values, 1.0, p, gs),
                 residual=result.residual,
                 iterations=result.iterations,
                 linesearch_failures=result.linesearch_failures,
@@ -385,7 +386,6 @@ def continuation_solve(
         u = u_new
 
     params_pure = params.with_eps(0.0).with_delta(0.0)
-    v_vals = evaluate_potential(V, mesh)
     g_pure = _phi_gradient_arrays(mesh, u.values, v_vals, f, params_pure)
     terminal = float(np.sqrt(max(integrate(g_pure * g_pure, mesh), 0.0)))
     return SolveReport(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient
-from .energy import _dirichlet_gradient_rep, _grad_square, _power_mass
+from .energy import _dirichlet, _dirichlet_gradient_rep, _grad_square, _power_mass
 from .grid import DiscreteFunction, Mesh, build_mesh, integrate, strip
 from .potentials import hardy_constant, singular_weight
 from .sampling import bump_family, plateau_profile
@@ -180,9 +180,7 @@ def _quotient_descent(
 
     def quotient_of(values, s):
         m = masses(values)
-        if m <= 1e-300:
-            return np.inf
-        return integrate(s ** (p / 2.0), mesh) / m
+        return _dirichlet(mesh, s, p) / m if m > 1e-300 else np.inf
 
     accepted = None  # (g, s) of the last point the line search evaluated
 
@@ -193,7 +191,7 @@ def _quotient_descent(
 
     u = u / masses(u) ** (1.0 / p)
     g, s = _grad_square(mesh, u)
-    lam = integrate(s ** (p / 2.0), mesh)  # the p-mass is one here
+    lam = _dirichlet(mesh, s, p)  # the p-mass is one here
     if p == 2.0:
         stiffness = mesh.energy_stiffness()
         mass = np.where(free, mesh.weights * w_mass, 0.0)
@@ -375,9 +373,8 @@ def cylinder_eigen_check(
             z = mesh_L.axes[omega_mesh.domain.dims + a]
             profs.append(plateau_profile(z, 0.5 * L, 0.5 * L))
         cand = DiscreteFunction(mesh_L, _tensor_field(omega_mesh, mesh_L, omega_eig.minimizer.values, profs))
-        _, s = _grad_square(mesh_L, cand.values)
-        quot = integrate(s ** (p / 2.0), mesh_L) / integrate(np.abs(cand.values) ** p, mesh_L)
-        tensor_quotients[L] = quot
+        dirich = _dirichlet(mesh_L, _grad_square(mesh_L, cand.values)[1], p)
+        quot = tensor_quotients[L] = dirich / integrate(np.abs(cand.values) ** p, mesh_L)
 
         lam_L = rayleigh_min(
             mesh_L, p, tol=eigen_tol, max_iter=max_iter, seed=seed, extra_starts=(cand,)
@@ -417,9 +414,8 @@ def _bump_margins(mesh: Mesh, p: float, lam: float, constant: float, weight: np.
     margins = []
     descriptors = []
     for i, u in enumerate(bump_family(mesh, samples, seed)):
-        _, s = _grad_square(mesh, u.values)
         mass = np.abs(u.values) ** p
-        lhs = integrate(s ** (p / 2.0), mesh)
+        lhs = _dirichlet(mesh, _grad_square(mesh, u.values)[1], p)
         if lam:
             lhs -= lam * integrate(mass, mesh)
         rhs = constant * integrate(weight * mass, mesh)
@@ -710,8 +706,7 @@ def blowup_demo(
         w_prof = plateau_profile(z_axis - center, 0.5 * a, r)
         vals = _tensor_field(omega_mesh, mesh, v, [w_prof])
         u = DiscreteFunction(mesh, vals)
-        _, s = _grad_square(mesh, u.values)
-        dirich = integrate(s, mesh)
+        dirich = mesh.integrate_samples(_grad_square(mesh, u.values)[1])
         mass = integrate(u.values**2, mesh)
         gap = dirich - lam1 * mass
         if not gap > 0:
@@ -737,8 +732,7 @@ def blowup_demo(
         partial = partial + components[k - 1].values
         q_sum += gaps[k - 1]
         h_k += 1.0 / k
-        _, s = _grad_square(mesh, partial)
-        grad_energy = integrate(s, mesh)
+        grad_energy = mesh.integrate_samples(_grad_square(mesh, partial)[1])
         rows.append(
             BlowupRow(
                 k=k,

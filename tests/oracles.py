@@ -1,6 +1,19 @@
-"""Hand-assembled reference systems, independent of the library code paths."""
+"""Hand-assembled reference systems, independent of the library code paths,
+and the meshes with excluded nodes that several test modules share."""
 
 import numpy as np
+
+from plapsolve import build_mesh, punctured_box, strip
+
+# a punctured 3D box and a 4D strip capped over two of its axes
+STACKED_MESHES = {
+    "punctured_3d": lambda: build_mesh(
+        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9]
+    ),
+    "capped_4d_strip": lambda: build_mesh(
+        strip([(0.0, 1.0)], 3, 1.5), [5, 5, 7, 5], singular_cap_radius=0.45, singular_axes=(1, 2)
+    ),
+}
 
 
 def wide_system_1d(n):

@@ -34,8 +34,10 @@ from plapsolve import (
     truncate,
     y_norm,
 )
+from plapsolve.energy import _dirichlet_gradient_rep, _grad_square
 from plapsolve.sampling import bump_family
-from oracles import wide_system_1d
+from plapsolve.spectra import rayleigh_min
+from oracles import STACKED_MESHES, wide_system_1d
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +172,10 @@ class TestPhiGradient:
         inner = mesh.free_mask
         assert np.allclose(g.values[inner], expected[inner], atol=1e-10)
 
-    def test_quadratic_case_is_exact(self):
-        # at p = 2 every term is quadratic, so central differences agree with
-        # the first variation to rounding
-        mesh = build_mesh(interval(0.0, 1.0), [51])
-        params = EnergyParams(p=2.0, eps=0.3)
+    @staticmethod
+    def _pairing_and_differences(mesh, params, steps):
+        """Quadrature pairing of ``phi_gradient`` with a random direction, and
+        the central differences of ``phi`` along it at each step."""
         f = ForcingTerm.manufactured(mesh, lambda x: np.cos(np.pi * x[:, 0]))
         rng = np.random.default_rng(2)
         V = Potential.constant(0.5)
@@ -182,32 +183,43 @@ class TestPhiGradient:
         wdir = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
         g = phi_gradient(u, V, f, params)
         pairing = integrate(g.values * wdir.values, mesh)
-        t = 1e-4
-        up = DiscreteFunction(mesh, u.values + t * wdir.values)
-        dn = DiscreteFunction(mesh, u.values - t * wdir.values)
-        fd = (phi(up, V, f, params) - phi(dn, V, f, params)) / (2 * t)
-        assert fd == pytest.approx(pairing, rel=1e-7)
-
-    @pytest.mark.parametrize("p, delta", [(3.0, 1e-3), (1.5, 1e-3)])
-    def test_directional_derivative(self, p, delta):
-        mesh = build_mesh(interval(0.0, 1.0), [51])
-        params = EnergyParams(p=p, eps=0.3, delta=delta)
-        f = ForcingTerm.manufactured(mesh, lambda x: np.cos(np.pi * x[:, 0]))
-        rng = np.random.default_rng(2)
-        V = Potential.constant(0.5)
-        u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
-        wdir = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
-        g = phi_gradient(u, V, f, params)
-        pairing = integrate(g.values * wdir.values, mesh)
-        errs = []
-        steps = (1e-3, 1e-4)
+        fds = []
         for t in steps:
             up = DiscreteFunction(mesh, u.values + t * wdir.values)
             dn = DiscreteFunction(mesh, u.values - t * wdir.values)
-            fd = (phi(up, V, f, params) - phi(dn, V, f, params)) / (2 * t)
-            errs.append(abs(fd - pairing))
+            fds.append((phi(up, V, f, params) - phi(dn, V, f, params)) / (2 * t))
+        return pairing, fds
+
+    def _check_quadratic_case(self, mesh):
+        # at p = 2 every term is quadratic, so central differences agree with
+        # the first variation to rounding
+        pairing, (fd,) = self._pairing_and_differences(mesh, EnergyParams(p=2.0, eps=0.3), (1e-4,))
+        assert fd == pytest.approx(pairing, rel=1e-7)
+
+    def _check_directional_derivative(self, mesh, p, delta):
+        steps = (1e-3, 1e-4)
+        pairing, fds = self._pairing_and_differences(mesh, EnergyParams(p=p, eps=0.3, delta=delta), steps)
+        errs = [abs(fd - pairing) for fd in fds]
         order = np.log(errs[0] / errs[1]) / np.log(steps[0] / steps[1])
         assert order >= 1.8
+
+    def test_quadratic_case_is_exact(self):
+        self._check_quadratic_case(build_mesh(interval(0.0, 1.0), [51]))
+
+    @pytest.mark.parametrize("p, delta", [(3.0, 1e-3), (1.5, 1e-3)])
+    def test_directional_derivative(self, p, delta):
+        self._check_directional_derivative(build_mesh(interval(0.0, 1.0), [51]), p, delta)
+
+    # excluded nodes: zero gradient rows, one-sided stencils beside them, and
+    # quadrature that skips them must all stay consistent with each other
+    @pytest.mark.parametrize("name", sorted(STACKED_MESHES))
+    def test_quadratic_case_is_exact_with_excluded_nodes(self, name):
+        self._check_quadratic_case(STACKED_MESHES[name]())
+
+    @pytest.mark.parametrize("p, delta", [(3.0, 1e-3), (1.5, 1e-3)])
+    @pytest.mark.parametrize("name", sorted(STACKED_MESHES))
+    def test_directional_derivative_with_excluded_nodes(self, name, p, delta):
+        self._check_directional_derivative(STACKED_MESHES[name](), p, delta)
 
 
 class TestTruncate:
@@ -471,3 +483,55 @@ class TestZeroPotential:
         assert phi(u, zero, f, params) == phi(u, const, f, params)
         assert np.array_equal(phi_gradient(u, zero, f, params).values, phi_gradient(u, const, f, params).values)
         assert dual_norm(f, zero, params) == dual_norm(f, const, params)
+
+
+class TestGradientQuadratureSeam:
+    """Every gradient integral goes through the mesh's gradient quadrature:
+    doubling its sample weights doubles each gradient term, and leaves every
+    mass term and density pairing where it was."""
+
+    @staticmethod
+    def _observe(mesh, p, q):
+        rng = np.random.default_rng(8)
+        u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
+        v = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
+        params = EnergyParams(p=p, q=q, eps=0.3)
+        f = ForcingTerm.manufactured(mesh, lambda x: np.cos(np.pi * x[:, 0]))
+        g, s = _grad_square(mesh, u.values)
+        return {
+            "q_v": q_v(u, Potential.zero(), params),
+            "phi": phi(u, Potential.constant(0.5), f, params),
+            "y_norm": y_norm(u, Weight.constant(0.4), params) ** q,
+            "rep": _dirichlet_gradient_rep(mesh, g, s, p, 0.0),
+            "form": float(v.values @ (mesh.energy_stiffness() @ v.values)),
+            "eigenvalue": rayleigh_min(mesh, 2.0, tol=1e-10).value,
+            "mass": integrate(np.abs(u.values) ** p, mesh),
+            "weighted_mass": integrate(0.4 * np.abs(u.values) ** q, mesh),
+            "pairing": f.pairing(u),
+            "distributional": ForcingTerm.distributional_sum([(v, 1.0)]).pairing(u),
+            "product": integrate(u.values * v.values, mesh),
+        }
+
+    @pytest.mark.parametrize("name", sorted(STACKED_MESHES))
+    def test_doubled_sample_weights_double_only_gradient_terms(self, name, monkeypatch):
+        p, q = 3.0, 2.5
+        a = self._observe(STACKED_MESHES[name](), p, q)
+        doubled = STACKED_MESHES[name]()
+        monkeypatch.setattr(doubled, "sample_weights", 2.0 * doubled.sample_weights)
+        b = self._observe(doubled, p, q)
+
+        # int |grad u|^p as q_v (V = 0), the Dirichlet term of phi, and the
+        # gradient part of y_norm^q see it
+        assert b["q_v"] == pytest.approx(2.0 * a["q_v"], rel=1e-14)
+        assert b["phi"] - a["phi"] == pytest.approx(a["q_v"] / p, rel=1e-12)
+        assert b["y_norm"] - a["y_norm"] == pytest.approx(a["y_norm"] - a["weighted_mass"], rel=1e-12)
+        # the flux adjoint, the stiffness form and the p = 2 eigenvalue
+        np.testing.assert_allclose(b["rep"], 2.0 * a["rep"], rtol=1e-14, atol=0.0)
+        assert b["form"] == pytest.approx(2.0 * a["form"], rel=1e-14)
+        assert b["eigenvalue"] == pytest.approx(2.0 * a["eigenvalue"], rel=1e-8)
+        # the integration-by-parts forcing doubles its gradient part only
+        assert b["distributional"] - a["distributional"] == pytest.approx(
+            a["distributional"] + a["product"], rel=1e-12
+        )
+        for key in ("mass", "weighted_mass", "pairing", "product"):
+            assert b[key] == a[key], key

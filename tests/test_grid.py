@@ -13,6 +13,7 @@ from plapsolve import (
     punctured_box,
     strip,
 )
+from oracles import STACKED_MESHES
 
 
 class TestDomain:
@@ -223,16 +224,6 @@ def _stacked_rows(mesh):
     return mesh.grad(np.eye(mesh.n_nodes))
 
 
-STACKED_MESHES = {
-    "punctured_3d": lambda: build_mesh(
-        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9]
-    ),
-    "capped_4d_strip": lambda: build_mesh(
-        strip([(0.0, 1.0)], 3, 1.5), [5, 5, 7, 5], singular_cap_radius=0.45, singular_axes=(1, 2)
-    ),
-}
-
-
 @pytest.fixture(params=sorted(STACKED_MESHES))
 def stacked_mesh(request):
     mesh = STACKED_MESHES[request.param]()
@@ -277,6 +268,18 @@ class TestStackedGradient:
         ref = sum(op.T @ sp.diags(w) @ op for op in _reference_grad_ops(mesh)).toarray()
         got = mesh.energy_stiffness(coeff).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("with_coeff", [False, True])
+    def test_stiffness_is_the_gradient_quadrature(self, stacked_mesh, with_coeff):
+        # u . K(coeff) u is the mesh's gradient quadrature of coeff |grad u|^2
+        mesh = stacked_mesh
+        rng = np.random.default_rng(10)
+        coeff = rng.uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
+        u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes)).values
+        g = mesh.grad(u)
+        density = np.einsum("ai,ai->i", g, g) * (1.0 if coeff is None else coeff)
+        form = float(u @ (mesh.energy_stiffness(coeff) @ u))
+        assert abs(form - mesh.integrate_samples(density)) <= 1e-14 * form
 
     def test_stiffness_cached_only_without_coeff(self, stacked_mesh):
         mesh = stacked_mesh

@@ -310,6 +310,32 @@ class TestContinuation:
                 Potential.constant(60.0), f, params, EpsSchedule(0.5, 0.25, 3), tol=1e-8
             )
 
+    # relative max errors on 101/201/401 nodes (each pinned 10 % above its
+    # measured value) and the least observed order between refinements; at
+    # p = 3 the solution behaves like |x - 1/2|^(3/2) at the midpoint, which
+    # limits the order to about 1.5
+    @pytest.mark.parametrize("p, errors, order", [
+        (3.0, (6.8e-4, 2.4e-4, 8.6e-5), 1.4),
+        (1.5, (1.2e-3, 3.0e-4, 7.4e-5), 1.9),
+    ], ids=["p3", "p1.5"])
+    def test_forced_torsion_converges_in_the_field(self, p, errors, order):
+        # the p-torsion function u* = ((p-1)/p)((1/2)^p' - |x - 1/2|^p') solves
+        # -div(|u'|^(p-2) u') = 1 on (0, 1); the field error is asserted, not
+        # ``converged``, which the p = 1.5 stall rule leaves False
+        pc = p / (p - 1.0)
+        got = []
+        for n in (101, 201, 401):
+            mesh = build_mesh(interval(0.0, 1.0), [n])
+            x = mesh.points[:, 0]
+            u_star = (p - 1.0) / p * (0.5**pc - np.abs(x - 0.5) ** pc)
+            report = continuation_solve(
+                Potential.zero(), ForcingTerm.density(mesh, np.ones(n)), EnergyParams(p=p, q=p, delta=1e-4),
+                EpsSchedule(0.5, 0.25, 7), tol=1e-9, W=Weight.constant(0.45), max_iter=2500,
+            )
+            got.append(np.max(np.abs(report.solution.values - u_star)) / np.max(u_star))
+        assert all(e <= 1.1 * pinned for e, pinned in zip(got, errors)), got
+        assert min(np.log2(np.array(got[:-1]) / got[1:])) >= order, got
+
     def test_pure_equation_residual_reported(self):
         mesh = build_mesh(interval(0.0, 1.0), [201])
         params = EnergyParams(p=2.0)
