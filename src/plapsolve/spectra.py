@@ -130,18 +130,30 @@ def _lobpcg_step(K, mass: np.ndarray, x: np.ndarray, w: np.ndarray,
     return c[0] * x + direction, direction
 
 
+def _seeded_start(mesh: Mesh, seed: int) -> np.ndarray:
+    """First-mode tensor profile with a seeded low-order modulation, so
+    different seeds explore different basins without needing a fine mesh."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([b[0] for b in mesh.domain.bounds])
+    hi = np.array([b[1] for b in mesh.domain.bounds])
+    t = (mesh.points - lo) / (hi - lo)
+    u = np.prod(np.sin(np.pi * t), axis=1)
+    lin = rng.uniform(-0.5, 0.5, mesh.domain.dims)
+    quad = rng.uniform(-0.5, 0.5, mesh.domain.dims)
+    return u * (1.0 + (2.0 * t - 1.0) @ lin + ((2.0 * t - 1.0) ** 2) @ quad)
+
+
 def _quotient_descent(
     mesh: Mesh,
     p: float,
+    start: np.ndarray,
     mass_weight: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 800,
-    seed: int = 0,
     stall_window: int = 25,
     stall_factor: float = 0.5,
-    start_values: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int, float]:
-    """Minimize ``int |grad u|^p / int w |u|^p`` from a seeded or given start.
+    """Minimize ``int |grad u|^p / int w |u|^p`` from the nodal values ``start``.
 
     At p = 2 the quotient is a generalized Rayleigh quotient and each
     iteration is an LOBPCG step (:func:`_lobpcg_step`), so the value is the
@@ -152,28 +164,14 @@ def _quotient_descent(
     iterations, residual).
     """
     w_mass = np.ones(mesh.n_nodes) if mass_weight is None else mass_weight
-    # built before the start vector, whose gradient would raise the peak
-    # memory of the build on large meshes; at p != 2 the loop builds the
-    # lagged preconditioner at k = 0
+    # built before the start's gradient, which would raise the peak memory of
+    # the build on large meshes; at p != 2 the loop builds the lagged
+    # preconditioner at k = 0
     if p == 2.0:
         pre = Preconditioner(mesh, rtol=METRIC_RTOL)
     pre_refresh = 12
     free = mesh.free_mask
-
-    if start_values is not None:
-        u = np.asarray(start_values, dtype=float).copy()
-    else:
-        # first-mode tensor profile with a seeded low-order modulation, so
-        # different seeds explore different basins without needing a fine mesh
-        rng = np.random.default_rng(seed)
-        lo = np.array([b[0] for b in mesh.domain.bounds])
-        hi = np.array([b[1] for b in mesh.domain.bounds])
-        t = (mesh.points - lo) / (hi - lo)
-        u = np.prod(np.sin(np.pi * t), axis=1)
-        lin = rng.uniform(-0.5, 0.5, mesh.domain.dims)
-        quad = rng.uniform(-0.5, 0.5, mesh.domain.dims)
-        u = u * (1.0 + (2.0 * t - 1.0) @ lin + ((2.0 * t - 1.0) ** 2) @ quad)
-    u = np.where(free, u, 0.0)
+    u = np.where(free, start, 0.0)
 
     def masses(values):
         return integrate(w_mass * np.abs(values) ** p, mesh)
@@ -244,7 +242,6 @@ def rayleigh_min(
     seed: int = 0,
     stall_window: int = 25,
     stall_factor: float = 0.5,
-    extra_starts=(),
     mass_weight: np.ndarray | None = None,
 ) -> EigenResult:
     """Upper bound of the first Dirichlet p-Laplacian eigenvalue
@@ -252,47 +249,37 @@ def rayleigh_min(
     one when None): the exact discrete value at p = 2 (LOBPCG), a
     projected-descent estimate otherwise.
 
-    At p = 2 one solve from ``seed`` is exact to ``tol``, so it is the only
-    one.  Otherwise the descent is an estimate whose starts can disagree: it
-    runs from seeds ``seed`` and ``seed+1`` plus once per entry of
-    ``extra_starts`` (candidate functions to polish), keeps the smallest
-    quotient, and warns when the seeded starts disagree beyond ``10 * tol``,
-    which hints at a nonconvex discrete landscape.
+    At p = 2 one solve from the :func:`_seeded_start` of ``seed`` is exact to
+    ``tol``, so it is the only one.  Otherwise the descent is an estimate
+    whose starts can disagree: it runs from seeds ``seed`` and ``seed+1``,
+    keeps the smaller quotient, and warns when the two disagree beyond
+    ``10 * tol``, which hints at a nonconvex discrete landscape.
     """
     if not np.any(mesh.free_mask):
         raise ValueError("mesh has no interior nodes")
-    best = None
-    values = []
-    total_iters = 0
-    runs = [(seed, None)]
-    if p != 2.0:
-        runs += [(seed + 1, None)] + [(seed, cand.values) for cand in extra_starts]
-    for run_seed, start_values in runs:
-        lam, u, iters, res = _quotient_descent(
-            mesh, p, mass_weight, tol, max_iter, run_seed,
+    seeds = [seed] if p == 2.0 else [seed, seed + 1]
+    runs = [
+        _quotient_descent(
+            mesh, p, _seeded_start(mesh, s), mass_weight, tol, max_iter,
             stall_window=stall_window, stall_factor=stall_factor,
-            start_values=start_values,
         )
-        total_iters += iters
-        if start_values is None:
-            values.append(lam)
-        if best is None or lam < best[0]:
-            best = (lam, u, res)
-    spread = max(values) - min(values)
-    if spread > 10.0 * tol * max(1.0, abs(best[0])):
+        for s in seeds
+    ]
+    lam, u, _, res = min(runs, key=lambda run: run[0])
+    spread = max(run[0] for run in runs) - lam
+    if spread > 10.0 * tol * max(1.0, abs(lam)):
         warnings.warn(
             f"rayleigh starts disagree by {spread:.3e} (p={p}); "
             "the discrete quotient landscape may be nonconvex",
             RuntimeWarning,
             stacklevel=2,
         )
-    lam, u, res = best
     w_mass = 1.0 if mass_weight is None else mass_weight
     u = u / integrate(w_mass * np.abs(u) ** p, mesh) ** (1.0 / p)
     return EigenResult(
         value=float(lam),
         minimizer=DiscreteFunction(mesh, u),
-        iterations=total_iters,
+        iterations=sum(run[2] for run in runs),
         residual=float(res),
         method=_method(p),
     )
@@ -342,12 +329,13 @@ def cylinder_eigen_check(
     unbounded axes stays above the cross-section eigenvalue and decreases
     toward it as the truncation grows.
 
-    ``max_iter`` caps each strip's ``rayleigh_min``; the cross-section value
-    keeps :func:`section_eigenvalue`'s own 3000-step rule.
-
-    Also evaluates the Rayleigh quotient of the product candidate (cross
-    section minimizer times a plateau of half-width L/2), an explicit upper
-    bound that approaches the cross-section value at rate ``L**-p``.
+    The cross-section value is :func:`section_eigenvalue` from ``seed`` (and
+    ``seed + 1`` at p != 2), with its own 3000-step rule.  Each strip value is
+    one :func:`_quotient_descent`, capped at ``max_iter``, from the product
+    candidate: the cross-section minimizer times a plateau of half-width L/2,
+    whose quotient is an explicit upper bound that approaches the
+    cross-section value at rate ``L**-p``.  So ``seed`` reaches only the
+    cross section.  The strip residuals are in ``details['strip_residuals']``.
     """
     if m_axes < 1:
         raise ValueError("need at least one unbounded axis")
@@ -362,6 +350,7 @@ def cylinder_eigen_check(
     descriptors = []
     strip_values = {}
     tensor_quotients = {}
+    strip_residuals = {}
     prev = None
     for L in lengths:
         n_z = int(round(2 * L * z_nodes_per_unit)) + 1
@@ -372,14 +361,13 @@ def cylinder_eigen_check(
         for a in range(m_axes):
             z = mesh_L.axes[omega_mesh.domain.dims + a]
             profs.append(plateau_profile(z, 0.5 * L, 0.5 * L))
-        cand = DiscreteFunction(mesh_L, _tensor_field(omega_mesh, mesh_L, omega_eig.minimizer.values, profs))
-        dirich = _dirichlet(mesh_L, _grad_square(mesh_L, cand.values)[1], p)
-        quot = tensor_quotients[L] = dirich / integrate(np.abs(cand.values) ** p, mesh_L)
+        cand = _tensor_field(omega_mesh, mesh_L, omega_eig.minimizer.values, profs)
+        dirich = _dirichlet(mesh_L, _grad_square(mesh_L, cand)[1], p)
+        quot = tensor_quotients[L] = dirich / integrate(np.abs(cand) ** p, mesh_L)
 
-        lam_L = rayleigh_min(
-            mesh_L, p, tol=eigen_tol, max_iter=max_iter, seed=seed, extra_starts=(cand,)
-        ).value
-        strip_values[L] = lam_L
+        lam_L, _, _, res = _quotient_descent(mesh_L, p, cand, tol=eigen_tol, max_iter=max_iter)
+        lam_L = strip_values[L] = float(lam_L)
+        strip_residuals[L] = float(res)
         margins.append(lam_L - lam_omega)
         descriptors.append(f"strip_above_section L={L}")
         if prev is not None:
@@ -401,6 +389,7 @@ def cylinder_eigen_check(
             "lambda_omega": lam_omega,
             "lambda_strip": strip_values,
             "tensor_quotients": tensor_quotients,
+            "strip_residuals": strip_residuals,
             "tensor_excess_times_Lp": {L: e * L**p for L, e in excess.items()},
         },
     )
@@ -583,19 +572,18 @@ def hardy_check(
     samples: int = 200,
     seed: int = 0,
     constant_scale: float = 1.0,
-    probe: bool = True,
     tolerance: float = 1e-8,
 ) -> CertificationRecord:
     """Certify the Hardy inequality with its critical constant on a punctured
     mesh: the p-Dirichlet energy of sampled interior bumps dominates
     ``((N-p)/p)**p`` times the critically weighted p-mass.
 
-    When ``probe`` is set, :func:`rayleigh_min` of the weighted quotient
-    (600 iterations, residual tolerance 1e-6) searches for the discrete
-    infimum; it is reported as ``probe_infimum``, not asserted, since the
-    critical constant is approached only in the refinement limit.  At p = 2
-    it is one exact LOBPCG solve (``method`` ``"lobpcg"``), otherwise a
-    ``"descent"`` estimate.
+    A probe, :func:`rayleigh_min` of the weighted quotient (600 iterations,
+    residual tolerance 1e-6), searches for the discrete infimum; it is
+    reported as ``probe_infimum``, not asserted, since the critical constant
+    is approached only in the refinement limit.  At p = 2 it is one exact
+    LOBPCG solve (``method`` ``"lobpcg"``), otherwise a ``"descent"``
+    estimate.
     """
     if mesh.domain.dims != n_dims:
         raise ValueError(f"mesh has {mesh.domain.dims} axes, expected N={n_dims}")
@@ -606,17 +594,16 @@ def hardy_check(
     weight = singular_weight(mesh, range(n_dims), p)
     margins, descriptors = _bump_margins(mesh, p, 0.0, constant, weight, samples, seed)
 
-    details = {"p": p, "n_dims": n_dims, "constant": constant, "normalized": True}
-    if probe:
-        eig = rayleigh_min(mesh, p, tol=1e-6, max_iter=600, seed=seed, mass_weight=weight)
-        details["probe_infimum"] = eig.value
-        details["method"] = eig.method
+    eig = rayleigh_min(mesh, p, tol=1e-6, max_iter=600, seed=seed, mass_weight=weight)
     return CertificationRecord.from_margins(
         "hardy_critical_constant",
         margins,
         descriptors,
         tolerance,
-        details=details,
+        details={
+            "p": p, "n_dims": n_dims, "constant": constant, "normalized": True,
+            "probe_infimum": eig.value, "method": eig.method,
+        },
     )
 
 

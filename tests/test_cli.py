@@ -405,16 +405,17 @@ class TestRunAndEmit:
         lines = eigen_file.read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per truncation length
 
+    STRIP_SWEEP = {
+        "subcommand": "eigen",
+        "domain": _STRIP,
+        "mesh": {"nodes_per_axis": [17, 65]},
+        "physics": {"p": 2.0},
+        "eigen": {"l_values": [2.0, 4.0]},
+    }
+
     def test_eigen_sweep_honours_max_iter(self):
-        sweep = {
-            "subcommand": "eigen",
-            "domain": _STRIP,
-            "mesh": {"nodes_per_axis": [17, 65]},
-            "physics": {"p": 2.0},
-            "eigen": {"l_values": [2.0, 4.0]},
-        }
         rows = {
-            n: run(parse_config(json.dumps(_with(sweep, {"eigen.max_iter": n})))).eigen_rows
+            n: run(parse_config(json.dumps(_with(self.STRIP_SWEEP, {"eigen.max_iter": n})))).eigen_rows
             for n in (1, 800)
         }
         assert [r["lambda"] for r in rows[1]] != [r["lambda"] for r in rows[800]]
@@ -443,6 +444,20 @@ class TestRunAndEmit:
             assert f"{1e-8 * max(1.0, row['lambda']):.3e}" in artifact.failure
         else:
             assert artifact.failure is None
+
+    @pytest.mark.parametrize("max_iter, code", [(3, 3), (800, 0)], ids=["unconverged", "default"])
+    def test_unconverged_exact_strip_sweep_exits_three(self, max_iter, code):
+        # every strip row carries its residual, and an exact (LOBPCG) strip
+        # value above its tolerance fails the run like a single-mesh solve
+        artifact = run(parse_config(json.dumps(_with(self.STRIP_SWEEP, {"eigen.max_iter": max_iter}))))
+        assert artifact.exit_code == code, artifact.failure
+        bounds = [1e-8 * max(1.0, row["lambda"]) for row in artifact.eigen_rows]
+        above = [row for row, bound in zip(artifact.eigen_rows, bounds) if row["residual"] > bound]
+        if code:
+            assert above
+            assert f"{above[0]['residual']:.3e}" in artifact.failure
+        else:
+            assert not above and artifact.failure is None
 
 
 class TestMain:

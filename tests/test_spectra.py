@@ -13,7 +13,6 @@ from scipy.linalg import eigh_tridiagonal
 import plapsolve.spectra
 from plapsolve import (
     CertificationRecord,
-    DiscreteFunction,
     blowup_demo,
     box,
     build_mesh,
@@ -28,7 +27,7 @@ from plapsolve import (
     rayleigh_min,
     strip,
 )
-from plapsolve.spectra import _quotient_descent
+from plapsolve.spectra import _quotient_descent, _seeded_start
 
 
 def compact_tridiagonal_lambda1(n):
@@ -95,7 +94,7 @@ class TestRayleighMin:
 
         monkeypatch.setattr(plapsolve.spectra, "Preconditioner", Counting)
         mesh = build_mesh(interval(0.0, 1.0), [41])
-        lam, u, iterations, res = _quotient_descent(mesh, 2.5, tol=1e-10, max_iter=100)
+        lam, u, iterations, res = _quotient_descent(mesh, 2.5, _seeded_start(mesh, 0), tol=1e-10, max_iter=100)
         assert iterations > 12
         assert len(builds) == math.ceil((iterations - 1) / 12)
         assert all(coeff is not None for coeff in builds)
@@ -103,7 +102,7 @@ class TestRayleighMin:
         # refresh iteration, before building its metric
         builds.clear()
         tol = 2.0 * res / max(1.0, abs(lam))
-        _, _, iterations, _ = _quotient_descent(mesh, 2.5, tol=tol, max_iter=100, start_values=u)
+        _, _, iterations, _ = _quotient_descent(mesh, 2.5, u, tol=tol, max_iter=100)
         assert iterations == 1
         assert not builds
 
@@ -146,7 +145,7 @@ class TestExactQuadratic:
     def test_hardy_weighted_pencil(self):
         mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9])
         w = hardy_weight(mesh)
-        lam, u, _, res = _quotient_descent(mesh, 2.0, mass_weight=w, tol=1e-9)
+        lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0), mass_weight=w, tol=1e-9)
         assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
         assert res <= 1e-9
         assert integrate(w * u**2, mesh) == pytest.approx(1.0, rel=1e-12)
@@ -164,22 +163,21 @@ class TestExactQuadratic:
         assert result.value == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
         assert integrate(w * result.minimizer.values**2, mesh) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "p, extra, calls", [(2.0, 0, 1), (2.0, 1, 1), (2.5, 0, 2), (2.5, 2, 4)]
-    )
-    def test_one_start_at_two(self, monkeypatch, p, extra, calls):
-        # the p = 2 solve is exact, so a second seed or a candidate start adds nothing
+    @pytest.mark.parametrize("p, calls", [(2.0, 1), (2.5, 2)])
+    def test_one_start_at_two(self, monkeypatch, p, calls):
+        # the p = 2 solve is exact, so a second seed adds nothing
         runs = []
 
         def counting(*args, **kwargs):
-            runs.append(kwargs.get("start_values"))
+            runs.append(args[2])
             return _quotient_descent(*args, **kwargs)
 
         monkeypatch.setattr(plapsolve.spectra, "_quotient_descent", counting)
         mesh = build_mesh(interval(0.0, 1.0), [41])
-        starts = [DiscreteFunction(mesh, np.sin(np.pi * mesh.points[:, 0]))] * extra
-        rayleigh_min(mesh, p, tol=1e-6, max_iter=50, extra_starts=starts)
+        rayleigh_min(mesh, p, tol=1e-6, max_iter=50, seed=3)
         assert len(runs) == calls
+        for k, start in enumerate(runs):
+            np.testing.assert_array_equal(start, _seeded_start(mesh, 3 + k))
 
     @pytest.mark.parametrize(
         "mesh, tol",
@@ -211,6 +209,32 @@ class TestCylinderEigen:
         assert strips[4.0] >= lam_omega - 1e-6
         assert strips[4.0] <= strips[2.0] + 1e-6
         assert record.details["method"] == "lobpcg"
+
+    @pytest.mark.parametrize("p, section_runs", [(2.0, 1), (2.5, 2)])
+    def test_each_strip_descends_once_from_its_candidate(self, monkeypatch, p, section_runs):
+        # the cross section runs rayleigh_min's seeded starts; each strip is
+        # one descent, started at the product candidate whose quotient the
+        # record reports
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append((args[0], args[2]))
+            return _quotient_descent(*args, **kwargs)
+
+        monkeypatch.setattr(plapsolve.spectra, "_quotient_descent", counting)
+        omega = build_mesh(interval(0.0, 1.0), [17])
+        lengths = [2.0, 4.0]
+        record = cylinder_eigen_check(omega, 1, lengths, p, z_nodes_per_unit=6.0, max_iter=50)
+        assert len(runs) == section_runs + len(lengths)
+        assert all(mesh is omega for mesh, _ in runs[:section_runs])
+        for L, (mesh, start) in zip(lengths, runs[section_runs:]):
+            assert mesh.shape == (17, int(round(12 * L)) + 1)
+            g = mesh.grad(start)
+            dirichlet = integrate(np.sum(g * g, axis=0) ** (p / 2.0), mesh)
+            quotient = dirichlet / integrate(np.abs(start) ** p, mesh)
+            assert quotient == pytest.approx(record.details["tensor_quotients"][L], rel=1e-12)
+            assert record.details["lambda_strip"][L] <= quotient
+            assert L in record.details["strip_residuals"]
 
     def test_lengths_must_increase(self):
         omega = build_mesh(interval(0.0, 1.0), [17])
@@ -290,24 +314,24 @@ class TestHardyCheck:
         return build_mesh(dom, [21, 21, 21])
 
     def test_no_violation_small(self, hardy_mesh):
-        record = hardy_check(hardy_mesh, 3, 2.0, samples=30, seed=0, probe=False)
+        record = hardy_check(hardy_mesh, 3, 2.0, samples=30, seed=0)
         assert record.verdict == "no_violation"
         assert record.details["constant"] == pytest.approx(0.25)
 
     def test_needs_puncture(self):
         mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9])
         with pytest.raises(ValueError, match="punctured"):
-            hardy_check(mesh, 3, 2.0, samples=5, probe=False)
+            hardy_check(mesh, 3, 2.0, samples=5)
 
     def test_rejects_bad_exponent(self, hardy_mesh):
         with pytest.raises(ValueError):
-            hardy_check(hardy_mesh, 3, 3.5, samples=5, probe=False)
+            hardy_check(hardy_mesh, 3, 3.5, samples=5)
 
     def test_no_samples_certify_nothing(self, hardy_mesh):
         with pytest.raises(ValueError, match="no samples"):
             CertificationRecord.from_margins("hardy", [], [], 1e-8)
         with pytest.raises(ValueError, match="no samples"):
-            hardy_check(hardy_mesh, 3, 2.0, samples=0, probe=False)
+            hardy_check(hardy_mesh, 3, 2.0, samples=0)
 
 
 class TestBlowup:
