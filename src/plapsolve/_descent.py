@@ -6,7 +6,7 @@ backtracking."""
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -57,12 +57,7 @@ def block_inverses(A: sp.spmatrix) -> np.ndarray:
     """Inverses of the diagonal blocks of ``A``, shape ``(count, size, size)``:
     contiguous blocks of at most ``DENSE_MAX`` rows and near-equal size, the
     last padded with an identity; one block, the exact inverse, when ``A`` is
-    that small.
-
-    The blocks are checked with one batched ``np.linalg.cholesky``, which
-    raises :class:`IndefiniteEnergyError` when it refuses any of them (a
-    principal block that is not positive definite shows that ``A`` is not),
-    and inverted with one batched ``np.linalg.inv``.
+    that small.  Checked and inverted by :func:`checked_inverses`.
     """
     n = A.shape[0]
     count = -(-n // DENSE_MAX)
@@ -74,6 +69,15 @@ def block_inverses(A: sp.spmatrix) -> np.ndarray:
     blocks[block[inside], coo.row[inside] % size, coo.col[inside] % size] = coo.data[inside]
     pad = np.arange(n - (count - 1) * size, size)
     blocks[-1, pad, pad] = 1.0
+    return checked_inverses(blocks)
+
+
+def checked_inverses(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of symmetric blocks, checked first with one batched
+    ``np.linalg.cholesky``, which raises :class:`IndefiniteEnergyError` when
+    it refuses any of them (a principal block that is not positive definite
+    shows that the operator it came from is not), and inverted with one
+    batched ``np.linalg.inv``."""
     try:
         np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
@@ -139,7 +143,8 @@ class Preconditioner:
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-sample ``coeff`` turns it into the lagged-coefficient metric of the
     degenerate problem.  A block of at most ``DENSE_MAX`` free nodes is
-    inverted densely once here and applied as one product, an exact solve
+    assembled dense (:meth:`Mesh.free_stiffness_dense` plus the mass
+    diagonal), inverted once here and applied as one product, an exact solve
     for every role.  A larger block is applied by :func:`conjugate_gradient`
     at unscaled relative residual ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL``
     by role), preconditioned by :func:`block_inverses` on a one-axis mesh and
@@ -164,19 +169,29 @@ class Preconditioner:
     ):
         self.mesh = mesh
         free = mesh.free_mask
-        A = mesh.energy_stiffness(coeff)
-        diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
-        op = (A + sp.diags(mesh.weights * diag)).tocsr()
-        self.op = op[free][:, free]
-        self.exact = self.op.shape[0] <= DENSE_MAX
-        self.inverses = None
-        if self.exact or mesh.domain.dims == 1:
-            self.inverses = block_inverses(self.op)
-            self.precondition = partial(apply_blocks, self.inverses)
+        mass = mesh.weights * (shift if mass_coeff is None else shift + mass_coeff)
+        self.exact = np.count_nonzero(free) <= DENSE_MAX
+        if self.exact:
+            self._dense = mesh.free_stiffness_dense(coeff)
+            np.fill_diagonal(self._dense, self._dense.diagonal() + mass[free])
+            self.inverses = checked_inverses(self._dense[None])
         else:
+            op = (mesh.energy_stiffness(coeff) + sp.diags(mass)).tocsr()
+            self.op = op[free][:, free]
+            self.inverses = block_inverses(self.op) if mesh.domain.dims == 1 else None
+        if self.inverses is None:
             self.precondition = jacobi(self.op)
+        else:
+            self.precondition = partial(apply_blocks, self.inverses)
         self.free = free
         self.rtol = rtol
+
+    @cached_property
+    def op(self) -> sp.csr_matrix:
+        """The free-node operator; set at construction above ``DENSE_MAX``
+        free nodes, and a CSR copy of the dense block, made on first use,
+        below it."""
+        return sp.csr_matrix(self._dense)
 
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]

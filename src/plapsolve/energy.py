@@ -257,12 +257,19 @@ def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
     mesh = u_a.mesh
     if u_b.mesh is not mesh or cutoff.mesh is not mesh:
         raise ValueError("all fields must share one mesh")
-    p = params.p
-    g_a, s_a = _grad_square(mesh, u_a.values)
-    g_b, s_b = _grad_square(mesh, u_b.values)
+    return _cauchy_arrays(mesh, u_a.values, u_b.values, _grad_square(mesh, u_a.values),
+                          _grad_square(mesh, u_b.values), cutoff.values, params.p)
+
+
+def _cauchy_arrays(mesh: Mesh, values_a: np.ndarray, values_b: np.ndarray,
+                   gs_a: tuple[np.ndarray, np.ndarray], gs_b: tuple[np.ndarray, np.ndarray],
+                   cutoff_vals: np.ndarray, p: float) -> float:
+    """:func:`cauchy_diagnostic` on raw arrays, with ``gs_a`` and ``gs_b`` the
+    ``_grad_square`` of ``values_a`` and ``values_b``."""
+    (g_a, s_a), (g_b, s_b) = gs_a, gs_b
     flux = _flux_coeff(s_a, p, 0.0) * g_a - _flux_coeff(s_b, p, 0.0) * g_b
-    g_t, _ = _grad_square(mesh, truncate(u_a.values - u_b.values))
-    return mesh.integrate_samples(mesh.to_samples(cutoff.values) * np.einsum("ai,ai->i", flux, g_t))
+    g_t, _ = _grad_square(mesh, truncate(values_a - values_b))
+    return mesh.integrate_samples(mesh.to_samples(cutoff_vals) * np.einsum("ai,ai->i", flux, g_t))
 
 
 def y_norm(u: DiscreteFunction, W: Weight, params: EnergyParams) -> float:

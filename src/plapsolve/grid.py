@@ -209,6 +209,7 @@ class Mesh:
         self._grad: sp.csr_matrix | None = None
         self._grad_t: sp.csc_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
+        self._free_grad: np.ndarray | None = None
 
     def _grad_op(self) -> sp.csr_matrix:
         if self._grad is None:
@@ -259,6 +260,18 @@ class Mesh:
         """
         return (self._grad_op() @ values).reshape(self.domain.dims, *np.shape(values))
 
+    def box_grad(self, box: Sequence[slice]) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Rows of :meth:`grad`'s operator at the samples of a node box, one
+        unit-step ``slice`` with bounds per axis, stacked axis by axis, and
+        those samples' weights.  Nodal values that vanish outside the box and
+        on its outer layer have a zero gradient at every other sample, so a
+        density of ``rows @ values`` summed against the weights is its whole
+        integral.  The samples are the box's nodes in C order.
+        """
+        ids = np.ravel_multi_index(np.ix_(*(np.arange(s.start, s.stop) for s in box)), self.shape).ravel()
+        rows = (np.arange(self.domain.dims)[:, None] * self.n_nodes + ids).ravel()
+        return self._grad_op()[rows], self.sample_weights[ids]
+
     def integrate_samples(self, density: np.ndarray) -> float:
         """Quadrature of a per-sample density against ``sample_weights``, summed
         over the non-excluded nodes in the order of :func:`integrate`."""
@@ -286,6 +299,18 @@ class Mesh:
         if coeff is None:
             self._stiffness = A
         return A
+
+    def free_stiffness_dense(self, coeff: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`energy_stiffness` on the free nodes as a dense array, one
+        BLAS product with a dense copy of the gradient operator's free columns
+        that is cached here (``dims * n_nodes * n_free`` doubles), so meant for
+        meshes with few free nodes.
+        """
+        if self._free_grad is None:
+            self._free_grad = self._grad_op()[:, self.free_mask].toarray()
+        w = self.sample_weights if coeff is None else self.sample_weights * coeff
+        G = self._free_grad
+        return G.T @ (np.tile(w, self.domain.dims)[:, None] * G)
 
 
 def build_mesh(

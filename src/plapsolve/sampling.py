@@ -35,10 +35,17 @@ def plateau_profile(t: np.ndarray, plateau: float, ramp: float) -> np.ndarray:
 
 def tensor_bump(mesh: Mesh, center: np.ndarray, width: np.ndarray) -> DiscreteFunction:
     """Product bump centered at ``center`` with per-axis half-widths ``width``."""
-    vals = np.ones(mesh.n_nodes)
-    for a in range(mesh.domain.dims):
-        vals *= bump_profile((mesh.points[:, a] - center[a]) / width[a])
-    return DiscreteFunction(mesh, vals)
+    return DiscreteFunction(mesh, _tensor_values(mesh, center, width))
+
+
+def _tensor_values(mesh: Mesh, center: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Nodal values of :func:`tensor_bump`, the outer product of its per-axis
+    profiles on ``mesh.axes``: each is ``((1 * f_0) * f_1) * ...``, the
+    product a per-node loop over the axes takes."""
+    vals = np.ones(())
+    for a, ax in enumerate(mesh.axes):
+        vals = np.multiply.outer(vals, bump_profile((ax - center[a]) / width[a]))
+    return vals
 
 
 def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[DiscreteFunction]:
@@ -80,8 +87,9 @@ def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[DiscreteFunction]
             gap = np.maximum(np.abs(center[cap_axes]) - width[cap_axes], 0.0)
             if np.linalg.norm(gap) <= cap + np.max(h):
                 continue
-        u = tensor_bump(mesh, center, width)
+        vals = _tensor_values(mesh, center, width)
         amp = 0.5 + 1.5 * rng.random()
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        yield u * (sign * amp)
+        vals *= sign * amp
+        yield DiscreteFunction(mesh, vals)
         produced += 1

@@ -26,12 +26,12 @@ from .energy import (
     EnergyParams,
     ForcingTerm,
     IndefiniteEnergyError,
+    _cauchy_arrays,
     _grad_square,
     _phi_arrays,
     _phi_gradient_arrays,
     _q_v_arrays,
     _y_norm_arrays,
-    cauchy_diagnostic,
 )
 from .grid import DiscreteFunction, Mesh, integrate
 from .potentials import Potential, Weight, evaluate_potential, evaluate_weight
@@ -348,6 +348,8 @@ def continuation_solve(
     pc = params.p_conjugate
 
     u = DiscreteFunction.zeros(mesh)
+    # the start u = 0 has a zero gradient; each stage's then carries over
+    gs_prev = (np.zeros((mesh.domain.dims, mesh.n_nodes)), np.zeros(mesh.n_nodes))
     stages: list[StageRecord] = []
     all_converged = True
     for eps_n in schedule.values:
@@ -355,7 +357,7 @@ def continuation_solve(
         result = minimize_phi(u, V, f, params_n, tol=tol, max_iter=max_iter)
         all_converged &= result.converged
         u_new = result.u
-        # one gradient serves q_v and both norms of the stage record
+        # one gradient serves q_v, both norms and the Cauchy diagnostic
         gs = _grad_square(mesh, u_new.values)
         qv = _q_v_arrays(mesh, u_new.values, v_vals, p, gs)
         pairing = f.pairing(u_new)
@@ -378,12 +380,12 @@ def continuation_solve(
                 residual=result.residual,
                 iterations=result.iterations,
                 linesearch_failures=result.linesearch_failures,
-                cauchy_vs_prev=cauchy_diagnostic(u, u_new, cutoff, params),
+                cauchy_vs_prev=_cauchy_arrays(mesh, u.values, u_new.values, gs_prev, gs, cutoff.values, p),
                 dual_quotient=quotient,
                 phi_increase_max=result.phi_increase_max,
             )
         )
-        u = u_new
+        u, gs_prev = u_new, gs
 
     params_pure = params.with_eps(0.0).with_delta(0.0)
     g_pure = _phi_gradient_arrays(mesh, u.values, v_vals, f, params_pure)

@@ -2,9 +2,9 @@
 directions from truncated and exact solves for every role, determinism, the
 gain of Jacobi scaling on lagged coefficients, the error conjugate gradients
 raise on nonpositive curvature, exact dense solves on small positive definite
-blocks, block-Jacobi solves on one-axis meshes, the error an indefinite dense
-block raises at construction, and no sparse factorization on the metric
-paths."""
+blocks assembled as one dense product, block-Jacobi solves on one-axis
+meshes, the error an indefinite dense block raises at construction, and no
+sparse factorization on the metric paths."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 import plapsolve
 import plapsolve.energy
+import plapsolve.grid
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
     CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, jacobi,
@@ -174,6 +175,39 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
     assert np.array_equal(d, pre.apply(g))
     assert np.array_equal(d, Preconditioner(small_mesh, rtol=rtol, coeff=coeff).apply(g))
     assert not calls
+
+
+def _sparse_free_operator(mesh, shift=1.0, coeff=None, mass_coeff=None):
+    """The free-node operator assembled sparse: stiffness, mass diagonal, slice."""
+    diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
+    free = mesh.free_mask
+    return (mesh.energy_stiffness(coeff) + sp.diags(mesh.weights * diag)).tocsr()[free][:, free].toarray()
+
+
+@pytest.mark.parametrize(
+    "p, newton", [(None, False), (1.5, False), (3.0, False), (None, True)],
+    ids=["plain", "lagged", "lagged_p3", "newton"],
+)
+def test_exact_block_is_assembled_dense(small_mesh, p, newton, monkeypatch):
+    # the exact path builds its block as one product of the cached dense
+    # free-column gradient, never through the sparse stiffness; it agrees
+    # with the sparse assembly to rounding
+    _, coeff = _problem(small_mesh, p)
+    kwargs = {"coeff": coeff}
+    if newton:
+        # the p = 2 Newton operator with a constant potential below lambda_1
+        kwargs.update(shift=1e-10, mass_coeff=np.full(small_mesh.n_nodes, -3.0))
+
+    def no_stiffness(*args):
+        raise AssertionError("an exact build assembled the sparse stiffness")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(plapsolve.grid.Mesh, "energy_stiffness", no_stiffness)
+        pre = Preconditioner(small_mesh, rtol=NEWTON_RTOL if newton else METRIC_RTOL, **kwargs)
+    assert pre.exact and _path(pre) == "dense"
+    assert isinstance(pre.op, sp.csr_matrix)
+    want = _sparse_free_operator(small_mesh, **kwargs)
+    assert np.max(np.abs(pre.op.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _refused_at_construction(mesh, mass_coeff, rtol, monkeypatch, block):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import plapsolve.sampling
 import plapsolve.spectra
 from plapsolve import (
     CertificationRecord,
@@ -27,7 +28,10 @@ from plapsolve import (
     rayleigh_min,
     strip,
 )
-from plapsolve.spectra import _quotient_descent, _seeded_start
+from plapsolve.energy import _dirichlet, _grad_square
+from plapsolve.potentials import singular_weight
+from plapsolve.sampling import bump_family, bump_profile, tensor_bump
+from plapsolve.spectra import _bump_margins, _quotient_descent, _seeded_start, _support_box
 
 
 def compact_tridiagonal_lambda1(n):
@@ -240,6 +244,96 @@ class TestCylinderEigen:
         omega = build_mesh(interval(0.0, 1.0), [17])
         with pytest.raises(ValueError, match="increasing"):
             cylinder_eigen_check(omega, 1, [4.0, 2.0], 2.0)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_margins_are_the_strip_comparisons(self, p):
+        # each descent starts at its candidate and never rises above it, so
+        # the candidate quotient is no margin; it stays in the details
+        omega = build_mesh(interval(0.0, 1.0), [17])
+        lengths = [2.0, 4.0, 8.0]
+        record = cylinder_eigen_check(omega, 1, lengths, p, z_nodes_per_unit=4.0, max_iter=50)
+        assert not record.worst_sample.startswith("tensor_candidate")
+        assert record.worst_sample.startswith(("strip_above_section", "monotone_decrease"))
+        assert record.sample_count == 2 * len(lengths) - 1
+        assert sorted(record.details["tensor_quotients"]) == lengths
+
+
+def _per_node_bump(mesh, center, width):
+    """Nodal values of a tensor bump evaluated node by node, axis by axis."""
+    vals = np.ones(mesh.n_nodes)
+    for a in range(mesh.domain.dims):
+        vals *= bump_profile((mesh.points[:, a] - center[a]) / width[a])
+    return vals
+
+
+def _beside_cap(mesh):
+    """Non-excluded nodes with an excluded neighbor on some axis, whose
+    gradient rows are one-sided."""
+    excluded = mesh.excluded_mask.reshape(mesh.shape)
+    beside = np.zeros(mesh.shape, dtype=bool)
+    for a in range(mesh.domain.dims):
+        beside |= np.roll(excluded, 1, a) | np.roll(excluded, -1, a)
+    return (beside & ~excluded).ravel()
+
+
+def _whole_mesh_margins(mesh, functions, p, lam, constant, weight):
+    margins = []
+    for u in functions:
+        mass = np.abs(u.values) ** p
+        lhs = _dirichlet(mesh, _grad_square(mesh, u.values)[1], p) - lam * integrate(mass, mesh)
+        rhs = constant * integrate(weight * mass, mesh)
+        margins.append((lhs - rhs) / max(abs(lhs), 1e-300))
+    return np.array(margins)
+
+
+# a punctured box and a capped 4D strip shaped like the Poincare check, each
+# with a hand-placed bump whose support holds a one-sided row beside the cap
+SUPPORT_BOX_CASES = {
+    "punctured_17": (
+        lambda: build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [17, 17, 17]),
+        range(3), 2.0, 0.0, 0.25, ([0.45, 0.0, 0.0], [0.2, 0.2, 0.2]),
+    ),
+    "capped_strip_4d": (
+        lambda: build_mesh(strip([(0.0, 1.0)], 3, 2.0), [9, 13, 13, 13],
+                           singular_cap_radius=0.55 / 3.0, singular_axes=(1, 2, 3)),
+        range(1, 4), 1.5, 9.0, 0.1, ([0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.4, 0.4]),
+    ),
+}
+
+
+class TestSupportBoxMargins:
+    @pytest.mark.parametrize("case", sorted(SUPPORT_BOX_CASES))
+    def test_support_box_margins_equal_whole_mesh_margins(self, case, monkeypatch):
+        build, axes, p, lam, constant, (center, width) = SUPPORT_BOX_CASES[case]
+        mesh = build()
+        weight = singular_weight(mesh, axes, p)
+        near_cap = tensor_bump(mesh, np.array(center), np.array(width))
+        box = _support_box(mesh, near_cap.values)
+        assert np.any(_beside_cap(mesh).reshape(mesh.shape)[box] & (near_cap.values != 0).reshape(mesh.shape)[box])
+        functions = list(bump_family(mesh, 40, 3)) + [near_cap]
+        monkeypatch.setattr(plapsolve.spectra, "bump_family", lambda mesh, samples, seed: iter(functions))
+        got = np.array(_bump_margins(mesh, p, lam, constant, weight, len(functions), 3)[0])
+        want = _whole_mesh_margins(mesh, functions, p, lam, constant, weight)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert np.argmin(got) == np.argmin(want)
+
+    def test_support_box_is_padded_and_clipped(self):
+        mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [11, 11])
+        values = np.zeros(mesh.shape)
+        values[0, 3:6] = 1.0
+        assert _support_box(mesh, values.ravel()) == (slice(0, 2), slice(2, 7))
+        assert _support_box(mesh, np.zeros(mesh.n_nodes)) == (slice(0, 11), slice(0, 11))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bump_family_matches_per_node_evaluation(self, seed, monkeypatch):
+        mesh = SUPPORT_BOX_CASES["capped_strip_4d"][0]()
+        fast = [u.values for u in bump_family(mesh, 25, seed)]
+        monkeypatch.setattr(plapsolve.sampling, "_tensor_values", _per_node_bump)
+        slow = [u.values for u in bump_family(mesh, 25, seed)]
+        assert all(np.array_equal(a, b) for a, b in zip(fast, slow, strict=True))
+        center, width = np.array([0.4, 0.3, -0.2, 0.5]), np.array([0.3, 0.9, 0.7, 1.1])
+        assert np.array_equal(tensor_bump(mesh, center, width).values,
+                              np.where(mesh.constrained_mask, 0.0, _per_node_bump(mesh, center, width)))
 
 
 class TestPoincareRemainder:
