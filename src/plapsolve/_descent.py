@@ -1,12 +1,14 @@
 """Shared descent machinery: deterministic preconditioned conjugate gradients
 that raise :class:`IndefiniteEnergyError` on nonpositive curvature, a compact
-second-order preconditioner that inverts small blocks exactly and one-axis
-meshes block by block (and raises when Cholesky refuses a block), and Armijo
-backtracking."""
+second-order preconditioner that inverts small blocks exactly, one-axis
+meshes block by block (and raises when Cholesky refuses a block) and the
+constant-coefficient operators of multi-axis meshes by tensor fast
+diagonalization (and raises when an exact tensor solve has a nonpositive
+denominator), and Armijo backtracking."""
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -136,6 +138,61 @@ def conjugate_gradient(
     return x
 
 
+class TensorSolve:
+    """Fast-diagonalization inverse of ``K + sigma M`` on the box of interior
+    nodes (Lynch, Rice & Thomas, Numer. Math. 6, 1964), from the mesh's
+    :attr:`Mesh.axis_factors`: ``V diag(1 / (sum_a lam_a + sigma)) V^T`` with
+    ``V`` the Kronecker product of the axis eigenvectors, applied as one
+    contiguous ``matmul`` per axis each way.  A residual on the free nodes is
+    padded with zeros at the excluded ones and read back there, so the
+    action is a principal block of a positive definite inverse.
+
+    ``sigma`` is ``shift``, plus ``mass_coeff`` when that is constant on the
+    free nodes.  With no excluded node the box operator is then the free-node
+    operator itself, so a nonpositive denominator is an exact certificate and
+    raises :class:`IndefiniteEnergyError`; with excluded nodes such a
+    ``sigma`` falls back to ``shift``, and CG's curvature test stays the
+    witness.
+    """
+
+    def __init__(self, mesh: Mesh, shift: float, mass_coeff: np.ndarray | None):
+        factors = mesh.axis_factors
+        lam = reduce(np.add.outer, [f.eigenvalues for f in factors]).ravel()
+        lowest = float(lam.min())
+        self.sigma = shift
+        if mass_coeff is not None:
+            c = mass_coeff[mesh.free_mask]
+            if np.all(c == c[0]):
+                if lowest + shift + c[0] > 0.0:
+                    self.sigma = shift + float(c[0])
+                elif not mesh.excluded_mask.any():
+                    raise IndefiniteEnergyError(_NONPOSITIVE % "a tensor-product eigenvector")
+        self.inv_denominators = 1.0 / (lam + self.sigma)
+        self.eigvecs = [f.eigenvectors for f in factors]
+        self.eigvecs_t = [np.ascontiguousarray(f.eigenvectors.T) for f in factors]
+        box_free = mesh.free_mask[~mesh.boundary_mask]
+        self.box_free = None if box_free.all() else box_free
+
+    @staticmethod
+    def _along_axes(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+        """``x`` (the box in C order) with ``mats[a]^T`` applied along each
+        axis ``a``: each product contracts the leading axis and moves it
+        last, so after one pass the axes are back in order."""
+        for B in mats:
+            x = x.reshape(B.shape[0], -1).T @ B
+        return x.ravel()
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        if self.box_free is None:
+            x = r
+        else:
+            x = np.zeros(self.box_free.size)
+            x[self.box_free] = r
+        x = self._along_axes(x, self.eigvecs) * self.inv_denominators
+        x = self._along_axes(x, self.eigvecs_t)
+        return x if self.box_free is None else x[self.box_free]
+
+
 class Preconditioner:
     """Approximate inverse of (weighted stiffness + shift * mass) on free nodes.
 
@@ -147,15 +204,20 @@ class Preconditioner:
     diagonal), inverted once here and applied as one product, an exact solve
     for every role.  A larger block is applied by :func:`conjugate_gradient`
     at unscaled relative residual ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL``
-    by role), preconditioned by :func:`block_inverses` on a one-axis mesh and
-    by :func:`jacobi` otherwise, either built once here.  Every action is
-    deterministic.  Maps a nodal gradient (the quadrature-dual representation
-    of a first variation) to a descent direction.  The operator is positive
-    definite unless a negative ``mass_coeff`` (the potential in the p = 2
-    Newton operator) makes the energy form nonpositive.  Then
-    :class:`IndefiniteEnergyError` is raised: here when ``np.linalg.cholesky``
-    refuses a dense block or Jacobi scaling meets a nonpositive diagonal entry,
-    and by CG in ``apply`` when it meets a direction of nonpositive curvature.
+    by role), preconditioned by one of three operators built once here:
+    :func:`block_inverses` on a one-axis mesh; :class:`TensorSolve` on a
+    multi-axis mesh at ``coeff = None``, which inverts the operator exactly
+    when no node is excluded and ``mass_coeff`` is constant on the free
+    nodes, so that CG ends after one product; and :func:`jacobi` for the
+    lagged metrics otherwise.  Every action is deterministic.  Maps a nodal
+    gradient (the quadrature-dual representation of a first variation) to a
+    descent direction.  The operator is positive definite unless a negative
+    ``mass_coeff`` (the potential in the p = 2 Newton operator) makes the
+    energy form nonpositive.  Then :class:`IndefiniteEnergyError` is raised:
+    here when ``np.linalg.cholesky`` refuses a dense block, Jacobi scaling
+    meets a nonpositive diagonal entry or an exact tensor solve a
+    nonpositive denominator, and by CG in ``apply`` when it meets a
+    direction of nonpositive curvature.
     """
 
     def __init__(
@@ -179,10 +241,12 @@ class Preconditioner:
             op = (mesh.energy_stiffness(coeff) + sp.diags(mass)).tocsr()
             self.op = op[free][:, free]
             self.inverses = block_inverses(self.op) if mesh.domain.dims == 1 else None
-        if self.inverses is None:
-            self.precondition = jacobi(self.op)
-        else:
+        if self.inverses is not None:
             self.precondition = partial(apply_blocks, self.inverses)
+        elif coeff is None:
+            self.precondition = TensorSolve(mesh, shift, mass_coeff)
+        else:
+            self.precondition = jacobi(self.op)
         self.free = free
         self.rtol = rtol
 

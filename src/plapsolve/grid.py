@@ -10,7 +10,8 @@ compactly supported test functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +19,7 @@ import scipy.sparse as sp
 __all__ = [
     "Domain",
     "Mesh",
+    "AxisFactor",
     "DiscreteFunction",
     "interval",
     "box",
@@ -120,6 +122,21 @@ def punctured_box(*bounds: tuple[float, float], radius: float) -> Domain:
     """Box containing the origin, with the ball of ``radius`` removed."""
     bs = tuple((float(lo), float(hi)) for lo, hi in bounds)
     return Domain("punctured_box", bs, puncture_radius=float(radius))
+
+
+class AxisFactor(NamedTuple):
+    """One axis of the free-node stiffness of a mesh with no excluded node,
+    which is the Kronecker sum ``sum_a (M_0 x .. K_a .. x M_(N-1))`` of these
+    factors: ``stiffness`` is ``K_a``, the axis's 1D :meth:`Mesh.energy_stiffness`
+    on its interior nodes (dense), ``mass`` the diagonal of ``M_a``, the
+    interior trapezoid weights, and ``eigenvalues`` and ``eigenvectors`` the
+    pencil ``K_a v = lam M_a v``, with ``V^T M_a V = I`` and ``V^T K_a V =
+    diag(lam)``."""
+
+    stiffness: np.ndarray
+    mass: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
 
 class Mesh:
@@ -311,6 +328,24 @@ class Mesh:
         w = self.sample_weights if coeff is None else self.sample_weights * coeff
         G = self._free_grad
         return G.T @ (np.tile(w, self.domain.dims)[:, None] * G)
+
+    @cached_property
+    def axis_factors(self) -> tuple[AxisFactor, ...]:
+        """One :class:`AxisFactor` per axis, from the free-node stiffness of a
+        one-axis mesh over the same nodes, so the same stencil; the pencil is
+        solved with ``np.linalg.eigh`` on ``M^-1/2 K M^-1/2``.  Computed once
+        per mesh, and once for axes with equal bounds and node counts.
+        """
+        axes = list(zip(self.domain.bounds, self.shape))
+        factors = {}
+        for (lo, hi), n in dict.fromkeys(axes):
+            line = Mesh(interval(lo, hi), [n])
+            K = line.free_stiffness_dense()
+            m = line.weights[1:-1]
+            s = 1.0 / np.sqrt(m)
+            lam, Q = np.linalg.eigh(s[:, None] * K * s)
+            factors[(lo, hi), n] = AxisFactor(K, m, lam, s[:, None] * Q)
+        return tuple(factors[axis] for axis in axes)
 
 
 def build_mesh(

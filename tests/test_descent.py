@@ -3,24 +3,28 @@ directions from truncated and exact solves for every role, determinism, the
 gain of Jacobi scaling on lagged coefficients, the error conjugate gradients
 raise on nonpositive curvature, exact dense solves on small positive definite
 blocks assembled as one dense product, block-Jacobi solves on one-axis
-meshes, the error an indefinite dense block raises at construction, and no
-sparse factorization on the metric paths."""
+meshes, the error an indefinite dense block raises at construction, tensor
+fast-diagonalization solves of the constant-coefficient operators on
+multi-axis meshes and the indefiniteness they certify, and no sparse
+factorization on the metric paths."""
 
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import plapsolve
 import plapsolve.energy
 import plapsolve.grid
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
-    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, conjugate_gradient, jacobi,
+    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, conjugate_gradient, jacobi,
     lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
@@ -287,26 +291,29 @@ def _role_preconditioners(mesh):
 
 def _path(pre):
     if pre.inverses is None:
-        return "jacobi"
+        return "tensor" if isinstance(pre.precondition, TensorSolve) else "jacobi"
     return "dense" if len(pre.inverses) == 1 else "block"
 
 
 @pytest.mark.parametrize(
-    "make, path",
+    "make, paths",
     [
-        (SMALL_MESHES["interval_33"], "dense"),
-        (lambda: build_mesh(interval(0.0, 1.0), [401]), "block"),
-        (lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [17, 17]), "jacobi"),
+        (SMALL_MESHES["interval_33"], {"metric_p3": "dense", "newton_p2": "dense", "default": "dense"}),
+        (lambda: build_mesh(interval(0.0, 1.0), [401]), {"metric_p3": "block", "newton_p2": "block", "default": "block"}),
+        (
+            lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [17, 17]),
+            {"metric_p3": "jacobi", "newton_p2": "tensor", "default": "tensor"},
+        ),
     ],
-    ids=["dense", "block", "jacobi"],
+    ids=["dense", "block", "multi_axis"],
 )
-def test_every_role_maps_a_gradient_to_a_descent_direction(make, path):
+def test_every_role_maps_a_gradient_to_a_descent_direction(make, paths):
     # minimize_phi and the quotient descent take -apply(g) without an uphill
     # fallback, so (w g) . apply(g) > 0 must hold on every path and every role
     mesh = make()
     rng = np.random.default_rng(11)
     for role, pre in _role_preconditioners(mesh).items():
-        assert _path(pre) == path, role
+        assert _path(pre) == paths[role], role
         for _ in range(5):
             g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
             assert float((mesh.weights * g) @ pre.apply(g)) > 0.0, role
@@ -331,6 +338,144 @@ def test_block_jacobi_meets_every_roles_residual_in_few_products():
             b = (mesh.weights * g)[pre.free]
             assert np.linalg.norm(b - counting.A @ d[pre.free]) <= pre.rtol * np.linalg.norm(b), role
             assert counting.products <= bound, (role, counting.products)
+
+
+# multi-axis meshes with no excluded node, on which the tensor solve of a
+# constant-coefficient operator is exact: the 2D strip, a 3D box with three
+# node counts, and the 4D mesh of the strip_critical preset
+TENSOR_MESHES = {
+    "strip_2d": MESHES["strip_2d"],
+    "box_3d": lambda: build_mesh(box((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)), [11, 13, 9]),
+    "strip_4d": lambda: build_mesh(strip([(0.0, 1.0)], 3, 2.0), [9, 13, 13, 13]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TENSOR_MESHES))
+def tensor_mesh(request):
+    return TENSOR_MESHES[request.param]()
+
+
+def _lambda_1(mesh):
+    """The smallest eigenvalue of the box pencil, ``sum_a min lam_a``."""
+    return sum(f.eigenvalues[0] for f in mesh.axis_factors)
+
+
+def test_axis_factors_are_a_kronecker_sum_of_the_free_stiffness(tensor_mesh):
+    factors = tensor_mesh.axis_factors
+    terms = []
+    for a, f in enumerate(factors):
+        mats = [sp.diags(g.mass) for g in factors]
+        mats[a] = sp.csr_matrix(f.stiffness)
+        terms.append(reduce(sp.kron, mats))
+    free = tensor_mesh.free_mask
+    want = tensor_mesh.energy_stiffness()[free][:, free]
+    assert abs(sum(terms) - want).max() <= 1e-12 * abs(want).max()
+    for f in factors:
+        V = f.eigenvectors
+        assert np.allclose(V.T @ (f.mass[:, None] * V), np.eye(V.shape[0]), rtol=0.0, atol=1e-12)
+        assert np.allclose(V.T @ f.stiffness @ V, np.diag(f.eigenvalues), rtol=0.0, atol=1e-12 * f.eigenvalues[-1])
+
+
+@pytest.mark.parametrize("newton", [False, True], ids=["plain", "newton"])
+@ROLES
+def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol):
+    # K + M, or the p = 2 Newton operator with a constant potential at 60 %
+    # of lambda_1 folded into sigma: the tensor solve inverts it, so CG ends
+    # after one product at either tolerance
+    mesh = tensor_mesh
+    kwargs = {}
+    if newton:
+        kwargs = {"shift": 1e-10, "mass_coeff": np.full(mesh.n_nodes, -0.6 * _lambda_1(mesh))}
+    g, _ = _problem(mesh, None)
+    pre = Preconditioner(mesh, rtol=rtol, **kwargs)
+    assert _path(pre) == "tensor"
+    b = (mesh.weights * g)[pre.free]
+    exact = spsolve(pre.op.tocsc(), b)
+    assert np.linalg.norm(pre.precondition(b) - exact) <= 1e-12 * np.linalg.norm(exact)
+    pre.op = counting = _CountingOperator(pre.op)
+    d = pre.apply(g)
+    assert counting.products == 1
+    assert np.linalg.norm(d[pre.free] - exact) <= 1e-12 * np.linalg.norm(exact)
+    assert np.array_equal(d, pre.apply(g))
+    assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, **kwargs).apply(g))
+
+
+@ROLES
+def test_tensor_solve_preconditions_a_punctured_mesh(rtol):
+    # excluded nodes make the box inverse an approximation: CG still meets
+    # the role's residual, in fewer products than Jacobi scaling takes (10
+    # against 16 at METRIC_RTOL, 21 against 37 at NEWTON_RTOL)
+    mesh = MESHES["punctured_3d"]()
+    g, _ = _problem(mesh, None)
+    pre = Preconditioner(mesh, rtol=rtol)
+    assert _path(pre) == "tensor" and mesh.excluded_mask.any()
+    b = (mesh.weights * g)[pre.free]
+    jacobi_products = _CountingOperator(pre.op)
+    conjugate_gradient(jacobi_products, b, rtol, jacobi(pre.op))
+    pre.op = counting = _CountingOperator(pre.op)
+    d = pre.apply(g)
+    assert np.linalg.norm(b - counting.A @ d[pre.free]) <= rtol * np.linalg.norm(b)
+    assert counting.products <= (10 if rtol == METRIC_RTOL else 21)
+    assert counting.products < jacobi_products.products
+
+
+def test_axis_eigenpairs_are_computed_once_per_mesh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    mesh = TENSOR_MESHES["box_3d"]()
+    g, _ = _problem(mesh, None)
+    for rtol in (METRIC_RTOL, NEWTON_RTOL):
+        Preconditioner(mesh, rtol=rtol).apply(g)
+        Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -1.0)).apply(g)
+    assert len(calls) == mesh.domain.dims
+
+
+@ROLES
+def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
+    # a constant potential just above lambda_1 of the 2D strip: with no
+    # excluded node the tensor solve is the operator itself, so its
+    # nonpositive denominator certifies the indefiniteness before any CG
+    # call, while the diagonal stays positive; just below, the operator is
+    # solved in one product
+    calls = _counting_cg(monkeypatch)
+    mesh = MESHES["strip_2d"]()
+    lam1 = _lambda_1(mesh)
+    above = np.full(mesh.n_nodes, -1.001 * lam1)
+    assert np.all(np.diagonal(_sparse_free_operator(mesh, shift=1e-10, mass_coeff=above)) > 0.0)
+    with pytest.raises(IndefiniteEnergyError, match="tensor-product eigenvector"):
+        Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=above)
+    assert not calls
+    pre = Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -0.999 * lam1))
+    pre.op = counting = _CountingOperator(pre.op)
+    pre.apply(_problem(mesh, None)[0])
+    assert counting.products == 1
+
+
+@pytest.mark.parametrize("potential, indefinite", [(7.6, False), (20.0, True)], ids=["between", "above"])
+def test_punctured_tensor_falls_back_to_the_shift(potential, indefinite):
+    # on the punctured 13^3 box lambda_1 is 7.23 for the box pencil and 7.97
+    # for the free nodes; a constant potential above the first makes the box
+    # tensor indefinite, so the solve drops it from sigma.  Between the two
+    # the operator is still positive definite and is solved; above both, CG
+    # meets its negative curvature
+    mesh = MESHES["punctured_3d"]()
+    assert 7.2 < _lambda_1(mesh) < 7.3
+    g, _ = _problem(mesh, None)
+    pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -potential))
+    assert pre.precondition.sigma == 1e-10
+    if indefinite:
+        with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
+            pre.apply(g)
+    else:
+        d = pre.apply(g)
+        b = (mesh.weights * g)[pre.free]
+        assert np.linalg.norm(b - pre.op @ d[pre.free]) <= NEWTON_RTOL * np.linalg.norm(b)
 
 
 def test_metric_paths_import_no_factorization():
