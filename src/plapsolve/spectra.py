@@ -11,7 +11,6 @@ continuum, and the record verdicts carry exactly that meaning.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,8 @@ class EigenResult:
     ``value`` equals the p-Dirichlet energy of ``minimizer``, which is
     normalized to unit (weighted) p-mass.  ``method`` is ``"lobpcg"`` when
     the value is the exact discrete eigenvalue (p = 2) and ``"descent"``
-    when it is an estimate.
+    when it is an estimate.  ``iterations`` counts every step behind the
+    value: at p != 2 the p = 2 solve that gives the descent its start as well.
     """
 
     value: float
@@ -250,36 +250,25 @@ def rayleigh_min(
     projected-descent estimate otherwise.
 
     At p = 2 one solve from the :func:`_seeded_start` of ``seed`` is exact to
-    ``tol``, so it is the only one.  Otherwise the descent is an estimate
-    whose starts can disagree: it runs from seeds ``seed`` and ``seed+1``,
-    keeps the smaller quotient, and warns when the two disagree beyond
-    ``10 * tol``, which hints at a nonconvex discrete landscape.
+    ``tol``.  Otherwise that exact p = 2 minimizer, the positive ground state,
+    is the one start of the descent at p: it lies in the cone of the simple,
+    positive first p-eigenfunction (Lindqvist, Proc. AMS 109, 1990).
     """
     if not np.any(mesh.free_mask):
         raise ValueError("mesh has no interior nodes")
-    seeds = [seed] if p == 2.0 else [seed, seed + 1]
-    runs = [
-        _quotient_descent(
-            mesh, p, _seeded_start(mesh, s), mass_weight, tol, max_iter,
-            stall_window=stall_window, stall_factor=stall_factor,
-        )
-        for s in seeds
-    ]
-    lam, u, _, res = min(runs, key=lambda run: run[0])
-    spread = max(run[0] for run in runs) - lam
-    if spread > 10.0 * tol * max(1.0, abs(lam)):
-        warnings.warn(
-            f"rayleigh starts disagree by {spread:.3e} (p={p}); "
-            "the discrete quotient landscape may be nonconvex",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    u = _seeded_start(mesh, seed)
+    start_iterations = 0
+    if p != 2.0:
+        _, u, start_iterations, _ = _quotient_descent(mesh, 2.0, u, mass_weight, tol, max_iter)
+    lam, u, iterations, res = _quotient_descent(
+        mesh, p, u, mass_weight, tol, max_iter, stall_window=stall_window, stall_factor=stall_factor,
+    )
     w_mass = 1.0 if mass_weight is None else mass_weight
     u = u / integrate(w_mass * np.abs(u) ** p, mesh) ** (1.0 / p)
     return EigenResult(
         value=float(lam),
         minimizer=DiscreteFunction(mesh, u),
-        iterations=sum(run[2] for run in runs),
+        iterations=start_iterations + iterations,
         residual=float(res),
         method=_method(p),
     )
@@ -329,8 +318,8 @@ def cylinder_eigen_check(
     unbounded axes stays above the cross-section eigenvalue and decreases
     toward it as the truncation grows.
 
-    The cross-section value is :func:`section_eigenvalue` from ``seed`` (and
-    ``seed + 1`` at p != 2), with its own 3000-step rule.  Each strip value is
+    The cross-section value is :func:`section_eigenvalue` from ``seed``, with
+    its own 3000-step rule.  Each strip value is
     one :func:`_quotient_descent`, capped at ``max_iter``, from the product
     candidate: the cross-section minimizer times a plateau of half-width L/2,
     whose quotient is an explicit upper bound that approaches the

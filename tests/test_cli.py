@@ -422,7 +422,6 @@ class TestRunAndEmit:
         # the cross-section keeps its own iteration rule
         assert rows[1][0]["lambda_omega"] == rows[800][0]["lambda_omega"]
 
-    @pytest.mark.filterwarnings("ignore:rayleigh starts disagree:RuntimeWarning")
     @pytest.mark.parametrize(
         "p, max_iter, code",
         [(2.0, 1, 3), (2.0, 800, 0), (1.5, 1, 0)],

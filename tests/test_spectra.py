@@ -169,19 +169,34 @@ class TestExactQuadratic:
 
     @pytest.mark.parametrize("p, calls", [(2.0, 1), (2.5, 2)])
     def test_one_start_at_two(self, monkeypatch, p, calls):
-        # the p = 2 solve is exact, so a second seed adds nothing
+        # the p = 2 solve is exact; away from two its minimizer is the one
+        # start of the descent at p
         runs = []
 
         def counting(*args, **kwargs):
-            runs.append(args[2])
-            return _quotient_descent(*args, **kwargs)
+            out = _quotient_descent(*args, **kwargs)
+            runs.append((args[1], args[2], out[1], out[2]))
+            return out
 
         monkeypatch.setattr(plapsolve.spectra, "_quotient_descent", counting)
         mesh = build_mesh(interval(0.0, 1.0), [41])
-        rayleigh_min(mesh, p, tol=1e-6, max_iter=50, seed=3)
+        result = rayleigh_min(mesh, p, tol=1e-6, max_iter=50, seed=3)
         assert len(runs) == calls
-        for k, start in enumerate(runs):
-            np.testing.assert_array_equal(start, _seeded_start(mesh, 3 + k))
+        assert result.iterations == sum(run[3] for run in runs)
+        assert runs[0][0] == 2.0
+        np.testing.assert_array_equal(runs[0][1], _seeded_start(mesh, 3))
+        if calls == 2:
+            assert runs[1][0] == p
+            assert runs[1][1] is runs[0][2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_p3_interval_reaches_closed_form(self, seed):
+        # from the p = 2 ground state the descent reaches the closed form
+        # whatever the seed
+        p = 3.0
+        closed = (p - 1.0) * (2.0 * math.pi / (p * math.sin(math.pi / p))) ** p
+        mesh = build_mesh(interval(0.0, 1.0), [401])
+        assert rayleigh_min(mesh, p, seed=seed).value == pytest.approx(closed, rel=1e-3)
 
     @pytest.mark.parametrize(
         "mesh, tol",
