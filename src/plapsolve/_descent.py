@@ -8,7 +8,7 @@ denominator), and Armijo backtracking."""
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,7 @@ class IndefiniteEnergyError(RuntimeError):
 _NONPOSITIVE = "energy form nonpositive on %s; the positivity assumption fails on this mesh"
 
 
-def jacobi(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+def jacobi(A: sp.spmatrix | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Jacobi scaling ``r -> r / diag(A)`` for :func:`conjugate_gradient`.
 
     Raises :class:`IndefiniteEnergyError` on a nonpositive diagonal entry,
@@ -55,16 +55,16 @@ def jacobi(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: inv_diag * r
 
 
-def block_inverses(A: sp.spmatrix) -> np.ndarray:
+def block_inverses(A: sp.spmatrix | np.ndarray) -> np.ndarray:
     """Inverses of the diagonal blocks of ``A``, shape ``(count, size, size)``:
     contiguous blocks of at most ``DENSE_MAX`` rows and near-equal size, the
-    last padded with an identity; one block, the exact inverse, when ``A`` is
-    that small.  Checked and inverted by :func:`checked_inverses`.
+    last padded with an identity.  Checked and inverted by
+    :func:`checked_inverses`.
     """
     n = A.shape[0]
     count = -(-n // DENSE_MAX)
     size = -(-n // count)
-    coo = A.tocoo()
+    coo = sp.coo_matrix(A)
     block = coo.row // size
     inside = block == coo.col // size
     blocks = np.zeros((count, size, size))
@@ -97,7 +97,7 @@ def apply_blocks(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def conjugate_gradient(
-    A: sp.spmatrix,
+    A: sp.spmatrix | np.ndarray,
     b: np.ndarray,
     rel_tol: float,
     precondition: Callable[[np.ndarray], np.ndarray],
@@ -199,12 +199,14 @@ class Preconditioner:
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-sample ``coeff`` turns it into the lagged-coefficient metric of the
-    degenerate problem.  A block of at most ``DENSE_MAX`` free nodes is
-    assembled dense (:meth:`Mesh.free_stiffness_dense` plus the mass
-    diagonal), inverted once here and applied as one product, an exact solve
-    for every role.  A larger block is applied by :func:`conjugate_gradient`
-    at unscaled relative residual ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL``
-    by role), preconditioned by one of three operators built once here:
+    degenerate problem.  ``op`` is that free-node operator,
+    :meth:`Mesh.energy_stiffness` plus the mass diagonal: a dense array (from
+    :meth:`Mesh.free_stiffness_dense`) for a block of at most ``DENSE_MAX``
+    free nodes, which is inverted once here and applied as one product, an
+    exact solve for every role, and CSR above it.  A larger block is applied
+    by :func:`conjugate_gradient` at unscaled relative residual ``rtol``
+    (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), preconditioned by one of
+    three operators built once here:
     :func:`block_inverses` on a one-axis mesh; :class:`TensorSolve` on a
     multi-axis mesh at ``coeff = None``, which inverts the operator exactly
     when no node is excluded and ``mass_coeff`` is constant on the free
@@ -231,15 +233,14 @@ class Preconditioner:
     ):
         self.mesh = mesh
         free = mesh.free_mask
-        mass = mesh.weights * (shift if mass_coeff is None else shift + mass_coeff)
-        self.exact = np.count_nonzero(free) <= DENSE_MAX
+        mass = (mesh.weights * (shift if mass_coeff is None else shift + mass_coeff))[free]
+        self.exact = mass.size <= DENSE_MAX
         if self.exact:
-            self._dense = mesh.free_stiffness_dense(coeff)
-            np.fill_diagonal(self._dense, self._dense.diagonal() + mass[free])
-            self.inverses = checked_inverses(self._dense[None])
+            self.op = mesh.free_stiffness_dense(coeff)
+            np.fill_diagonal(self.op, self.op.diagonal() + mass)
+            self.inverses = checked_inverses(self.op[None])
         else:
-            op = (mesh.energy_stiffness(coeff) + sp.diags(mass)).tocsr()
-            self.op = op[free][:, free]
+            self.op = mesh.energy_stiffness(coeff) + sp.diags(mass)
             self.inverses = block_inverses(self.op) if mesh.domain.dims == 1 else None
         if self.inverses is not None:
             self.precondition = partial(apply_blocks, self.inverses)
@@ -249,13 +250,6 @@ class Preconditioner:
             self.precondition = jacobi(self.op)
         self.free = free
         self.rtol = rtol
-
-    @cached_property
-    def op(self) -> sp.csr_matrix:
-        """The free-node operator; set at construction above ``DENSE_MAX``
-        free nodes, and a CSR copy of the dense block, made on first use,
-        below it."""
-        return sp.csr_matrix(self._dense)
 
     def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
         rhs = (self.mesh.weights * nodal_gradient)[self.free]

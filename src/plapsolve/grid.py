@@ -127,8 +127,8 @@ def punctured_box(*bounds: tuple[float, float], radius: float) -> Domain:
 class AxisFactor(NamedTuple):
     """One axis of the free-node stiffness of a mesh with no excluded node,
     which is the Kronecker sum ``sum_a (M_0 x .. K_a .. x M_(N-1))`` of these
-    factors: ``stiffness`` is ``K_a``, the axis's 1D :meth:`Mesh.energy_stiffness`
-    on its interior nodes (dense), ``mass`` the diagonal of ``M_a``, the
+    factors: ``stiffness`` is ``K_a``, the axis's 1D free-node
+    :meth:`Mesh.energy_stiffness` (dense), ``mass`` the diagonal of ``M_a``, the
     interior trapezoid weights, and ``eigenvalues`` and ``eigenvectors`` the
     pencil ``K_a v = lam M_a v``, with ``V^T M_a V = I`` and ``V^T K_a V =
     diag(lam)``."""
@@ -225,20 +225,23 @@ class Mesh:
 
         self._grad: sp.csr_matrix | None = None
         self._grad_t: sp.csc_matrix | None = None
+        self._free_grad: sp.csr_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
-        self._free_grad: np.ndarray | None = None
+        self._free_grad_dense: np.ndarray | None = None
 
     def _grad_op(self) -> sp.csr_matrix:
         if self._grad is None:
-            self._grad = self._build_grad_op()
+            self._grad, self._free_grad = self._build_grad_op()
             # a CSC view on the same arrays; transposing costs a matrix
             # construction per call otherwise
             self._grad_t = self._grad.T
         return self._grad
 
-    def _build_grad_op(self) -> sp.csr_matrix:
-        """Stacked ``(dims * n_nodes, n_nodes)`` difference operator; row
-        ``a * n_nodes + i`` is the axis-``a`` derivative at node ``i``.
+    def _build_grad_op(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Stacked ``(dims * n_nodes, n_nodes)`` difference operator ``G``,
+        whose row ``a * n_nodes + i`` is the axis-``a`` derivative at node
+        ``i``, and its free columns ``G_f``, which every operator on the
+        energy space is assembled from.
 
         Centered where both neighbor values are usable, one-sided where the
         stencil would leave the grid or cross an excluded node, zero rows at
@@ -265,7 +268,8 @@ class Mesh:
         indptr = np.zeros(nd * n + 1, dtype=index)
         np.cumsum(2 * use.ravel(), out=indptr[1:])
         data = np.column_stack([-inv, inv]).ravel()
-        return sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
+        G = sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
+        return G, G[:, self.free_mask]
 
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Per-axis derivatives of nodal ``values`` at the gradient samples,
@@ -304,29 +308,31 @@ class Mesh:
         return self._grad_t @ np.ravel(flux)
 
     def energy_stiffness(self, coeff: np.ndarray | None = None) -> sp.csr_matrix:
-        """Quadratic form ``G^T diag(sample_weights * coeff) G`` of the discrete
-        weighted Dirichlet energy, ``coeff`` per sample; at ``coeff = None`` the
+        """Quadratic form ``G_f^T diag(sample_weights * coeff) G_f`` of the
+        discrete weighted Dirichlet energy on the free nodes, shape
+        ``(n_free, n_free)``, ``coeff`` per sample; at ``coeff = None`` the
         exact Hessian of ``(1/2) int |grad u|^2`` in this discretization, cached.
         """
         if coeff is None and self._stiffness is not None:
             return self._stiffness
         w = self.sample_weights if coeff is None else self.sample_weights * coeff
-        G = self._grad_op()
-        A = (self._grad_t @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
+        self._grad_op()
+        G = self._free_grad
+        A = (G.T @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
         if coeff is None:
             self._stiffness = A
         return A
 
     def free_stiffness_dense(self, coeff: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`energy_stiffness` on the free nodes as a dense array, one
-        BLAS product with a dense copy of the gradient operator's free columns
-        that is cached here (``dims * n_nodes * n_free`` doubles), so meant for
-        meshes with few free nodes.
+        """:meth:`energy_stiffness` as a dense array, one BLAS product with a
+        dense copy of ``G_f`` that is cached here (``dims * n_nodes * n_free``
+        doubles), so meant for meshes with few free nodes.
         """
-        if self._free_grad is None:
-            self._free_grad = self._grad_op()[:, self.free_mask].toarray()
+        if self._free_grad_dense is None:
+            self._grad_op()
+            self._free_grad_dense = self._free_grad.toarray()
         w = self.sample_weights if coeff is None else self.sample_weights * coeff
-        G = self._free_grad
+        G = self._free_grad_dense
         return G.T @ (np.tile(w, self.domain.dims)[:, None] * G)
 
     @cached_property

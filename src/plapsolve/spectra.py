@@ -192,7 +192,7 @@ def _quotient_descent(
     lam = _dirichlet(mesh, s, p)  # the p-mass is one here
     if p == 2.0:
         stiffness = mesh.energy_stiffness()
-        mass = np.where(free, mesh.weights * w_mass, 0.0)
+        mass = (mesh.weights * w_mass)[free]
         direction = None
     step = 1.0
     iterations = 0
@@ -211,7 +211,7 @@ def _quotient_descent(
         if len(res_window) > stall_window and res > stall_factor * res_window[-stall_window - 1]:
             break
         if p == 2.0:
-            u, direction = _lobpcg_step(stiffness, mass, u, pre.apply(gq), direction)
+            u[free], direction = _lobpcg_step(stiffness, mass, u[free], pre.apply(gq)[free], direction)
             u = u / masses(u) ** 0.5
             g, s = _grad_square(mesh, u)
             lam = quotient_of(u, s)

@@ -173,7 +173,7 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
     pre = Preconditioner(small_mesh, rtol=rtol, coeff=coeff)
     assert pre.op.shape[0] <= DENSE_MAX
     d = pre.apply(g)
-    exact = np.linalg.solve(pre.op.toarray(), (small_mesh.weights * g)[pre.free])
+    exact = np.linalg.solve(pre.op, (small_mesh.weights * g)[pre.free])
     assert np.linalg.norm(d[pre.free] - exact) <= 1e-12 * np.linalg.norm(exact)
     assert not np.any(d[~pre.free])
     assert np.array_equal(d, pre.apply(g))
@@ -182,10 +182,14 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
 
 
 def _sparse_free_operator(mesh, shift=1.0, coeff=None, mass_coeff=None):
-    """The free-node operator assembled sparse: stiffness, mass diagonal, slice."""
+    """The free-node operator by scipy on the whole grid: ``G^T diag(w) G``
+    over every node plus the mass diagonal, then its free rows and columns."""
+    G = mesh._grad_op()
+    w = mesh.sample_weights if coeff is None else mesh.sample_weights * coeff
+    stiffness = (G.T @ (sp.diags(np.tile(w, mesh.domain.dims)) @ G)).tocsr()
     diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
     free = mesh.free_mask
-    return (mesh.energy_stiffness(coeff) + sp.diags(mesh.weights * diag)).tocsr()[free][:, free].toarray()
+    return (stiffness + sp.diags(mesh.weights * diag)).tocsr()[free][:, free]
 
 
 @pytest.mark.parametrize(
@@ -209,9 +213,30 @@ def test_exact_block_is_assembled_dense(small_mesh, p, newton, monkeypatch):
         patch.setattr(plapsolve.grid.Mesh, "energy_stiffness", no_stiffness)
         pre = Preconditioner(small_mesh, rtol=NEWTON_RTOL if newton else METRIC_RTOL, **kwargs)
     assert pre.exact and _path(pre) == "dense"
-    assert isinstance(pre.op, sp.csr_matrix)
-    want = _sparse_free_operator(small_mesh, **kwargs)
-    assert np.max(np.abs(pre.op.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+    assert isinstance(pre.op, np.ndarray)
+    want = _sparse_free_operator(small_mesh, **kwargs).toarray()
+    assert np.max(np.abs(pre.op - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "make", [MESHES["punctured_3d"], MESHES["strip_2d"], lambda: build_mesh(interval(0.0, 1.0), [401])],
+    ids=["punctured_3d", "strip_2d", "interval_401"],
+)
+@pytest.mark.parametrize("role", ["plain", "lagged", "newton"])
+def test_sparse_op_is_the_whole_grid_operator_sliced(make, role):
+    # assembled on the free nodes, the CSR operator is the whole-grid one's
+    # free block array for array, so every CG product is unchanged
+    mesh = make()
+    kwargs = {
+        "plain": {},
+        "lagged": {"coeff": _problem(mesh, 3.0)[1]},
+        "newton": {"shift": 1e-10, "mass_coeff": np.random.default_rng(13).uniform(-1.0, 1.0, mesh.n_nodes)},
+    }[role]
+    pre = Preconditioner(mesh, rtol=METRIC_RTOL, **kwargs)
+    want = _sparse_free_operator(mesh, **kwargs)
+    assert isinstance(pre.op, sp.csr_matrix) and pre.op.shape[0] > DENSE_MAX
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(pre.op, attr), getattr(want, attr)), attr
 
 
 def _refused_at_construction(mesh, mass_coeff, rtol, monkeypatch, block):
@@ -219,8 +244,7 @@ def _refused_at_construction(mesh, mass_coeff, rtol, monkeypatch, block):
     leading ``block`` is indefinite while its diagonal stays positive, and
     that the preconditioner raises the Cholesky refusal with no CG call."""
     calls = _counting_cg(monkeypatch)
-    free = mesh.free_mask
-    op = (mesh.energy_stiffness() + sp.diags(mesh.weights * (1.0 + mass_coeff))).toarray()[free][:, free]
+    op = _sparse_free_operator(mesh, mass_coeff=mass_coeff).toarray()
     assert np.linalg.eigvalsh(op[:block, :block])[0] < 0.0
     assert np.all(np.diagonal(op) > 0.0)
     with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
@@ -367,8 +391,7 @@ def test_axis_factors_are_a_kronecker_sum_of_the_free_stiffness(tensor_mesh):
         mats = [sp.diags(g.mass) for g in factors]
         mats[a] = sp.csr_matrix(f.stiffness)
         terms.append(reduce(sp.kron, mats))
-    free = tensor_mesh.free_mask
-    want = tensor_mesh.energy_stiffness()[free][:, free]
+    want = tensor_mesh.energy_stiffness()
     assert abs(sum(terms) - want).max() <= 1e-12 * abs(want).max()
     for f in factors:
         V = f.eigenvectors
@@ -447,7 +470,7 @@ def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
     mesh = MESHES["strip_2d"]()
     lam1 = _lambda_1(mesh)
     above = np.full(mesh.n_nodes, -1.001 * lam1)
-    assert np.all(np.diagonal(_sparse_free_operator(mesh, shift=1e-10, mass_coeff=above)) > 0.0)
+    assert np.all(_sparse_free_operator(mesh, shift=1e-10, mass_coeff=above).diagonal() > 0.0)
     with pytest.raises(IndefiniteEnergyError, match="tensor-product eigenvector"):
         Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=above)
     assert not calls

@@ -498,12 +498,13 @@ class TestGradientQuadratureSeam:
         params = EnergyParams(p=p, q=q, eps=0.3)
         f = ForcingTerm.manufactured(mesh, lambda x: np.cos(np.pi * x[:, 0]))
         g, s = _grad_square(mesh, u.values)
+        v_free = v.values[mesh.free_mask]
         return {
             "q_v": q_v(u, Potential.zero(), params),
             "phi": phi(u, Potential.constant(0.5), f, params),
             "y_norm": y_norm(u, Weight.constant(0.4), params) ** q,
             "rep": _dirichlet_gradient_rep(mesh, g, s, p, 0.0),
-            "form": float(v.values @ (mesh.energy_stiffness() @ v.values)),
+            "form": float(v_free @ (mesh.energy_stiffness() @ v_free)),
             "eigenvalue": rayleigh_min(mesh, 2.0, tol=1e-10).value,
             "mass": integrate(np.abs(u.values) ** p, mesh),
             "weighted_mass": integrate(0.4 * np.abs(u.values) ** q, mesh),

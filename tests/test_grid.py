@@ -262,10 +262,12 @@ class TestStackedGradient:
 
     @pytest.mark.parametrize("with_coeff", [False, True])
     def test_stiffness_matches_per_axis_sum(self, stacked_mesh, with_coeff):
+        # the stiffness lives on the free nodes: the per-axis sum's free block
         mesh = stacked_mesh
         coeff = np.random.default_rng(9).uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
         w = mesh.weights * ~mesh.excluded_mask * (1.0 if coeff is None else coeff)
-        ref = sum(op.T @ sp.diags(w) @ op for op in _reference_grad_ops(mesh)).toarray()
+        free = mesh.free_mask
+        ref = sum(op.T @ sp.diags(w) @ op for op in _reference_grad_ops(mesh)).toarray()[np.ix_(free, free)]
         got = mesh.energy_stiffness(coeff).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -278,14 +280,40 @@ class TestStackedGradient:
         u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes)).values
         g = mesh.grad(u)
         density = np.einsum("ai,ai->i", g, g) * (1.0 if coeff is None else coeff)
-        form = float(u @ (mesh.energy_stiffness(coeff) @ u))
+        u_free = u[mesh.free_mask]
+        form = float(u_free @ (mesh.energy_stiffness(coeff) @ u_free))
         assert abs(form - mesh.integrate_samples(density)) <= 1e-14 * form
 
     def test_stiffness_cached_only_without_coeff(self, stacked_mesh):
         mesh = stacked_mesh
+        n_free = np.count_nonzero(mesh.free_mask)
         assert mesh.energy_stiffness() is mesh.energy_stiffness()
+        assert mesh.energy_stiffness().shape == (n_free, n_free)
         ones = np.ones(mesh.n_nodes)
         assert mesh.energy_stiffness(ones) is not mesh.energy_stiffness(ones)
+
+
+# a 1D interval and a 2D strip (boundary only), a 3D box with a singular cap,
+# and the punctured 3D box and capped 4D strip of STACKED_MESHES
+FREE_NODE_MESHES = {
+    "interval": lambda: build_mesh(interval(0.0, 1.0), [33]),
+    "strip_2d": lambda: build_mesh(strip([(0.0, 1.0)], 1, 2.0), [9, 17]),
+    "capped_3d": lambda: build_mesh(
+        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3, singular_axes=(0, 1)
+    ),
+    **STACKED_MESHES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_NODE_MESHES))
+@pytest.mark.parametrize("with_coeff", [False, True])
+def test_dense_stiffness_is_the_sparse_one(name, with_coeff):
+    mesh = FREE_NODE_MESHES[name]()
+    coeff = np.random.default_rng(12).uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
+    want = mesh.energy_stiffness(coeff).toarray()
+    got = mesh.free_stiffness_dense(coeff)
+    assert got.shape == want.shape == (np.count_nonzero(mesh.free_mask),) * 2
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestIntegrate:

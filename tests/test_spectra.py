@@ -115,7 +115,7 @@ def dense_lambda1(mesh, mass_weight=None):
     """Smallest eigenvalue of the pencil (stiffness, diag(weights * mass_weight))
     on the free nodes, by a dense symmetric eigensolve."""
     free = mesh.free_mask
-    K = mesh.energy_stiffness().toarray()[np.ix_(free, free)]
+    K = mesh.energy_stiffness().toarray()
     m = mesh.weights[free] * (1.0 if mass_weight is None else mass_weight[free])
     scale = 1.0 / np.sqrt(m)
     return float(np.linalg.eigh(scale[:, None] * K * scale[None, :])[0][0])
