@@ -8,13 +8,13 @@ denominator), and Armijo backtracking."""
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Mesh
+from .grid import Mesh, interval
 
 
 # Inner relative residual of a preconditioner solve, by the role its
@@ -138,14 +138,33 @@ def conjugate_gradient(
     return x
 
 
+@lru_cache(maxsize=32)
+def axis_pencil(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the pencil ``K v = lam M v`` of one
+    axis: ``K`` the free-node :meth:`Mesh.energy_stiffness` of the interval
+    ``(lo, hi)`` on ``n`` nodes, so the same stencil, and ``M`` its interior
+    trapezoid weights, with ``V^T M V = I`` and ``V^T K V = diag(lam)``.
+    With no excluded node a mesh's free-node stiffness is the Kronecker sum
+    ``sum_a (M_0 x .. K_a .. x M_(N-1))`` of its axes' pencils.  Solved with
+    ``np.linalg.eigh`` on ``M^-1/2 K M^-1/2`` once per axis for every mesh
+    that has it, so the arrays are shared and read-only.
+    """
+    line = Mesh(interval(lo, hi), [n])
+    s = 1.0 / np.sqrt(line.weights[1:-1])
+    lam, Q = np.linalg.eigh(s[:, None] * line.free_stiffness_dense() * s)
+    V = s[:, None] * Q
+    lam.flags.writeable = V.flags.writeable = False
+    return lam, V
+
+
 class TensorSolve:
     """Fast-diagonalization inverse of ``K + sigma M`` on the box of interior
-    nodes (Lynch, Rice & Thomas, Numer. Math. 6, 1964), from the mesh's
-    :attr:`Mesh.axis_factors`: ``V diag(1 / (sum_a lam_a + sigma)) V^T`` with
-    ``V`` the Kronecker product of the axis eigenvectors, applied as one
-    contiguous ``matmul`` per axis each way.  A residual on the free nodes is
-    padded with zeros at the excluded ones and read back there, so the
-    action is a principal block of a positive definite inverse.
+    nodes (Lynch, Rice & Thomas, Numer. Math. 6, 1964), from the
+    :func:`axis_pencil` of each mesh axis: ``V diag(1 / (sum_a lam_a + sigma))
+    V^T`` with ``V`` the Kronecker product of the axis eigenvectors, applied
+    as one contiguous ``matmul`` per axis each way.  A residual on the free
+    nodes is padded with zeros at the excluded ones and read back there, so
+    the action is a principal block of a positive definite inverse.
 
     ``sigma`` is ``shift``, plus ``mass_coeff`` when that is constant on the
     free nodes.  With no excluded node the box operator is then the free-node
@@ -156,8 +175,8 @@ class TensorSolve:
     """
 
     def __init__(self, mesh: Mesh, shift: float, mass_coeff: np.ndarray | None):
-        factors = mesh.axis_factors
-        lam = reduce(np.add.outer, [f.eigenvalues for f in factors]).ravel()
+        lams, self.eigvecs = zip(*(axis_pencil(lo, hi, n) for (lo, hi), n in zip(mesh.domain.bounds, mesh.shape)))
+        lam = reduce(np.add.outer, lams).ravel()
         lowest = float(lam.min())
         self.sigma = shift
         if mass_coeff is not None:
@@ -168,8 +187,7 @@ class TensorSolve:
                 elif not mesh.excluded_mask.any():
                     raise IndefiniteEnergyError(_NONPOSITIVE % "a tensor-product eigenvector")
         self.inv_denominators = 1.0 / (lam + self.sigma)
-        self.eigvecs = [f.eigenvectors for f in factors]
-        self.eigvecs_t = [np.ascontiguousarray(f.eigenvectors.T) for f in factors]
+        self.eigvecs_t = [np.ascontiguousarray(V.T) for V in self.eigvecs]
         box_free = mesh.free_mask[~mesh.boundary_mask]
         self.box_free = None if box_free.all() else box_free
 
@@ -211,9 +229,10 @@ class Preconditioner:
     multi-axis mesh at ``coeff = None``, which inverts the operator exactly
     when no node is excluded and ``mass_coeff`` is constant on the free
     nodes, so that CG ends after one product; and :func:`jacobi` for the
-    lagged metrics otherwise.  Every action is deterministic.  Maps a nodal
-    gradient (the quadrature-dual representation of a first variation) to a
-    descent direction.  The operator is positive definite unless a negative
+    lagged metrics otherwise.  Every action is deterministic.  :meth:`apply`
+    maps a free-node vector to a free-node vector: a descent passes the free
+    part of ``weights * g``, ``g`` its nodal gradient, and scatters the
+    direction back itself.  The operator is positive definite unless a negative
     ``mass_coeff`` (the potential in the p = 2 Newton operator) makes the
     energy form nonpositive.  Then :class:`IndefiniteEnergyError` is raised:
     here when ``np.linalg.cholesky`` refuses a dense block, Jacobi scaling
@@ -231,9 +250,7 @@ class Preconditioner:
         coeff: np.ndarray | None = None,
         mass_coeff: np.ndarray | None = None,
     ):
-        self.mesh = mesh
-        free = mesh.free_mask
-        mass = (mesh.weights * (shift if mass_coeff is None else shift + mass_coeff))[free]
+        mass = (mesh.weights * (shift if mass_coeff is None else shift + mass_coeff))[mesh.free_mask]
         self.exact = mass.size <= DENSE_MAX
         if self.exact:
             self.op = mesh.free_stiffness_dense(coeff)
@@ -248,17 +265,13 @@ class Preconditioner:
             self.precondition = TensorSolve(mesh, shift, mass_coeff)
         else:
             self.precondition = jacobi(self.op)
-        self.free = free
         self.rtol = rtol
 
-    def apply(self, nodal_gradient: np.ndarray) -> np.ndarray:
-        rhs = (self.mesh.weights * nodal_gradient)[self.free]
-        d = np.zeros(self.mesh.n_nodes)
+    def apply(self, rhs: np.ndarray) -> np.ndarray:
+        """The solve ``op^-1 rhs`` of a free-node vector, a free-node vector."""
         if self.exact:
-            d[self.free] = self.precondition(rhs)
-        else:
-            d[self.free] = conjugate_gradient(self.op, rhs, self.rtol, self.precondition)
-        return d
+            return self.precondition(rhs)
+        return conjugate_gradient(self.op, rhs, self.rtol, self.precondition)
 
 
 def lagged_coefficient(s: np.ndarray, p: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +19,6 @@ import scipy.sparse as sp
 __all__ = [
     "Domain",
     "Mesh",
-    "AxisFactor",
     "DiscreteFunction",
     "interval",
     "box",
@@ -124,21 +123,6 @@ def punctured_box(*bounds: tuple[float, float], radius: float) -> Domain:
     return Domain("punctured_box", bs, puncture_radius=float(radius))
 
 
-class AxisFactor(NamedTuple):
-    """One axis of the free-node stiffness of a mesh with no excluded node,
-    which is the Kronecker sum ``sum_a (M_0 x .. K_a .. x M_(N-1))`` of these
-    factors: ``stiffness`` is ``K_a``, the axis's 1D free-node
-    :meth:`Mesh.energy_stiffness` (dense), ``mass`` the diagonal of ``M_a``, the
-    interior trapezoid weights, and ``eigenvalues`` and ``eigenvectors`` the
-    pencil ``K_a v = lam M_a v``, with ``V^T M_a V = I`` and ``V^T K_a V =
-    diag(lam)``."""
-
-    stiffness: np.ndarray
-    mass: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 class Mesh:
     """Structured grid over a :class:`Domain` with masks and quadrature weights.
 
@@ -225,23 +209,31 @@ class Mesh:
 
         self._grad: sp.csr_matrix | None = None
         self._grad_t: sp.csc_matrix | None = None
-        self._free_grad: sp.csr_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
-        self._free_grad_dense: np.ndarray | None = None
 
     def _grad_op(self) -> sp.csr_matrix:
         if self._grad is None:
-            self._grad, self._free_grad = self._build_grad_op()
+            self._grad = self._build_grad_op()
             # a CSC view on the same arrays; transposing costs a matrix
             # construction per call otherwise
             self._grad_t = self._grad.T
         return self._grad
 
-    def _build_grad_op(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    @cached_property
+    def _free_grad(self) -> sp.csr_matrix:
+        """The free columns ``G_f`` of :meth:`_build_grad_op`'s ``G``, which
+        every operator on the energy space is assembled from; sliced on the
+        first request, since many meshes never assemble one."""
+        return self._grad_op()[:, self.free_mask]
+
+    @cached_property
+    def _free_grad_dense(self) -> np.ndarray:
+        return self._free_grad.toarray()
+
+    def _build_grad_op(self) -> sp.csr_matrix:
         """Stacked ``(dims * n_nodes, n_nodes)`` difference operator ``G``,
         whose row ``a * n_nodes + i`` is the axis-``a`` derivative at node
-        ``i``, and its free columns ``G_f``, which every operator on the
-        energy space is assembled from.
+        ``i``.
 
         Centered where both neighbor values are usable, one-sided where the
         stencil would leave the grid or cross an excluded node, zero rows at
@@ -268,8 +260,7 @@ class Mesh:
         indptr = np.zeros(nd * n + 1, dtype=index)
         np.cumsum(2 * use.ravel(), out=indptr[1:])
         data = np.column_stack([-inv, inv]).ravel()
-        G = sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
-        return G, G[:, self.free_mask]
+        return sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
 
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Per-axis derivatives of nodal ``values`` at the gradient samples,
@@ -316,7 +307,6 @@ class Mesh:
         if coeff is None and self._stiffness is not None:
             return self._stiffness
         w = self.sample_weights if coeff is None else self.sample_weights * coeff
-        self._grad_op()
         G = self._free_grad
         A = (G.T @ (sp.diags(np.tile(w, self.domain.dims)) @ G)).tocsr()
         if coeff is None:
@@ -328,30 +318,9 @@ class Mesh:
         dense copy of ``G_f`` that is cached here (``dims * n_nodes * n_free``
         doubles), so meant for meshes with few free nodes.
         """
-        if self._free_grad_dense is None:
-            self._grad_op()
-            self._free_grad_dense = self._free_grad.toarray()
         w = self.sample_weights if coeff is None else self.sample_weights * coeff
         G = self._free_grad_dense
         return G.T @ (np.tile(w, self.domain.dims)[:, None] * G)
-
-    @cached_property
-    def axis_factors(self) -> tuple[AxisFactor, ...]:
-        """One :class:`AxisFactor` per axis, from the free-node stiffness of a
-        one-axis mesh over the same nodes, so the same stencil; the pencil is
-        solved with ``np.linalg.eigh`` on ``M^-1/2 K M^-1/2``.  Computed once
-        per mesh, and once for axes with equal bounds and node counts.
-        """
-        axes = list(zip(self.domain.bounds, self.shape))
-        factors = {}
-        for (lo, hi), n in dict.fromkeys(axes):
-            line = Mesh(interval(lo, hi), [n])
-            K = line.free_stiffness_dense()
-            m = line.weights[1:-1]
-            s = 1.0 / np.sqrt(m)
-            lam, Q = np.linalg.eigh(s[:, None] * K * s)
-            factors[(lo, hi), n] = AxisFactor(K, m, lam, s[:, None] * Q)
-        return tuple(factors[axis] for axis in axes)
 
 
 def build_mesh(

@@ -158,8 +158,8 @@ def minimize_phi(
     ``delta_min = 1e-8 * field scale``; a zero ``params.delta`` disables
     smoothing entirely.
 
-    A failed search is retried once along ``-g``; a second failure emits a
-    warning and returns the last iterate.  Raises :class:`IndefiniteEnergyError`
+    A failed search counts one failure, emits a warning and returns the last
+    iterate, as the quotient descent stops.  Raises :class:`IndefiniteEnergyError`
     once an iterate is nonzero with ``q_v <= 0``, or when the p = 2 Newton
     operator ``(1-eps)(K - diag(w V)) + eps(K + M)``, which is positive
     definite whenever ``q_v`` is, shows nonpositive curvature to CG.
@@ -176,7 +176,7 @@ def minimize_phi(
     # at p != 2 the loop builds the lagged preconditioner at k = 0
     pre_refresh = 5
     stall_window, stall_factor = 60, 0.85
-    w = mesh.weights
+    w, free = mesh.weights, mesh.free_mask
 
     scale = max(1.0, float(np.max(np.abs(start.values))) if start.values.size else 1.0)
     delta0 = params.delta
@@ -225,8 +225,10 @@ def minimize_phi(
                 mass_coeff=mass_curvature(u, params.p, params.eps),
             )
 
-        d = -pre.apply(g)
-        slope = float((w * g) @ d)
+        wg = w * g
+        d = np.zeros(mesh.n_nodes)
+        d[free] = -pre.apply(wg[free])
+        slope = float(wg @ d)
 
         def objective(vals):
             nonlocal accepted
@@ -234,11 +236,6 @@ def minimize_phi(
             return _phi_arrays(mesh, vals, v_vals, f, params_k, accepted)
 
         taken, u_new, phi_new = armijo_backtrack(objective, u, d, phi_u, slope, init_step=step)
-        if taken is None:
-            failures += 1
-            d = -g
-            slope = -float(integrate(g * g, mesh))
-            taken, u_new, phi_new = armijo_backtrack(objective, u, d, phi_u, slope, init_step=step)
         if taken is None:
             failures += 1
             warnings.warn(

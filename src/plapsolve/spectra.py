@@ -97,37 +97,60 @@ def _method(p: float) -> str:
     return "lobpcg" if p == 2.0 else "descent"
 
 
-def _lobpcg_step(K, mass: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 previous: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """One block-size-1 LOBPCG step (Knyazev, SIAM J. Sci. Comput. 23, 2001).
-
-    ``x`` has unit ``mass``-norm, ``w`` is the preconditioned residual and
-    ``previous`` the last direction.  Both are orthonormalized against the
-    basis in the ``mass`` inner product, twice, and dropped when nearly
-    dependent (the stable basis of Hetmaniuk & Lehoucq, J. Comput. Phys.
-    218, 2006); Rayleigh-Ritz on the basis gives the new iterate and the new
-    direction, its part outside ``x``.
+def _lobpcg(mesh: Mesh, start: np.ndarray, mass_weight: np.ndarray, tol: float,
+            max_iter: int) -> tuple[float, np.ndarray, int, float]:
+    """:func:`_quotient_descent` at p = 2: the smallest eigenpair of the
+    free-node pencil ``K x = lam M x`` (``K`` the :meth:`Mesh.energy_stiffness`,
+    ``M`` the free part of ``weights * mass_weight``) by block-size-1 LOBPCG
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001).  Each step preconditions the
+    residual ``r = K x - lam M x``, orthonormalizes it and the last direction
+    against the basis in the ``M`` inner product, twice, dropping nearly
+    dependent vectors (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006), and
+    takes the smallest Ritz pair; ``K x`` follows from the same combination.
+    The residual ``2 sqrt(sum r^2 / weights)`` is the quadrature norm of the
+    quotient's first variation, so ``tol`` means what it means at p != 2.
     """
-    basis = [x]
-    for v in (w, previous):
-        if v is None:
-            continue
-        size = np.sqrt(v @ (mass * v))
-        for _ in range(2):
-            for b in basis:
-                v = v - (b @ (mass * v)) * b
-        norm = np.sqrt(v @ (mass * v))
-        if norm > 1e-10 * size:
-            basis.append(v / norm)
-    # one vector at a time: an (n, 3) block raises the peak RSS on large meshes
-    K_basis = [K @ b for b in basis]
-    A = np.array([[b @ kb for kb in K_basis] for b in basis])
-    _, vecs = np.linalg.eigh(0.5 * (A + A.T))
-    c = vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0]
-    direction = np.zeros_like(x)
-    for ci, b in zip(c[1:], basis[1:]):
-        direction += ci * b
-    return c[0] * x + direction, direction
+    free = mesh.free_mask
+    pre = Preconditioner(mesh, rtol=METRIC_RTOL)
+    K = mesh.energy_stiffness()
+    weights = mesh.weights[free]
+    mass = weights * mass_weight[free]
+    x = start[free]
+    x = x / np.sqrt(x @ (mass * x))
+    Kx = K @ x
+    lam = float(x @ Kx)
+    direction = None
+    iterations, res = 0, np.inf
+    for iterations in range(1, max_iter + 1):
+        r = Kx - lam * mass * x
+        res = 2.0 * np.sqrt(float(r @ (r / weights)))
+        if res <= tol * max(1.0, abs(lam)):
+            break
+        basis, K_basis = [x], [Kx]
+        for v in (pre.apply(r), direction):
+            if v is None:
+                continue
+            size = np.sqrt(v @ (mass * v))
+            for _ in range(2):
+                for b in basis:
+                    v = v - (b @ (mass * v)) * b
+            norm = np.sqrt(v @ (mass * v))
+            if norm > 1e-10 * size:
+                basis.append(v / norm)
+                # one vector at a time: an (n, 3) block raises the peak RSS on large meshes
+                K_basis.append(K @ basis[-1])
+        A = np.array([[b @ kb for kb in K_basis] for b in basis])
+        _, vecs = np.linalg.eigh(0.5 * (A + A.T))
+        c = vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0]
+        direction = sum((ci * b for ci, b in zip(c[1:], basis[1:])), np.zeros_like(x))
+        x = c[0] * x + direction
+        Kx = c[0] * Kx + sum((ci * kb for ci, kb in zip(c[1:], K_basis[1:])), np.zeros_like(x))
+        m = float(x @ (mass * x))
+        x, Kx = x / np.sqrt(m), Kx / np.sqrt(m)
+        lam = float(x @ Kx)
+    u = np.zeros(mesh.n_nodes)
+    u[free] = x
+    return lam, u, iterations, res
 
 
 def _seeded_start(mesh: Mesh, seed: int) -> np.ndarray:
@@ -155,20 +178,19 @@ def _quotient_descent(
 ) -> tuple[float, np.ndarray, int, float]:
     """Minimize ``int |grad u|^p / int w |u|^p`` from the nodal values ``start``.
 
-    At p = 2 the quotient is a generalized Rayleigh quotient and each
-    iteration is an LOBPCG step (:func:`_lobpcg_step`), so the value is the
-    exact smallest discrete eigenvalue up to ``tol``.  Otherwise it runs a
-    projected descent that renormalizes the weighted p-mass to one after
-    every accepted step; the quotient never increases.  Both stop on the same
-    residual of the quotient's first variation.  Returns (value, values,
-    iterations, residual).
+    At p = 2 the quotient is a generalized Rayleigh quotient, and
+    :func:`_lobpcg` returns the exact smallest discrete eigenvalue up to
+    ``tol``.  Otherwise it runs a projected descent that renormalizes the
+    weighted p-mass to one after every accepted step; the quotient never
+    increases.  It stops on the same residual of the quotient's first
+    variation, on the stall rule (the residual above ``stall_factor`` times
+    its value ``stall_window`` steps earlier) or on a failed line search.
+    Returns (value, values of unit mass, iterations, residual).
     """
     w_mass = np.ones(mesh.n_nodes) if mass_weight is None else mass_weight
-    # built before the start's gradient, which would raise the peak memory of
-    # the build on large meshes; at p != 2 the loop builds the lagged
-    # preconditioner at k = 0
     if p == 2.0:
-        pre = Preconditioner(mesh, rtol=METRIC_RTOL)
+        return _lobpcg(mesh, start, w_mass, tol, max_iter)
+    # the loop builds the lagged preconditioner at k = 0
     pre_refresh = 12
     free = mesh.free_mask
     u = np.where(free, start, 0.0)
@@ -190,10 +212,6 @@ def _quotient_descent(
     u = u / masses(u) ** (1.0 / p)
     g, s = _grad_square(mesh, u)
     lam = _dirichlet(mesh, s, p)  # the p-mass is one here
-    if p == 2.0:
-        stiffness = mesh.energy_stiffness()
-        mass = (mesh.weights * w_mass)[free]
-        direction = None
     step = 1.0
     iterations = 0
     res = np.inf
@@ -210,18 +228,14 @@ def _quotient_descent(
         res_window.append(res)
         if len(res_window) > stall_window and res > stall_factor * res_window[-stall_window - 1]:
             break
-        if p == 2.0:
-            u[free], direction = _lobpcg_step(stiffness, mass, u[free], pre.apply(gq)[free], direction)
-            u = u / masses(u) ** 0.5
-            g, s = _grad_square(mesh, u)
-            lam = quotient_of(u, s)
-            continue
         if k % pre_refresh == 0:
             pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=lagged_coefficient(s, p))
         # the energy gradient carries a factor p; removing it makes a unit
         # step the natural preconditioned-inverse-iteration step
-        d = -pre.apply(gq) / p
-        slope = float((mesh.weights * gq) @ d)
+        wg = mesh.weights * gq
+        d = np.zeros(mesh.n_nodes)
+        d[free] = -pre.apply(wg[free]) / p
+        slope = float(wg @ d)
         taken, u_new, lam_new = armijo_backtrack(quotient, u, d, lam, slope, init_step=step)
         if taken is None:
             break
@@ -263,8 +277,6 @@ def rayleigh_min(
     lam, u, iterations, res = _quotient_descent(
         mesh, p, u, mass_weight, tol, max_iter, stall_window=stall_window, stall_factor=stall_factor,
     )
-    w_mass = 1.0 if mass_weight is None else mass_weight
-    u = u / integrate(w_mass * np.abs(u) ** p, mesh) ** (1.0 / p)
     return EigenResult(
         value=float(lam),
         minimizer=DiscreteFunction(mesh, u),

@@ -24,8 +24,8 @@ import plapsolve.energy
 import plapsolve.grid
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
-    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, conjugate_gradient, jacobi,
-    lagged_coefficient,
+    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, axis_pencil, conjugate_gradient,
+    jacobi, lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
 from plapsolve.grid import box, build_mesh, interval, punctured_box, strip
@@ -64,14 +64,21 @@ ROLES = pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric
 
 
 def _problem(mesh, p):
-    """A nodal gradient and, unless ``p`` is None, the lagged coefficient at
-    ``p`` of a rough field, whose contrast (about 1e3 at p = 1.5, 1e6 at
-    p = 3) makes the inner solve harder."""
+    """A right-hand side on the free nodes, the free part of ``w g`` for a
+    nodal gradient ``g`` as the descents pass it to ``apply``, and, unless
+    ``p`` is None, the lagged coefficient at ``p`` of a rough field, whose
+    contrast (about 1e3 at p = 1.5, 1e6 at p = 3) makes the inner solve
+    harder."""
     rng = np.random.default_rng(4)
     u = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
-    g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+    g = rng.standard_normal(mesh.n_nodes)
     coeff = None if p is None else lagged_coefficient(_grad_square(mesh, u)[1], p)
-    return g, coeff
+    return _rhs(mesh, g), coeff
+
+
+def _rhs(mesh, g):
+    """The free part of ``w g``, what a descent passes to ``apply``."""
+    return (mesh.weights * g)[mesh.free_mask]
 
 
 class _CountingOperator:
@@ -117,39 +124,37 @@ def test_cg_meshes_are_above_the_dense_cap(mesh):
 @LAGGED
 @ROLES
 def test_apply_meets_its_roles_residual(mesh, p, rtol):
-    g, coeff = _problem(mesh, p)
+    b, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
-    d = pre.apply(g)
-    b = (mesh.weights * g)[pre.free]
-    assert np.linalg.norm(b - pre.op @ d[pre.free]) <= rtol * np.linalg.norm(b)
-    assert not np.any(d[~pre.free])
+    d = pre.apply(b)
+    assert d.shape == b.shape
+    assert np.linalg.norm(b - pre.op @ d) <= rtol * np.linalg.norm(b)
 
 
 @LAGGED
 def test_truncated_solve_is_a_descent_direction(mesh, p):
-    g, coeff = _problem(mesh, p)
-    d = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g)
-    assert float((mesh.weights * g) @ d) > 0.0
+    b, coeff = _problem(mesh, p)
+    d = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(b)
+    assert float(b @ d) > 0.0
 
 
 @LAGGED
 def test_applies_are_deterministic(mesh, p):
-    g, coeff = _problem(mesh, p)
+    b, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff)
-    first = pre.apply(g)
-    assert np.array_equal(first, pre.apply(g))
-    assert np.array_equal(first, Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(g))
+    first = pre.apply(b)
+    assert np.array_equal(first, pre.apply(b))
+    assert np.array_equal(first, Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff).apply(b))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0], ids=["lagged", "lagged_p3"])
 @ROLES
 def test_jacobi_scaling_takes_fewer_products_than_plain_cg(mesh, p, rtol):
-    g, coeff = _problem(mesh, p)
+    b, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
-    b = (mesh.weights * g)[pre.free]
     plain = _plain_cg_products(pre.op, b, CG_ITERS, rtol)
     pre.op = counting = _CountingOperator(pre.op)
-    pre.apply(g)
+    pre.apply(b)
     assert counting.products < plain, (counting.products, plain)
 
 
@@ -169,15 +174,14 @@ def _counting_cg(monkeypatch):
 @ROLES
 def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
     calls = _counting_cg(monkeypatch)
-    g, coeff = _problem(small_mesh, p)
+    b, coeff = _problem(small_mesh, p)
     pre = Preconditioner(small_mesh, rtol=rtol, coeff=coeff)
     assert pre.op.shape[0] <= DENSE_MAX
-    d = pre.apply(g)
-    exact = np.linalg.solve(pre.op, (small_mesh.weights * g)[pre.free])
-    assert np.linalg.norm(d[pre.free] - exact) <= 1e-12 * np.linalg.norm(exact)
-    assert not np.any(d[~pre.free])
-    assert np.array_equal(d, pre.apply(g))
-    assert np.array_equal(d, Preconditioner(small_mesh, rtol=rtol, coeff=coeff).apply(g))
+    d = pre.apply(b)
+    exact = np.linalg.solve(pre.op, b)
+    assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
+    assert np.array_equal(d, pre.apply(b))
+    assert np.array_equal(d, Preconditioner(small_mesh, rtol=rtol, coeff=coeff).apply(b))
     assert not calls
 
 
@@ -332,15 +336,16 @@ def _path(pre):
     ids=["dense", "block", "multi_axis"],
 )
 def test_every_role_maps_a_gradient_to_a_descent_direction(make, paths):
-    # minimize_phi and the quotient descent take -apply(g) without an uphill
-    # fallback, so (w g) . apply(g) > 0 must hold on every path and every role
+    # minimize_phi and the quotient descent step along -apply(b), b the free
+    # part of w g, without an uphill fallback, so b . apply(b) > 0 must hold
+    # on every path and every role
     mesh = make()
     rng = np.random.default_rng(11)
     for role, pre in _role_preconditioners(mesh).items():
         assert _path(pre) == paths[role], role
         for _ in range(5):
-            g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
-            assert float((mesh.weights * g) @ pre.apply(g)) > 0.0, role
+            b = _rhs(mesh, rng.standard_normal(mesh.n_nodes))
+            assert float(b @ pre.apply(b)) > 0.0, role
 
 
 def test_block_jacobi_meets_every_roles_residual_in_few_products():
@@ -356,11 +361,10 @@ def test_block_jacobi_meets_every_roles_residual_in_few_products():
         bound = 4 * (len(pre.inverses) - 1) + 2
         pre.op = counting = _CountingOperator(pre.op)
         for _ in range(3):
-            g = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+            b = _rhs(mesh, rng.standard_normal(mesh.n_nodes))
             counting.products = 0
-            d = pre.apply(g)
-            b = (mesh.weights * g)[pre.free]
-            assert np.linalg.norm(b - counting.A @ d[pre.free]) <= pre.rtol * np.linalg.norm(b), role
+            d = pre.apply(b)
+            assert np.linalg.norm(b - counting.A @ d) <= pre.rtol * np.linalg.norm(b), role
             assert counting.products <= bound, (role, counting.products)
 
 
@@ -379,24 +383,30 @@ def tensor_mesh(request):
     return TENSOR_MESHES[request.param]()
 
 
+def _pencils(mesh):
+    return [axis_pencil(lo, hi, n) for (lo, hi), n in zip(mesh.domain.bounds, mesh.shape)]
+
+
 def _lambda_1(mesh):
     """The smallest eigenvalue of the box pencil, ``sum_a min lam_a``."""
-    return sum(f.eigenvalues[0] for f in mesh.axis_factors)
+    return sum(lam[0] for lam, _ in _pencils(mesh))
 
 
 def test_axis_factors_are_a_kronecker_sum_of_the_free_stiffness(tensor_mesh):
-    factors = tensor_mesh.axis_factors
+    # each axis's 1D free-node stiffness and interior trapezoid weights
+    lines = [build_mesh(interval(lo, hi), [n]) for (lo, hi), n in zip(tensor_mesh.domain.bounds, tensor_mesh.shape)]
+    stiffness = [line.energy_stiffness().toarray() for line in lines]
+    masses = [line.weights[1:-1] for line in lines]
     terms = []
-    for a, f in enumerate(factors):
-        mats = [sp.diags(g.mass) for g in factors]
-        mats[a] = sp.csr_matrix(f.stiffness)
+    for a, K in enumerate(stiffness):
+        mats = [sp.diags(m) for m in masses]
+        mats[a] = sp.csr_matrix(K)
         terms.append(reduce(sp.kron, mats))
     want = tensor_mesh.energy_stiffness()
     assert abs(sum(terms) - want).max() <= 1e-12 * abs(want).max()
-    for f in factors:
-        V = f.eigenvectors
-        assert np.allclose(V.T @ (f.mass[:, None] * V), np.eye(V.shape[0]), rtol=0.0, atol=1e-12)
-        assert np.allclose(V.T @ f.stiffness @ V, np.diag(f.eigenvalues), rtol=0.0, atol=1e-12 * f.eigenvalues[-1])
+    for (lam, V), K, m in zip(_pencils(tensor_mesh), stiffness, masses):
+        assert np.allclose(V.T @ (m[:, None] * V), np.eye(V.shape[0]), rtol=0.0, atol=1e-12)
+        assert np.allclose(V.T @ K @ V, np.diag(lam), rtol=0.0, atol=1e-12 * lam[-1])
 
 
 @pytest.mark.parametrize("newton", [False, True], ids=["plain", "newton"])
@@ -409,18 +419,17 @@ def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol)
     kwargs = {}
     if newton:
         kwargs = {"shift": 1e-10, "mass_coeff": np.full(mesh.n_nodes, -0.6 * _lambda_1(mesh))}
-    g, _ = _problem(mesh, None)
+    b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol, **kwargs)
     assert _path(pre) == "tensor"
-    b = (mesh.weights * g)[pre.free]
     exact = spsolve(pre.op.tocsc(), b)
     assert np.linalg.norm(pre.precondition(b) - exact) <= 1e-12 * np.linalg.norm(exact)
     pre.op = counting = _CountingOperator(pre.op)
-    d = pre.apply(g)
+    d = pre.apply(b)
     assert counting.products == 1
-    assert np.linalg.norm(d[pre.free] - exact) <= 1e-12 * np.linalg.norm(exact)
-    assert np.array_equal(d, pre.apply(g))
-    assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, **kwargs).apply(g))
+    assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
+    assert np.array_equal(d, pre.apply(b))
+    assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, **kwargs).apply(b))
 
 
 @ROLES
@@ -429,20 +438,22 @@ def test_tensor_solve_preconditions_a_punctured_mesh(rtol):
     # the role's residual, in fewer products than Jacobi scaling takes (10
     # against 16 at METRIC_RTOL, 21 against 37 at NEWTON_RTOL)
     mesh = MESHES["punctured_3d"]()
-    g, _ = _problem(mesh, None)
+    b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol)
     assert _path(pre) == "tensor" and mesh.excluded_mask.any()
-    b = (mesh.weights * g)[pre.free]
     jacobi_products = _CountingOperator(pre.op)
     conjugate_gradient(jacobi_products, b, rtol, jacobi(pre.op))
     pre.op = counting = _CountingOperator(pre.op)
-    d = pre.apply(g)
-    assert np.linalg.norm(b - counting.A @ d[pre.free]) <= rtol * np.linalg.norm(b)
+    d = pre.apply(b)
+    assert np.linalg.norm(b - counting.A @ d) <= rtol * np.linalg.norm(b)
     assert counting.products <= (10 if rtol == METRIC_RTOL else 21)
     assert counting.products < jacobi_products.products
 
 
 def test_axis_eigenpairs_are_computed_once_per_mesh(monkeypatch):
+    # the box's three distinct axes are solved once each, whatever the
+    # roles; a second mesh with one of those axes and a new one solves only
+    # the new one, and a third whose axes are both cached solves none
     calls = []
     eigh = np.linalg.eigh
 
@@ -451,12 +462,20 @@ def test_axis_eigenpairs_are_computed_once_per_mesh(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    axis_pencil.cache_clear()
     mesh = TENSOR_MESHES["box_3d"]()
-    g, _ = _problem(mesh, None)
+    b, _ = _problem(mesh, None)
     for rtol in (METRIC_RTOL, NEWTON_RTOL):
-        Preconditioner(mesh, rtol=rtol).apply(g)
-        Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -1.0)).apply(g)
+        Preconditioner(mesh, rtol=rtol).apply(b)
+        Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -1.0)).apply(b)
     assert len(calls) == mesh.domain.dims
+    second = build_mesh(box((0.0, 2.0), (0.0, 1.0)), [13, 17])
+    Preconditioner(second, rtol=METRIC_RTOL).apply(_problem(second, None)[0])
+    assert len(calls) == mesh.domain.dims + 1
+    assert axis_pencil(0.0, 2.0, 13) is _pencils(mesh)[1]
+    third = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [11, 17])
+    Preconditioner(third, rtol=METRIC_RTOL).apply(_problem(third, None)[0])
+    assert len(calls) == mesh.domain.dims + 1
 
 
 @ROLES
@@ -489,16 +508,15 @@ def test_punctured_tensor_falls_back_to_the_shift(potential, indefinite):
     # meets its negative curvature
     mesh = MESHES["punctured_3d"]()
     assert 7.2 < _lambda_1(mesh) < 7.3
-    g, _ = _problem(mesh, None)
+    b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -potential))
     assert pre.precondition.sigma == 1e-10
     if indefinite:
         with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
-            pre.apply(g)
+            pre.apply(b)
     else:
-        d = pre.apply(g)
-        b = (mesh.weights * g)[pre.free]
-        assert np.linalg.norm(b - pre.op @ d[pre.free]) <= NEWTON_RTOL * np.linalg.norm(b)
+        d = pre.apply(b)
+        assert np.linalg.norm(b - pre.op @ d) <= NEWTON_RTOL * np.linalg.norm(b)
 
 
 def test_metric_paths_import_no_factorization():

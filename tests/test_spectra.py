@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import plapsolve.energy
+import plapsolve.grid
 import plapsolve.sampling
 import plapsolve.spectra
 from plapsolve import (
@@ -32,6 +34,7 @@ from plapsolve.energy import _dirichlet, _grad_square
 from plapsolve.potentials import singular_weight
 from plapsolve.sampling import bump_family, bump_profile, tensor_bump
 from plapsolve.spectra import _bump_margins, _quotient_descent, _seeded_start, _support_box
+from oracles import STACKED_MESHES
 
 
 def compact_tridiagonal_lambda1(n):
@@ -153,6 +156,30 @@ class TestExactQuadratic:
         assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
         assert res <= 1e-9
         assert integrate(w * u**2, mesh) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "hardy"])
+    @pytest.mark.parametrize("name", sorted(STACKED_MESHES))
+    def test_lobpcg_works_on_free_node_vectors(self, name, weighted, monkeypatch):
+        # the p = 2 solve never takes a whole-grid gradient, adjoint or
+        # quadrature, and returns the dense eigenvalue of the free-node
+        # pencil, with or without the Hardy weight over the singular axes
+        mesh = STACKED_MESHES[name]()
+        w = singular_weight(mesh, mesh.singular_axes, 2.0) if weighted else None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the p = 2 solve used the whole-grid machinery")
+
+        with monkeypatch.context() as patch:
+            for module in (plapsolve.spectra, plapsolve.energy):
+                patch.setattr(module, "_grad_square", refuse)
+                patch.setattr(module, "integrate", refuse)
+            for method in ("grad", "grad_adjoint"):
+                patch.setattr(plapsolve.grid.Mesh, method, refuse)
+            lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0), mass_weight=w, tol=1e-9)
+        assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
+        assert res <= 1e-9 * max(1.0, lam)
+        assert integrate((1.0 if w is None else w) * u**2, mesh) == pytest.approx(1.0, rel=1e-12)
+        assert not np.any(u[~mesh.free_mask])
 
     def test_hardy_probe_records_the_exact_method(self):
         mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.15), [11, 11, 11])
