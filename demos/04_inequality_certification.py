@@ -29,7 +29,7 @@ for p in (1.5, 2.0, 3.0):
 print("\nhardy inequality with the critical constant (punctured box, N=3, p=2):")
 dom = pl.punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
 mesh = pl.build_mesh(dom, [33, 33, 33])
-rec = hardy_check(mesh, 3, 2.0, samples=100, seed=0)
+rec = hardy_check(mesh, 2.0, samples=100, seed=0)
 print(f"  worst normalized margin over bumps : {rec.worst_margin:.4f}")
 print(f"  adversarial quotient probe infimum : {rec.details['probe_infimum']:.4f}  "
       f"(critical constant 0.25 is reached only in the refinement limit)")

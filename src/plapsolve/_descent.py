@@ -276,10 +276,10 @@ class Preconditioner:
 
 def lagged_coefficient(s: np.ndarray, p: float) -> np.ndarray:
     """Clamped upper bound ``max(1, p-1) |grad u|^(p-2)`` of the local flux
-    curvature, so a unit preconditioned step never overshoots the stiffest
-    direction."""
+    curvature at p != 2, so a unit preconditioned step never overshoots the
+    stiffest direction."""
     pos = s[s > 0]
-    if pos.size == 0 or p == 2.0:
+    if pos.size == 0:
         return np.ones_like(s)
     m = float(np.median(pos))
     return max(1.0, p - 1.0) * np.clip(s, 1e-6 * m, 1e6 * m) ** ((p - 2.0) / 2.0)
@@ -287,10 +287,10 @@ def lagged_coefficient(s: np.ndarray, p: float) -> np.ndarray:
 
 def mass_curvature(values: np.ndarray, p: float, factor) -> np.ndarray:
     """Clamped curvature magnitude ``factor * (p-1) |u|^(p-2)`` of the p-th
-    power mass terms, used to stiffen the preconditioner diagonal.  ``factor``
-    may be per node; indefinite mass terms should contribute their magnitude,
-    which overdamps rather than destabilizes."""
-    if p == 2.0 or not np.any(factor):
+    power mass terms at p != 2, used to stiffen the preconditioner diagonal.
+    ``factor`` may be per node; indefinite mass terms should contribute their
+    magnitude, which overdamps rather than destabilizes."""
+    if not np.any(factor):
         return np.zeros_like(values)
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:

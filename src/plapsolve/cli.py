@@ -631,16 +631,11 @@ def _run_certify(cfg: RunConfig, artifact: RunArtifact) -> None:
                     power_mean_check(p, samples=4000, seed=seed, constant_scale=scale)
                 )
         elif check == "hardy":
-            dom = Domain(
-                "punctured_box",
-                ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-                puncture_radius=0.05,
-            )
+            cube = Domain("punctured_box", ((-1.0, 1.0),) * 3, puncture_radius=0.05)
             # no name keeps the mesh and its cached operators alive in later checks
             records.append(
                 hardy_check(
-                    build_mesh(dom, [33, 33, 33]), 3, 2.0,
-                    samples=c["samples"], seed=seed,
+                    build_mesh(cube, [33, 33, 33]), 2.0, samples=c["samples"], seed=seed,
                     constant_scale=scale, tolerance=c["tolerance"],
                 )
             )

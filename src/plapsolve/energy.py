@@ -11,8 +11,8 @@ Gradient terms integrate with the mesh's gradient quadrature
 cutoffs mapped by ``Mesh.to_samples``), mass terms with the nodal rule of
 ``integrate``.  ``phi_gradient`` is the quadrature-exact adjoint of the
 discrete energy, so central finite differences of ``phi`` reproduce it to
-second order.  Every gradient in the library comes from ``_grad_square`` and
-every flux goes back through ``_dirichlet_gradient_rep``.
+second order.  Whole-mesh gradients come from ``_grad_square``, box ones
+from ``BoxField``, and fluxes go back through ``_dirichlet_gradient_rep``.
 """
 
 from __future__ import annotations
@@ -283,6 +283,28 @@ def _y_norm_arrays(mesh: Mesh, values: np.ndarray, w_vals: np.ndarray, q: float,
     _, s = _grad_square(mesh, values) if gs is None else gs
     total = mesh.integrate_samples(s ** (q / 2.0) * mesh.to_samples(w_vals))
     return (total + integrate(np.abs(values) ** q * w_vals, mesh)) ** (1.0 / q)
+
+
+class BoxField:
+    """A nodal field held as box-shaped ``values`` on a node box of its mesh,
+    zero off the box and on its outer layer but at the mesh's edge; with its
+    gradient on the box (:meth:`Mesh.box_grad`) its integrals over the box
+    are those over the mesh.  A weight is a whole-mesh nodal field or None."""
+
+    def __init__(self, mesh: Mesh, box: tuple[slice, ...], values: np.ndarray):
+        g, self._sample_weights = mesh.box_grad(box, values)
+        self._values = np.ravel(values)
+        self._s = np.einsum("ai,ai->i", g, g)
+        self._on_box = lambda field: 1.0 if field is None else field.reshape(mesh.shape)[box].ravel()
+        self._node_weights = self._on_box(mesh.weights)
+
+    def dirichlet(self, r: float, weight: np.ndarray | None = None) -> float:
+        """``int |grad u|^r weight``."""
+        return float(np.dot(self._s ** (r / 2.0) * self._on_box(weight), self._sample_weights))
+
+    def mass(self, r: float, weight: np.ndarray | None = None) -> float:
+        """``int |u|^r weight``."""
+        return float(np.dot(np.abs(self._values) ** r * self._on_box(weight), self._node_weights))
 
 
 def sobolev_norm(u: DiscreteFunction, p: float) -> float:

@@ -230,37 +230,41 @@ class Mesh:
     def _free_grad_dense(self) -> np.ndarray:
         return self._free_grad.toarray()
 
-    def _build_grad_op(self) -> sp.csr_matrix:
-        """Stacked ``(dims * n_nodes, n_nodes)`` difference operator ``G``,
-        whose row ``a * n_nodes + i`` is the axis-``a`` derivative at node
-        ``i``.
-
-        Centered where both neighbor values are usable, one-sided where the
-        stencil would leave the grid or cross an excluded node, zero rows at
-        excluded nodes.  Exact for affine fields away from masks.
+    @cached_property
+    def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The axis-``a`` derivative at each node, as arrays of shape
+        ``(dims,) + shape``: whether it reads the left and the right neighbor
+        along the axis (the node itself otherwise), and the inverse of its
+        span, 0 on a zero row.  Centered where both neighbor values are usable,
+        one-sided where the stencil would leave the grid or cross an excluded
+        node, zero rows at excluded nodes.  Exact for affine fields away from
+        masks.
         """
-        nd, shape, n = self.domain.dims, self.shape, self.n_nodes
+        nd = self.domain.dims
+        active = np.pad(~self.excluded_mask.reshape(self.shape), 1)
+        inner = (slice(1, -1),) * nd
+        left = np.stack([active[inner[:a] + (slice(None, -2),) + inner[a + 1:]] for a in range(nd)])
+        right = np.stack([active[inner[:a] + (slice(2, None),) + inner[a + 1:]] for a in range(nd)])
+        steps = left.astype(np.int8) + right
+        span = steps * self.spacing.reshape((nd,) + (1,) * nd)
+        inv = np.divide(1.0, span, out=np.zeros(span.shape), where=(steps > 0) & active[inner])
+        return left, right, inv
+
+    def _build_grad_op(self) -> sp.csr_matrix:
+        """Stacked ``(dims * n_nodes, n_nodes)`` difference operator ``G`` whose
+        row ``a * n_nodes + i`` is the :attr:`_stencil` derivative at node
+        ``i``: ``-inv`` at its left node, ``inv`` at its right one."""
+        nd, n = self.domain.dims, self.n_nodes
         index = np.int32 if 2 * nd * n < 2**31 else np.int64
-        idx = np.arange(n, dtype=index).reshape(shape)
-        active = ~self.excluded_mask.reshape(shape)
-        # row (axis, i) runs from cols[axis, i, 0] to cols[axis, i, 1], a
-        # neighbor where it is usable and the node itself otherwise, over
-        # steps[axis, i] grid steps; a row with no step stays empty
-        cols = np.empty((nd, n, 2), dtype=index)
-        steps = np.empty((nd, n), dtype=np.int8)
-        for axis in range(nd):
-            pos = np.arange(shape[axis]).reshape([-1 if b == axis else 1 for b in range(nd)])
-            left_ok = np.roll(active, 1, axis) & (pos > 0)
-            right_ok = np.roll(active, -1, axis) & (pos < shape[axis] - 1)
-            cols[axis, :, 0] = np.where(left_ok, np.roll(idx, 1, axis), idx).ravel()
-            cols[axis, :, 1] = np.where(right_ok, np.roll(idx, -1, axis), idx).ravel()
-            steps[axis] = (left_ok.astype(np.int8) + right_ok).ravel()
-        use = (steps > 0) & ~self.excluded_mask
-        inv = 1.0 / (steps * self.spacing[:, None])[use]
+        left, right, inv = (field.reshape(nd, n) for field in self._stencil)
+        stride = np.cumprod((1,) + self.shape[:0:-1])[::-1].astype(index)[:, None]
+        idx = np.arange(n, dtype=index)
+        use = inv > 0
+        cols = np.stack([idx - stride * left, idx + stride * right], axis=-1)[use]
         indptr = np.zeros(nd * n + 1, dtype=index)
         np.cumsum(2 * use.ravel(), out=indptr[1:])
-        data = np.column_stack([-inv, inv]).ravel()
-        return sp.csr_matrix((data, cols[use].ravel(), indptr), shape=(nd * n, n))
+        data = np.column_stack([-inv[use], inv[use]]).ravel()
+        return sp.csr_matrix((data, cols.ravel(), indptr), shape=(nd * n, n))
 
     def grad(self, values: np.ndarray) -> np.ndarray:
         """Per-axis derivatives of nodal ``values`` at the gradient samples,
@@ -272,17 +276,23 @@ class Mesh:
         """
         return (self._grad_op() @ values).reshape(self.domain.dims, *np.shape(values))
 
-    def box_grad(self, box: Sequence[slice]) -> tuple[sp.csr_matrix, np.ndarray]:
-        """Rows of :meth:`grad`'s operator at the samples of a node box, one
-        unit-step ``slice`` with bounds per axis, stacked axis by axis, and
-        those samples' weights.  Nodal values that vanish outside the box and
-        on its outer layer have a zero gradient at every other sample, so a
-        density of ``rows @ values`` summed against the weights is its whole
-        integral.  The samples are the box's nodes in C order.
+    def box_grad(self, box: tuple[slice, ...], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`grad` of nodal values held on a node box, one unit-step
+        ``slice`` with bounds per axis, as box-shaped ``values`` that are zero
+        off the box, at the box's samples: shape ``(dims, box nodes)`` in C
+        order, with those samples' weights.  Values that also vanish on the
+        box's outer layer have a zero gradient at every other sample, so a
+        density of it summed against the weights is its whole integral.
         """
-        ids = np.ravel_multi_index(np.ix_(*(np.arange(s.start, s.stop) for s in box)), self.shape).ravel()
-        rows = (np.arange(self.domain.dims)[:, None] * self.n_nodes + ids).ravel()
-        return self._grad_op()[rows], self.sample_weights[ids]
+        left, right, inv = (field[(slice(None),) + box] for field in self._stencil)
+        padded = np.pad(np.reshape(values, inv.shape[1:]), 1)
+        inner = (slice(1, -1),) * self.domain.dims
+        g = np.empty(inv.shape)
+        for a in range(self.domain.dims):
+            lo = np.where(left[a], padded[inner[:a] + (slice(None, -2),) + inner[a + 1:]], padded[inner])
+            hi = np.where(right[a], padded[inner[:a] + (slice(2, None),) + inner[a + 1:]], padded[inner])
+            g[a] = inv[a] * hi - inv[a] * lo
+        return g.reshape(self.domain.dims, -1), self.sample_weights.reshape(self.shape)[box].ravel()
 
     def integrate_samples(self, density: np.ndarray) -> float:
         """Quadrature of a per-sample density against ``sample_weights``, summed

@@ -11,6 +11,7 @@ functions; it can refute a configuration but never prove one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -273,12 +274,13 @@ def admissibility_report(
     Computes the integrability exponents from the (p, q, N) case split,
     integrates ``V**r`` over the capped mesh as a finite-grid proxy for local
     integrability, and evaluates the margin ``q_v(u) - y_norm(u)**p`` on
-    ``samples`` pseudo-random interior bumps plus the current Rayleigh
-    minimizer.  Deterministic in ``seed``.
+    ``samples`` pseudo-random interior bumps, each on its support box, plus
+    the current Rayleigh minimizer on the whole mesh, all through
+    :class:`~plapsolve.energy.BoxField`.  Deterministic in ``seed``.
     """
-    from . import energy as _energy
-    from . import spectra as _spectra
+    from .energy import BoxField
     from .sampling import bump_family
+    from .spectra import rayleigh_min
 
     validate_exponents(p, q)
     n_dims = mesh.domain.dims
@@ -292,24 +294,19 @@ def admissibility_report(
     w_vals = evaluate_weight(W, mesh)
     proxy = integrate(v_vals ** r, mesh)
 
-    params = _energy.EnergyParams(p=p, q=q)
-    # the eigensolve runs before the bumps exist, so their memory and its
-    # working set are not held at once
-    eig = _spectra.rayleigh_min(mesh, p, tol=1e-7, max_iter=400, seed=seed)
-    candidates = list(bump_family(mesh, samples, seed))
-    candidates.append(eig.minimizer)
-
+    eig = rayleigh_min(mesh, p, tol=1e-7, max_iter=400, seed=seed)
+    whole = tuple(slice(0, n) for n in mesh.shape)
+    candidates = itertools.chain(bump_family(mesh, samples, seed), [(whole, eig.minimizer.values)])
     worst = np.inf
     violations: list[str] = []
-    for i, u in enumerate(candidates):
-        gs = _energy._grad_square(mesh, u.values)
-        qv = _energy._q_v_arrays(mesh, u.values, v_vals, params.p, gs)
-        yp = _energy._y_norm_arrays(mesh, u.values, w_vals, params.q, gs) ** p
+    for i, (box, values) in enumerate(candidates):
+        u = BoxField(mesh, box, values)
+        qv = u.dirichlet(p) - u.mass(p, v_vals)
+        yp = ((u.dirichlet(q, w_vals) + u.mass(q, w_vals)) ** (1.0 / q)) ** p
         margin = qv - yp
-        if margin < worst:
-            worst = margin
+        worst = min(worst, margin)
         if margin < 0:
-            tag = "rayleigh_minimizer" if i == len(candidates) - 1 else f"bump_{i}"
+            tag = f"bump_{i}" if i < samples else "rayleigh_minimizer"
             violations.append(f"{tag}: q_v={qv:.6g} < y_norm^p={yp:.6g}")
     return AdmissibilityReport(
         p=p,
@@ -320,5 +317,5 @@ def admissibility_report(
         local_integrability_proxy=proxy,
         sampled_margin=float(worst),
         violations=violations,
-        sample_count=len(candidates),
+        sample_count=samples + 1,
     )

@@ -1,9 +1,10 @@
 """Deterministic generators of interior-supported test functions.
 
-Tensor bumps with random centers and widths drive the falsification checks;
-plateau profiles build tensor candidates on strips.  Supports always keep
-clear of the outer boundary and of any excluded cap, so sampled functions are
-legitimate discrete test functions without projection artifacts.
+Tensor bumps with random centers and widths, each held on its support box,
+drive the falsification checks; plateau profiles build tensor candidates on
+strips.  Supports always keep clear of the outer boundary and of any excluded
+cap, so sampled functions are legitimate discrete test functions without
+projection artifacts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import DiscreteFunction, Mesh
+from .grid import Mesh
 
 __all__ = ["bump_profile", "plateau_profile", "tensor_bump", "bump_family"]
 
@@ -33,31 +34,34 @@ def plateau_profile(t: np.ndarray, plateau: float, ramp: float) -> np.ndarray:
     return out
 
 
-def tensor_bump(mesh: Mesh, center: np.ndarray, width: np.ndarray) -> DiscreteFunction:
-    """Product bump centered at ``center`` with per-axis half-widths ``width``."""
-    return DiscreteFunction(mesh, _tensor_values(mesh, center, width))
+def tensor_bump(mesh: Mesh, center: np.ndarray, width: np.ndarray) -> tuple[tuple[slice, ...], np.ndarray]:
+    """Product bump centered at ``center`` with per-axis half-widths ``width``:
+    its support box, each axis profile's nonzero nodes padded by one node per
+    side within the mesh (empty where the profile misses every node), and its
+    values there, zero on constrained nodes.  Each value is the product of the
+    profile slices on ``mesh.axes`` in the order ``((1 * f_0) * f_1) * ...``
+    that a per-node loop over the axes takes."""
+    box, vals = [], np.ones(())
+    for ax, c, w in zip(mesh.axes, center, width):
+        profile = bump_profile((ax - c) / w)
+        nonzero = np.flatnonzero(profile)
+        s = slice(max(int(nonzero[0]) - 1, 0), min(int(nonzero[-1]) + 2, ax.size)) if nonzero.size else slice(0, 0)
+        box.append(s)
+        vals = np.multiply.outer(vals, profile[s])
+    vals[mesh.constrained_mask.reshape(mesh.shape)[tuple(box)]] = 0.0
+    return tuple(box), vals
 
 
-def _tensor_values(mesh: Mesh, center: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Nodal values of :func:`tensor_bump`, the outer product of its per-axis
-    profiles on ``mesh.axes``: each is ``((1 * f_0) * f_1) * ...``, the
-    product a per-node loop over the axes takes."""
-    vals = np.ones(())
-    for a, ax in enumerate(mesh.axes):
-        vals = np.multiply.outer(vals, bump_profile((ax - center[a]) / width[a]))
-    return vals
-
-
-def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[DiscreteFunction]:
-    """Yield ``count`` random interior bumps, deterministic in ``seed``.
+def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
+    """Yield ``count`` random interior bumps, deterministic in ``seed``, each
+    as the support box and box-shaped values of :func:`tensor_bump`.
 
     Supports stay inside the domain with a one-cell margin and clear of the
     singular cap (measured over the mesh's singular axes) when one is present.
     """
     rng = np.random.default_rng(seed)
     dims = mesh.domain.dims
-    lo = np.array([b[0] for b in mesh.domain.bounds])
-    hi = np.array([b[1] for b in mesh.domain.bounds])
+    lo, hi = np.array(mesh.domain.bounds).T
     extent = hi - lo
     h = mesh.spacing
     cap = max(mesh.singular_cap_radius, mesh.domain.puncture_radius)
@@ -87,9 +91,9 @@ def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[DiscreteFunction]
             gap = np.maximum(np.abs(center[cap_axes]) - width[cap_axes], 0.0)
             if np.linalg.norm(gap) <= cap + np.max(h):
                 continue
-        vals = _tensor_values(mesh, center, width)
+        box, vals = tensor_bump(mesh, center, width)
         amp = 0.5 + 1.5 * rng.random()
         sign = 1.0 if rng.random() < 0.5 else -1.0
         vals *= sign * amp
-        yield DiscreteFunction(mesh, vals)
+        yield box, vals
         produced += 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient
-from .energy import _dirichlet, _dirichlet_gradient_rep, _grad_square, _power_mass
+from .energy import BoxField, _dirichlet, _dirichlet_gradient_rep, _grad_square, _power_mass
 from .grid import DiscreteFunction, Mesh, build_mesh, integrate, strip
 from .potentials import hardy_constant, singular_weight
 from .sampling import bump_family, plateau_profile
@@ -396,41 +396,19 @@ def cylinder_eigen_check(
     )
 
 
-def _support_box(mesh: Mesh, values: np.ndarray) -> tuple[slice, ...]:
-    """Index box of the nonzero nodal ``values``, padded by one node per side
-    within the mesh; the whole mesh when every value is zero."""
-    nonzero = np.unravel_index(np.flatnonzero(values != 0.0), mesh.shape)
-    if nonzero[0].size == 0:
-        return tuple(slice(0, n) for n in mesh.shape)
-    return tuple(
-        slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
-        for idx, n in zip(nonzero, mesh.shape)
-    )
-
-
 def _bump_margins(mesh: Mesh, p: float, lam: float, constant: float, weight: np.ndarray,
                   samples: int, seed: int) -> tuple[list[float], list[str]]:
     """Margins of ``int |grad u|^p - lam int |u|^p >= constant int weight |u|^p``
-    on ``samples`` interior bumps, each normalized by its left side, with
-    their descriptors.  Each bump is integrated over its padded support box
-    (:meth:`Mesh.box_grad`), outside which its mass and gradient vanish."""
+    on ``samples`` interior bumps, each integrated over its support box
+    (:class:`~plapsolve.energy.BoxField`) and normalized by its left side,
+    with their descriptors."""
     margins = []
-    descriptors = []
-    for i, u in enumerate(bump_family(mesh, samples, seed)):
-        box = _support_box(mesh, u.values)
-        rows, sample_weights = mesh.box_grad(box)
-        g = (rows @ u.values).reshape(mesh.domain.dims, -1)
-        lhs = float(np.dot(np.einsum("ai,ai->i", g, g) ** (p / 2.0), sample_weights))
-        values, node_weights, weight_box = (
-            field.reshape(mesh.shape)[box].ravel() for field in (u.values, mesh.weights, weight)
-        )
-        mass = np.abs(values) ** p
-        if lam:
-            lhs -= lam * float(np.dot(mass, node_weights))
-        rhs = constant * float(np.dot(weight_box * mass, node_weights))
+    for box, values in bump_family(mesh, samples, seed):
+        u = BoxField(mesh, box, values)
+        lhs = u.dirichlet(p) - lam * u.mass(p)
+        rhs = constant * u.mass(p, weight)
         margins.append((lhs - rhs) / max(abs(lhs), 1e-300))
-        descriptors.append(f"bump_{i}")
-    return margins, descriptors
+    return margins, [f"bump_{i}" for i in range(len(margins))]
 
 
 def poincare_remainder_check(
@@ -469,12 +447,9 @@ def poincare_remainder_check(
         base *= 2.0 ** ((p - 2.0) / 2.0)
     constant = constant_scale * base
 
-    weight = singular_weight(mesh, z_axes, p)
-    margins, descriptors = _bump_margins(mesh, p, lam_omega, constant, weight, samples, seed)
     return CertificationRecord.from_margins(
         "poincare_singular_remainder",
-        margins,
-        descriptors,
+        *_bump_margins(mesh, p, lam_omega, constant, singular_weight(mesh, z_axes, p), samples, seed),
         tolerance,
         details={
             "p": p,
@@ -587,7 +562,6 @@ def power_mean_check(
 
 def hardy_check(
     mesh: Mesh,
-    n_dims: int,
     p: float,
     samples: int = 200,
     seed: int = 0,
@@ -596,7 +570,8 @@ def hardy_check(
 ) -> CertificationRecord:
     """Certify the Hardy inequality with its critical constant on a punctured
     mesh: the p-Dirichlet energy of sampled interior bumps dominates
-    ``((N-p)/p)**p`` times the critically weighted p-mass.
+    ``((N-p)/p)**p`` times the critically weighted p-mass, N the mesh's
+    dimension.
 
     A probe, :func:`rayleigh_min` of the weighted quotient (600 iterations,
     residual tolerance 1e-6), searches for the discrete infimum; it is
@@ -605,20 +580,16 @@ def hardy_check(
     LOBPCG solve (``method`` ``"lobpcg"``), otherwise a ``"descent"``
     estimate.
     """
-    if mesh.domain.dims != n_dims:
-        raise ValueError(f"mesh has {mesh.domain.dims} axes, expected N={n_dims}")
+    n_dims = mesh.domain.dims
     constant = constant_scale * hardy_constant(n_dims, p)
     if max(mesh.singular_cap_radius, mesh.domain.puncture_radius) <= 0:
         raise ValueError("hardy check needs a mesh punctured or capped at the origin")
 
     weight = singular_weight(mesh, range(n_dims), p)
-    margins, descriptors = _bump_margins(mesh, p, 0.0, constant, weight, samples, seed)
-
     eig = rayleigh_min(mesh, p, tol=1e-6, max_iter=600, seed=seed, mass_weight=weight)
     return CertificationRecord.from_margins(
         "hardy_critical_constant",
-        margins,
-        descriptors,
+        *_bump_margins(mesh, p, 0.0, constant, weight, samples, seed),
         tolerance,
         details={
             "p": p, "n_dims": n_dims, "constant": constant, "normalized": True,

@@ -3,7 +3,7 @@ and the meshes with excluded nodes that several test modules share."""
 
 import numpy as np
 
-from plapsolve import build_mesh, punctured_box, strip
+from plapsolve import DiscreteFunction, build_mesh, punctured_box, strip
 
 # a punctured 3D box and a 4D strip capped over two of its axes
 STACKED_MESHES = {
@@ -14,6 +14,15 @@ STACKED_MESHES = {
         strip([(0.0, 1.0)], 3, 1.5), [5, 5, 7, 5], singular_cap_radius=0.45, singular_axes=(1, 2)
     ),
 }
+
+
+def embed(mesh, bump):
+    """A sampled bump, its support box and box-shaped values, as the
+    whole-mesh function it stands for."""
+    box, values = bump
+    whole = np.zeros(mesh.shape)
+    whole[box] = values
+    return DiscreteFunction(mesh, whole)
 
 
 def wide_system_1d(n):

@@ -245,6 +245,29 @@ class TestStackedGradient:
         assert g.shape == (stacked_mesh.n_nodes, stacked_mesh.domain.dims)
         assert np.array_equal(g, ref)
 
+    def test_box_gradient_is_the_gradient_on_the_box(self, stacked_mesh):
+        # the whole mesh, whose one-sided rows beside the hole all see the
+        # field, and random boxes, some clipped at the mesh edge, hold a field
+        # that vanishes on their outer layer: the box gradient equals the
+        # whole-mesh one at the box's samples, which is zero off the box
+        mesh = stacked_mesh
+        rng = np.random.default_rng(8)
+        boxes = [tuple(slice(0, n) for n in mesh.shape)]
+        for _ in range(30):
+            lo = [int(rng.integers(0, n)) for n in mesh.shape]
+            boxes.append(tuple(slice(a, int(rng.integers(a, n + 1))) for a, n in zip(lo, mesh.shape)))
+        for box in boxes:
+            values = np.zeros([s.stop - s.start for s in box])
+            values[tuple(slice(1, -1) for _ in box)] = rng.standard_normal([max(s.stop - s.start - 2, 0) for s in box])
+            whole = np.zeros(mesh.shape)
+            whole[box] = values
+            g, weights = mesh.box_grad(box, values)
+            ref = mesh.grad(whole.ravel()).reshape((mesh.domain.dims,) + mesh.shape)
+            assert np.array_equal(g, ref[(slice(None),) + box].reshape(mesh.domain.dims, -1))
+            assert np.array_equal(weights, mesh.sample_weights.reshape(mesh.shape)[box].ravel())
+            ref[(slice(None),) + box] = 0.0
+            assert not np.any(ref)
+
     def test_adjoint_identity(self, stacked_mesh):
         rng = np.random.default_rng(5)
         u = rng.standard_normal(stacked_mesh.n_nodes)

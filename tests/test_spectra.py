@@ -16,6 +16,7 @@ import plapsolve.sampling
 import plapsolve.spectra
 from plapsolve import (
     CertificationRecord,
+    DiscreteFunction,
     blowup_demo,
     box,
     build_mesh,
@@ -30,11 +31,11 @@ from plapsolve import (
     rayleigh_min,
     strip,
 )
-from plapsolve.energy import _dirichlet, _grad_square
-from plapsolve.potentials import singular_weight
+from plapsolve.energy import _dirichlet, _grad_square, _q_v_arrays, _y_norm_arrays
+from plapsolve.potentials import Potential, Weight, admissibility_report, evaluate_weight, singular_weight
 from plapsolve.sampling import bump_family, bump_profile, tensor_bump
-from plapsolve.spectra import _bump_margins, _quotient_descent, _seeded_start, _support_box
-from oracles import STACKED_MESHES
+from plapsolve.spectra import EigenResult, _bump_margins, _quotient_descent, _seeded_start
+from oracles import STACKED_MESHES, embed
 
 
 def compact_tridiagonal_lambda1(n):
@@ -183,7 +184,7 @@ class TestExactQuadratic:
 
     def test_hardy_probe_records_the_exact_method(self):
         mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.15), [11, 11, 11])
-        record = hardy_check(mesh, 3, 2.0, samples=5, seed=0)
+        record = hardy_check(mesh, 2.0, samples=5, seed=0)
         assert record.details["method"] == "lobpcg"
         assert record.details["probe_infimum"] == pytest.approx(dense_lambda1(mesh, hardy_weight(mesh)), rel=1e-10)
 
@@ -308,6 +309,16 @@ def _per_node_bump(mesh, center, width):
     return vals
 
 
+def _padded_support(mesh, values):
+    """Index box of the nonzero nodal ``values``, padded by one node per side
+    within the mesh."""
+    nonzero = np.unravel_index(np.flatnonzero(values != 0.0), mesh.shape)
+    return tuple(
+        slice(max(int(idx.min()) - 1, 0), min(int(idx.max()) + 2, n))
+        for idx, n in zip(nonzero, mesh.shape)
+    )
+
+
 def _beside_cap(mesh):
     """Non-excluded nodes with an excluded neighbor on some axis, whose
     gradient rows are one-sided."""
@@ -343,39 +354,110 @@ SUPPORT_BOX_CASES = {
 }
 
 
+def _case_bumps(mesh, center, width):
+    """Forty sampled bumps and the hand-placed one beside the cap."""
+    return list(bump_family(mesh, 40, 3)) + [tensor_bump(mesh, np.array(center), np.array(width))]
+
+
 class TestSupportBoxMargins:
     @pytest.mark.parametrize("case", sorted(SUPPORT_BOX_CASES))
     def test_support_box_margins_equal_whole_mesh_margins(self, case, monkeypatch):
         build, axes, p, lam, constant, (center, width) = SUPPORT_BOX_CASES[case]
         mesh = build()
         weight = singular_weight(mesh, axes, p)
-        near_cap = tensor_bump(mesh, np.array(center), np.array(width))
-        box = _support_box(mesh, near_cap.values)
-        assert np.any(_beside_cap(mesh).reshape(mesh.shape)[box] & (near_cap.values != 0).reshape(mesh.shape)[box])
-        functions = list(bump_family(mesh, 40, 3)) + [near_cap]
-        monkeypatch.setattr(plapsolve.spectra, "bump_family", lambda mesh, samples, seed: iter(functions))
-        got = np.array(_bump_margins(mesh, p, lam, constant, weight, len(functions), 3)[0])
-        want = _whole_mesh_margins(mesh, functions, p, lam, constant, weight)
+        bumps = _case_bumps(mesh, center, width)
+        box, values = bumps[-1]
+        assert np.any(_beside_cap(mesh).reshape(mesh.shape)[box] & (values != 0))
+        monkeypatch.setattr(plapsolve.spectra, "bump_family", lambda mesh, samples, seed: iter(bumps))
+        got = np.array(_bump_margins(mesh, p, lam, constant, weight, len(bumps), 3)[0])
+        want = _whole_mesh_margins(mesh, [embed(mesh, b) for b in bumps], p, lam, constant, weight)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
         assert np.argmin(got) == np.argmin(want)
 
     def test_support_box_is_padded_and_clipped(self):
         mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [11, 11])
-        values = np.zeros(mesh.shape)
-        values[0, 3:6] = 1.0
-        assert _support_box(mesh, values.ravel()) == (slice(0, 2), slice(2, 7))
-        assert _support_box(mesh, np.zeros(mesh.n_nodes)) == (slice(0, 11), slice(0, 11))
+        # nonzero profiles at node 0 of axis 0 and nodes 3 to 5 of axis 1;
+        # the box keeps them although the boundary zeroes the values
+        bump_box, values = tensor_bump(mesh, np.array([0.0, 0.4]), np.array([0.05, 0.15]))
+        assert bump_box == (slice(0, 2), slice(2, 7))
+        assert values.shape == (2, 5) and not np.any(values)
+        # a profile that misses every node gives an empty box
+        bump_box, values = tensor_bump(mesh, np.array([0.5, 0.45]), np.array([0.3, 0.04]))
+        assert bump_box == (slice(2, 9), slice(0, 0))
+        assert values.shape == (7, 0)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bump_family_matches_per_node_evaluation(self, seed, monkeypatch):
         mesh = SUPPORT_BOX_CASES["capped_strip_4d"][0]()
-        fast = [u.values for u in bump_family(mesh, 25, seed)]
-        monkeypatch.setattr(plapsolve.sampling, "_tensor_values", _per_node_bump)
-        slow = [u.values for u in bump_family(mesh, 25, seed)]
-        assert all(np.array_equal(a, b) for a, b in zip(fast, slow, strict=True))
+        boxed = list(bump_family(mesh, 25, seed))
+        whole = tuple(slice(0, n) for n in mesh.shape)
+
+        def per_node(mesh, center, width):
+            return whole, np.where(mesh.constrained_mask, 0.0, _per_node_bump(mesh, center, width)).reshape(mesh.shape)
+
+        monkeypatch.setattr(plapsolve.sampling, "tensor_bump", per_node)
+        for (bump_box, values), (_, want) in zip(boxed, bump_family(mesh, 25, seed), strict=True):
+            assert bump_box == _padded_support(mesh, want.ravel())
+            assert np.array_equal(values, want[bump_box])
+            assert np.array_equal(embed(mesh, (bump_box, values)).values, want.ravel())
+        monkeypatch.undo()
         center, width = np.array([0.4, 0.3, -0.2, 0.5]), np.array([0.3, 0.9, 0.7, 1.1])
-        assert np.array_equal(tensor_bump(mesh, center, width).values,
+        bump_box, values = tensor_bump(mesh, center, width)
+        assert np.array_equal(embed(mesh, (bump_box, values)).values,
                               np.where(mesh.constrained_mask, 0.0, _per_node_bump(mesh, center, width)))
+
+    def test_bump_missing_every_node_keeps_its_margin(self, monkeypatch):
+        # on a 4-node axis the family's narrow profiles can fall between nodes;
+        # such a bump is zero, with an empty box and a zero margin
+        mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [17, 4])
+        bumps = list(bump_family(mesh, 20, 0))
+        assert any(values.size == 0 for _, values in bumps)
+        weight = np.ones(mesh.n_nodes)
+        monkeypatch.setattr(plapsolve.spectra, "bump_family", lambda mesh, samples, seed: iter(bumps))
+        got = np.array(_bump_margins(mesh, 2.0, 1.0, 0.5, weight, len(bumps), 0)[0])
+        want = _whole_mesh_margins(mesh, [embed(mesh, b) for b in bumps], 2.0, 1.0, 0.5, weight)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert np.all(got[[values.size == 0 for _, values in bumps]] == 0.0)
+
+    @pytest.mark.parametrize("case", sorted(SUPPORT_BOX_CASES))
+    def test_admissibility_margins_equal_whole_mesh_margins(self, case, monkeypatch):
+        build, axes, p, _, constant, (center, width) = SUPPORT_BOX_CASES[case]
+        mesh = build()
+        q = p - 0.2
+        V = Potential.tabulated(constant * singular_weight(mesh, axes, p))
+        bumps = _case_bumps(mesh, center, width)
+        eig = rayleigh_min(mesh, p, tol=1e-7, max_iter=400, seed=0)
+        functions = [embed(mesh, b) for b in bumps] + [eig.minimizer]
+        tags = [f"bump_{i}" for i in range(len(bumps))] + ["rayleigh_minimizer"]
+
+        def report(W, candidates, minimizer):
+            monkeypatch.setattr(plapsolve.sampling, "bump_family", lambda mesh, samples, seed: iter(candidates))
+            monkeypatch.setattr(plapsolve.spectra, "rayleigh_min", lambda *args, **kwargs: minimizer)
+            return admissibility_report(V, mesh, p, q, W, samples=len(candidates), seed=0)
+
+        def close(got, want):
+            return np.all(np.abs(np.asarray(got) - want) <= 1e-14 * np.abs(want))
+
+        q_vs = np.array([_q_v_arrays(mesh, u.values, V.table, p) for u in functions])
+        # y_norm^p scales as W^(p/q); constant weights that put the threshold
+        # of the ratio q_v / y_norm^p in its widest gap (the Rayleigh
+        # minimizer sits well below the bumps) and above every ratio, so that
+        # no margin is near zero
+        ratios = np.sort(q_vs / [_y_norm_arrays(mesh, u.values, 1.0, q) ** p for u in functions])
+        gap = int(np.argmax(np.diff(np.log(ratios))))
+        for threshold in (np.sqrt(ratios[gap] * ratios[gap + 1]), 2.0 * ratios[-1]):
+            W = Weight.constant(float(threshold ** (q / p)))
+            w_vals = evaluate_weight(W, mesh)
+            want = q_vs - [_y_norm_arrays(mesh, u.values, w_vals, q) ** p for u in functions]
+            whole = report(W, bumps, eig)
+            assert close(whole.sampled_margin, want.min())
+            assert [v.split(":")[0] for v in whole.violations] == [t for t, m in zip(tags, want) if m < 0]
+            assert whole.violations and whole.sample_count == len(tags)
+        # above every ratio each margin is negative, so the report on one bump
+        # and a zero minimizer, whose margin is 0, returns that bump's margin
+        zero = EigenResult(0.0, DiscreteFunction.zeros(mesh), 0, 0.0, "lobpcg")
+        singles = [report(W, [b], zero).sampled_margin for b in bumps] + [report(W, [], eig).sampled_margin]
+        assert close(singles, want)
 
 
 class TestPoincareRemainder:
@@ -450,24 +532,24 @@ class TestHardyCheck:
         return build_mesh(dom, [21, 21, 21])
 
     def test_no_violation_small(self, hardy_mesh):
-        record = hardy_check(hardy_mesh, 3, 2.0, samples=30, seed=0)
+        record = hardy_check(hardy_mesh, 2.0, samples=30, seed=0)
         assert record.verdict == "no_violation"
         assert record.details["constant"] == pytest.approx(0.25)
 
     def test_needs_puncture(self):
         mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9])
         with pytest.raises(ValueError, match="punctured"):
-            hardy_check(mesh, 3, 2.0, samples=5)
+            hardy_check(mesh, 2.0, samples=5)
 
     def test_rejects_bad_exponent(self, hardy_mesh):
         with pytest.raises(ValueError):
-            hardy_check(hardy_mesh, 3, 3.5, samples=5)
+            hardy_check(hardy_mesh, 3.5, samples=5)
 
     def test_no_samples_certify_nothing(self, hardy_mesh):
         with pytest.raises(ValueError, match="no samples"):
             CertificationRecord.from_margins("hardy", [], [], 1e-8)
         with pytest.raises(ValueError, match="no samples"):
-            hardy_check(hardy_mesh, 3, 2.0, samples=0)
+            hardy_check(hardy_mesh, 2.0, samples=0)
 
 
 class TestBlowup:
