@@ -32,10 +32,8 @@ from .grid import (
     strip,
 )
 from .potentials import (
-    AdmissibilityReport,
     Potential,
     Weight,
-    admissibility_report,
     alt_integrability_exponent,
     evaluate_potential,
     evaluate_weight,
@@ -55,10 +53,12 @@ from .solver import (
     minimize_phi,
 )
 from .spectra import (
+    AdmissibilityReport,
     BlowupResult,
     BlowupRow,
     CertificationRecord,
     EigenResult,
+    admissibility_report,
     blowup_demo,
     cylinder_eigen_check,
     hardy_check,

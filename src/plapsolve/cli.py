@@ -37,19 +37,13 @@ import numpy as np
 from . import __version__, presets
 from .energy import EnergyParams, ForcingTerm, IndefiniteEnergyError
 from .grid import Domain, DiscreteFunction, Mesh, build_mesh, strip
-from .potentials import (
-    AdmissibilityReport,
-    Potential,
-    Weight,
-    admissibility_report,
-    evaluate_potential,
-    evaluate_weight,
-    validate_exponents,
-)
+from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
 from .solver import ContinuationBoundError, EpsSchedule, SolveReport, continuation_solve
 from .spectra import (
+    AdmissibilityReport,
     BlowupRow,
     CertificationRecord,
+    admissibility_report,
     blowup_demo,
     cylinder_eigen_check,
     hardy_check,
@@ -749,7 +743,7 @@ def emit_reports(artifact: RunArtifact, out_dir: str | Path | None = None) -> li
     if artifact.admissibility is not None:
         rep = artifact.admissibility
         tables["admissibility.csv"] = [{
-            "p": rep.p, "q": rep.q, "n_dims": rep.n_dims, "r": rep.r, "r_alt": "" if rep.r_alt is None else rep.r_alt,
+            "p": rep.p, "q": rep.q, "n_dims": rep.n_dims, "r": rep.r, "r_alt": rep.r_alt,
             "local_integrability_proxy": rep.local_integrability_proxy, "sampled_margin": rep.sampled_margin,
             "violations": len(rep.violations),
         }]

@@ -1,17 +1,17 @@
 """Catalog of singular potentials and positive weights, with mesh evaluation
-and a sampling-based admissibility report for the energy lower bound.
+and the integrability side of condition (A).
 
 Every Hardy-type potential is one family, ``((k-p)/p)**p |y|**-p`` with y the
 first k coordinates, built on :func:`singular_weight`; evaluation requires a
-mesh whose exclusion policy caps the singular set y = 0.  The admissibility
-report combines the exact integrability-exponent case split with a
-falsification check of the weighted Sobolev lower bound on sampled bump
-functions; it can refute a configuration but never prove one.
+mesh whose exclusion policy caps the singular set y = 0.  The exponent
+constraints, the integrability-exponent case split and the grid integral of
+``V**r`` live here; the sampled check of the weighted lower bound, which
+calls them, is :func:`plapsolve.spectra.admissibility_report`.  This module
+imports nothing from the package but :mod:`plapsolve.grid`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +21,6 @@ from .grid import Mesh, integrate
 __all__ = [
     "Potential",
     "Weight",
-    "AdmissibilityReport",
     "hardy_constant",
     "sobolev_conjugate",
     "integrability_exponent",
@@ -29,7 +28,7 @@ __all__ = [
     "singular_weight",
     "evaluate_potential",
     "evaluate_weight",
-    "admissibility_report",
+    "local_integrability",
 ]
 
 _POTENTIAL_KINDS = ("zero", "hardy", "constant", "tabulated")
@@ -222,32 +221,6 @@ def evaluate_weight(W: Weight, mesh: Mesh) -> np.ndarray:
     return W.value / (1.0 + z ** W.p)
 
 
-@dataclass
-class AdmissibilityReport:
-    """Outcome of the admissibility falsification check.
-
-    ``r`` and ``r_alt`` are the exact integrability exponents for the two
-    admissible-potential routes; ``sampled_margin`` is the minimum over the
-    sampled test functions of ``q_v(u) - y_norm(u)**p``; a negative value
-    lists the offending samples in ``violations``.  Sampling can refute the
-    configuration, not certify it.
-    """
-
-    p: float
-    q: float
-    n_dims: int
-    r: float
-    r_alt: float | None
-    local_integrability_proxy: float
-    sampled_margin: float
-    violations: list[str]
-    sample_count: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def validate_exponents(p: float, q: float) -> None:
     """Check the standing exponent constraints 1 < p, p - 1 < q <= p, 1 < q."""
     if not p > 1:
@@ -260,62 +233,12 @@ def validate_exponents(p: float, q: float) -> None:
         raise ValueError(f"q must exceed p - 1, got q={q}, p={p}")
 
 
-def admissibility_report(
-    V: Potential,
-    mesh: Mesh,
-    p: float,
-    q: float,
-    W: Weight,
-    samples: int = 64,
-    seed: int = 0,
-) -> AdmissibilityReport:
-    """Falsification check of the weighted lower bound for the energy form.
-
-    Computes the integrability exponents from the (p, q, N) case split,
-    integrates ``V**r`` over the capped mesh as a finite-grid proxy for local
-    integrability, and evaluates the margin ``q_v(u) - y_norm(u)**p`` on
-    ``samples`` pseudo-random interior bumps, each on its support box, plus
-    the current Rayleigh minimizer on the whole mesh, all through
-    :class:`~plapsolve.energy.BoxField`.  Deterministic in ``seed``.
-    """
-    from .energy import BoxField
-    from .sampling import bump_family
-    from .spectra import rayleigh_min
-
+def local_integrability(v_vals: np.ndarray, mesh: Mesh, p: float, q: float) -> tuple[float, float, float]:
+    """The integrability side of condition (A) for the potential with nodal
+    values ``v_vals``: after :func:`validate_exponents`, the exponents ``r``
+    of the (p, q, N) case split and ``r_alt`` of the variant condition, and
+    the grid integral of ``V**r`` over the capped mesh, a finite-grid proxy
+    for local integrability."""
     validate_exponents(p, q)
-    n_dims = mesh.domain.dims
-    r = integrability_exponent(n_dims, p, q)
-    try:
-        r_alt = alt_integrability_exponent(p, q)
-    except ValueError:
-        r_alt = None
-
-    v_vals = evaluate_potential(V, mesh)
-    w_vals = evaluate_weight(W, mesh)
-    proxy = integrate(v_vals ** r, mesh)
-
-    eig = rayleigh_min(mesh, p, tol=1e-7, max_iter=400, seed=seed)
-    whole = tuple(slice(0, n) for n in mesh.shape)
-    candidates = itertools.chain(bump_family(mesh, samples, seed), [(whole, eig.minimizer.values)])
-    worst = np.inf
-    violations: list[str] = []
-    for i, (box, values) in enumerate(candidates):
-        u = BoxField(mesh, box, values)
-        qv = u.dirichlet(p) - u.mass(p, v_vals)
-        yp = ((u.dirichlet(q, w_vals) + u.mass(q, w_vals)) ** (1.0 / q)) ** p
-        margin = qv - yp
-        worst = min(worst, margin)
-        if margin < 0:
-            tag = f"bump_{i}" if i < samples else "rayleigh_minimizer"
-            violations.append(f"{tag}: q_v={qv:.6g} < y_norm^p={yp:.6g}")
-    return AdmissibilityReport(
-        p=p,
-        q=q,
-        n_dims=n_dims,
-        r=r,
-        r_alt=r_alt,
-        local_integrability_proxy=proxy,
-        sampled_margin=float(worst),
-        violations=violations,
-        sample_count=samples + 1,
-    )
+    r = integrability_exponent(mesh.domain.dims, p, q)
+    return r, alt_integrability_exponent(p, q), integrate(v_vals ** r, mesh)

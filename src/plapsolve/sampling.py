@@ -53,8 +53,8 @@ def tensor_bump(mesh: Mesh, center: np.ndarray, width: np.ndarray) -> tuple[tupl
 
 
 def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[tuple[tuple[slice, ...], np.ndarray]]:
-    """Yield ``count`` random interior bumps, deterministic in ``seed``, each
-    as the support box and box-shaped values of :func:`tensor_bump`.
+    """Yield ``count`` random nonzero interior bumps, deterministic in ``seed``,
+    each as the support box and box-shaped values of :func:`tensor_bump`.
 
     Supports stay inside the domain with a one-cell margin and clear of the
     singular cap (measured over the mesh's singular axes) when one is present.
@@ -92,6 +92,8 @@ def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[tuple[tuple[slice
             if np.linalg.norm(gap) <= cap + np.max(h):
                 continue
         box, vals = tensor_bump(mesh, center, width)
+        if not vals.any():  # a profile missed every node, or every node is constrained: draw again
+            continue
         amp = 0.5 + 1.5 * rng.random()
         sign = 1.0 if rng.random() < 0.5 else -1.0
         vals *= sign * amp

@@ -2,7 +2,8 @@
 suite: vector monotonicity of the p-gradient flux, scalar power-mean bounds,
 the Hardy inequality with its critical constant, the product-domain
 eigenvalue identity, the Poincare inequality with a singular remainder term,
-and the divergent-gradient forcing construction on a strip.
+the divergent-gradient forcing construction on a strip, and the admissibility
+gate for condition (A), the weighted lower bound of the energy form.
 
 Certification is falsification-based: sampling plus adversarial quotient
 minimization can refute an inequality on the grid but cannot prove it on the
@@ -11,6 +12,7 @@ continuum, and the record verdicts carry exactly that meaning.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,12 +20,14 @@ import numpy as np
 from ._descent import METRIC_RTOL, Preconditioner, armijo_backtrack, lagged_coefficient
 from .energy import BoxField, _dirichlet, _dirichlet_gradient_rep, _grad_square, _power_mass
 from .grid import DiscreteFunction, Mesh, build_mesh, integrate, strip
-from .potentials import hardy_constant, singular_weight
+from .potentials import (Potential, Weight, evaluate_potential, evaluate_weight, hardy_constant,
+                         local_integrability, singular_weight)
 from .sampling import bump_family, plateau_profile
 
 __all__ = [
     "EigenResult",
     "CertificationRecord",
+    "AdmissibilityReport",
     "BlowupRow",
     "BlowupResult",
     "rayleigh_min",
@@ -34,6 +38,7 @@ __all__ = [
     "power_mean_check",
     "hardy_check",
     "blowup_demo",
+    "admissibility_report",
 ]
 
 
@@ -89,6 +94,32 @@ class CertificationRecord:
             tolerance=tolerance,
             details=details or {},
         )
+
+
+@dataclass
+class AdmissibilityReport:
+    """Outcome of the admissibility falsification check.
+
+    ``r`` and ``r_alt`` are the exact integrability exponents for the two
+    admissible-potential routes; ``sampled_margin`` is the minimum over the
+    sampled test functions of ``q_v(u) - y_norm(u)**p``; a negative value
+    lists the offending samples in ``violations``.  Sampling can refute the
+    configuration, not certify it.
+    """
+
+    p: float
+    q: float
+    n_dims: int
+    r: float
+    r_alt: float
+    local_integrability_proxy: float
+    sampled_margin: float
+    violations: list[str]
+    sample_count: int
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _method(p: float) -> str:
@@ -409,6 +440,55 @@ def _bump_margins(mesh: Mesh, p: float, lam: float, constant: float, weight: np.
         rhs = constant * u.mass(p, weight)
         margins.append((lhs - rhs) / max(abs(lhs), 1e-300))
     return margins, [f"bump_{i}" for i in range(len(margins))]
+
+
+def admissibility_report(
+    V: Potential,
+    mesh: Mesh,
+    p: float,
+    q: float,
+    W: Weight,
+    samples: int = 64,
+    seed: int = 0,
+) -> AdmissibilityReport:
+    """Falsification check of the weighted lower bound for the energy form.
+
+    Takes the integrability exponents and the grid integral of ``V**r`` from
+    :func:`~plapsolve.potentials.local_integrability`, and evaluates the
+    margin ``q_v(u) - y_norm(u)**p`` on ``samples`` pseudo-random interior
+    bumps, each on its support box, plus the current Rayleigh minimizer on
+    the whole mesh, all through :class:`~plapsolve.energy.BoxField`.
+    Deterministic in ``seed``.
+    """
+    v_vals = evaluate_potential(V, mesh)
+    r, r_alt, proxy = local_integrability(v_vals, mesh, p, q)
+    w_vals = evaluate_weight(W, mesh)
+
+    eig = rayleigh_min(mesh, p, tol=1e-7, max_iter=400, seed=seed)
+    whole = tuple(slice(0, n) for n in mesh.shape)
+    candidates = itertools.chain(bump_family(mesh, samples, seed), [(whole, eig.minimizer.values)])
+    worst = np.inf
+    violations: list[str] = []
+    for i, (box, values) in enumerate(candidates):
+        u = BoxField(mesh, box, values)
+        qv = u.dirichlet(p) - u.mass(p, v_vals)
+        yp = ((u.dirichlet(q, w_vals) + u.mass(q, w_vals)) ** (1.0 / q)) ** p
+        margin = qv - yp
+        worst = min(worst, margin)
+        if margin < 0:
+            tag = f"bump_{i}" if i < samples else "rayleigh_minimizer"
+            violations.append(f"{tag}: q_v={qv:.6g} < y_norm^p={yp:.6g}")
+    return AdmissibilityReport(
+        p=p,
+        q=q,
+        n_dims=mesh.domain.dims,
+        r=r,
+        r_alt=r_alt,
+        local_integrability_proxy=proxy,
+        sampled_margin=float(worst),
+        violations=violations,
+        sample_count=samples + 1,
+    )
 
 
 def poincare_remainder_check(

@@ -1,5 +1,6 @@
 """Config parsing, the run pipeline, report emission, and exit codes."""
 
+import csv
 import json
 import pstats
 import warnings
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plapsolve import presets
+import plapsolve.cli
+from plapsolve import CertificationRecord, presets
 from plapsolve.cli import (
     _KIND_KEYS,
     _SCHEMA,
@@ -122,6 +124,12 @@ REFUSED = [
     ("blowup_z_nodes_zero", {**_BLOWUP, "blowup.z_nodes_per_unit": 0.0}, "blowup.z_nodes_per_unit:", "positive"),
     ("length_per_bump_negative", {**_BLOWUP, "blowup.length_per_bump": -2.0}, "blowup.length_per_bump:", "positive"),
     ("pair_samples_negative", {"certify.pair_samples": -5}, "certify.pair_samples:", "at least 0"),
+    ("subcommand_unknown", {"subcommand": "bogus"}, "config.subcommand:", "must be one of"),
+    ("forcing_kind", {"physics.forcing": {"kind": "gaussian"}}, "physics.forcing.kind:", "'zero' or 'expression'"),
+    ("n_terms", {"blowup.n_terms": 2}, "blowup.n_terms:", "at least 3 bumps"),
+    ("field_format", {"output.field_format": "xml"}, "output.field_format:", "'bin' or 'csv'"),
+    ("lambda1_omega_off_strip", {"physics.potential": {"kind": "constant", "value": "lambda1_omega"}},
+     "physics.potential.value:", "needs a strip domain"),
 ]
 
 # refused by the schema's type checks; they used to crash or fail inside a run
@@ -207,6 +215,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(_with(SMALL_SOLVE, updates)))
         assert any(e.startswith(section) and constraint in e for e in err.value.errors), err.value.errors
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{not json", "config: invalid JSON ("), ("[1, 2]", "config: top level must be an object")],
+        ids=["invalid_json", "top_level_list"],
+    )
+    def test_document_refusal(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors[0].startswith(message), err.value.errors
 
     @pytest.mark.parametrize("case", FORMERLY_AT_RUN_TIME)
     def test_refused_before_any_run(self, tmp_path, capsys, case):
@@ -328,6 +346,36 @@ class TestRunAndEmit:
         loaded = np.fromfile(sol_file, dtype="<f8")
         assert np.array_equal(loaded, artifact.solution.values)
 
+    def test_csv_field_format_writes_one_row_per_node(self, tmp_path):
+        artifact = run(parse_config(json.dumps(_with(SMALL_SOLVE, {"output.field_format": "csv"}))))
+        assert "solution.csv" in {f.name for f in emit_reports(artifact, tmp_path)}
+        assert not list(tmp_path.glob("run_*/solution.bin"))
+        with open(next(tmp_path.glob("run_*/solution.csv")), newline="") as fh:
+            values = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert values == artifact.solution.values.tolist()
+        assert len(values) == SMALL_SOLVE["mesh"]["nodes_per_axis"][0]
+
+    def test_stages_stopped_at_max_iter_exit_three(self, tmp_path):
+        # at p = 3 five steps leave stages above tol while the dual-norm bound
+        # still holds (two steps would break it), so the residual rule ends the run
+        artifact = run(parse_config(json.dumps(_with(SMALL_SOLVE, {"physics.p": 3.0, "solver.max_iter": 5}))))
+        assert artifact.exit_code == 3
+        assert artifact.failure == "continuation stages stopped above the residual tolerance"
+        assert not artifact.solve_report.converged
+        assert any(s.iterations == 5 and s.residual > 1e-9 for s in artifact.solve_report.stages)
+        emit_reports(artifact, tmp_path)
+        summary = json.loads(next(tmp_path.glob("run_*/summary.json")).read_text())
+        assert (summary["status"], summary["exit_code"], summary["failure"]) == ("failed", 3, artifact.failure)
+
+    def test_indefinite_energy_mid_solve_exits_three(self):
+        # V = 60 lies above the first eigenvalue pi^2 of the unit interval: the
+        # gate refutes (A), and past the override the energy form is indefinite
+        cfg = parse_config(json.dumps(_with(SMALL_SOLVE, {"physics.potential": {"kind": "constant", "value": 60.0}})))
+        artifact = run(cfg, override_admissibility=True)
+        assert artifact.admissibility.violations
+        assert artifact.exit_code == 3
+        assert artifact.failure.startswith("IndefiniteEnergyError: ")
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse_config(json.dumps(SMALL_SOLVE))
         a1 = run(cfg)
@@ -443,6 +491,18 @@ class TestRunAndEmit:
             assert f"{1e-8 * max(1.0, row['lambda']):.3e}" in artifact.failure
         else:
             assert artifact.failure is None
+
+    def test_strip_sweep_violation_exits_two_before_the_residual_rule(self, monkeypatch):
+        # the record's strip residual is above tolerance too, so an exit 2
+        # shows that the verdict is read first
+        details = {"lambda_omega": 9.9, "lambda_strip": {2.0: 9.0}, "tensor_quotients": {2.0: 10.0},
+                   "strip_residuals": {2.0: 1.0}, "method": "lobpcg"}
+        record = CertificationRecord("strip_above_section", 1, -0.1, "L=2", "violation", 1e-8, details)
+        monkeypatch.setattr(plapsolve.cli, "cylinder_eigen_check", lambda *args, **kwargs: record)
+        artifact = run(parse_config(json.dumps(self.STRIP_SWEEP)))
+        assert artifact.exit_code == 2
+        assert artifact.failure == "eigenvalue comparison violated its tolerance"
+        assert [row["residual"] for row in artifact.eigen_rows] == [1.0]
 
     @pytest.mark.parametrize("max_iter, code", [(3, 3), (800, 0)], ids=["unconverged", "default"])
     def test_unconverged_exact_strip_sweep_exits_three(self, max_iter, code):

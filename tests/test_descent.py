@@ -24,8 +24,8 @@ import plapsolve.energy
 import plapsolve.grid
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
-    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, axis_pencil, conjugate_gradient,
-    jacobi, lagged_coefficient,
+    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, armijo_backtrack, axis_pencil,
+    conjugate_gradient, jacobi, lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
 from plapsolve.grid import box, build_mesh, interval, punctured_box, strip
@@ -286,6 +286,22 @@ def test_conjugate_gradient_returns_a_negative_curvature_witness():
         conjugate_gradient(A, b, 1e-12, jacobi(A))
     x = conjugate_gradient(abs(A), b, 1e-12, jacobi(abs(A)))
     assert np.allclose(abs(A) @ x, b, rtol=1e-12)
+
+
+def test_conjugate_gradient_of_a_zero_right_hand_side_is_zero():
+    A = sp.diags([2.0, 1.0, 4.0]).tocsr()
+    x = conjugate_gradient(A, np.zeros(3), 1e-12, jacobi(A))
+    assert np.array_equal(x, np.zeros(3))
+
+
+def test_armijo_backtrack_refuses_an_uphill_direction():
+    # along +x from x = 1 the quadratic x^2 rises for every step, so no step
+    # meets the sufficient decrease the (wrongly) negative slope asks for
+    def objective(x):
+        return float(x @ x)
+
+    x = np.ones(1)
+    assert armijo_backtrack(objective, x, np.ones(1), objective(x), -2.0) == (None, None, None)
 
 
 def test_zero_diagonal_entry_is_its_own_witness():

@@ -1,8 +1,12 @@
 """Potential catalog, exponent arithmetic, and the admissibility report."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import plapsolve.potentials
 from plapsolve import (
     Potential,
     Weight,
@@ -199,3 +203,18 @@ class TestAdmissibilityReport:
         )
         assert np.isfinite(rep.local_integrability_proxy)
         assert rep.r == pytest.approx(1.0 / (1.0 - 1.0 / sobolev_conjugate(3, 1.8)))
+
+
+def test_potentials_imports_only_grid_from_the_package():
+    # the catalog sits below energy, solver and spectra: an import of any of
+    # them, or one deferred into a function, would bring back a cycle.  An
+    # import of the module cannot show this, since the package imports all
+    tree = ast.parse(Path(plapsolve.potentials.__file__).read_text())
+    imported = [
+        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    ]
+    assert sorted({m for m in imported if m.startswith((".", "plapsolve"))}) == [".grid"]
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    nested = [f.name for f in functions for node in ast.walk(f) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested
