@@ -888,9 +888,10 @@ def main(argv=None) -> int:
     if args.sweep:
         try:
             key, _, values = args.sweep.partition("=")
-            if not values:
+            swept = json.loads("[" + values + "]")
+            if not swept:
                 raise ValueError("expected KEY=V1,V2,...")
-            variants = [_apply_sweep(raw, key.strip(), json.loads(v)) for v in values.split(",")]
+            variants = [_apply_sweep(raw, key.strip(), v) for v in swept]
         except (ValueError, json.JSONDecodeError) as exc:
             print(f"config error: --sweep {exc}", file=sys.stderr)
             return 1

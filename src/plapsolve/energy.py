@@ -76,7 +76,8 @@ class EnergyParams:
 
 class ForcingTerm:
     """Right-hand side of the forced problem, held as its pairing vector r:
-    ``<f, u> = r . values(u)`` for every boundary-vanishing u.
+    ``<f, u> = r . values(u)`` for every boundary-vanishing u.  Like a
+    ``DiscreteFunction``, r is projected onto the free nodes when constructed.
 
     ``density`` pairs a nodal density by quadrature, ``manufactured`` samples
     a callable into one, and ``distributional_sum`` pairs a list of (source
@@ -86,7 +87,7 @@ class ForcingTerm:
 
     def __init__(self, mesh: Mesh, rep: np.ndarray):
         self.mesh = mesh
-        self._rep = rep
+        self._rep = np.where(mesh.free_mask, rep, 0.0)
 
     @classmethod
     def zero(cls, mesh: Mesh) -> "ForcingTerm":
@@ -129,10 +130,7 @@ class ForcingTerm:
 
     def nodal_density(self) -> np.ndarray:
         """Nodal representation: pairing equals quadrature against it."""
-        mesh = self.mesh
-        out = self._rep / mesh.weights
-        out[mesh.constrained_mask] = 0.0
-        return out
+        return self._rep / self.mesh.weights
 
     def __mul__(self, scalar: float) -> "ForcingTerm":
         return ForcingTerm(self.mesh, self._rep * float(scalar))
@@ -141,8 +139,8 @@ class ForcingTerm:
 
 
 def _grad_square(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient ``g`` of shape (dims, n_samples) and its pointwise square ``|g|^2``."""
-    g = mesh.grad(values)
+    """Gradient ``g`` of shape (dims, n_samples) of nodal ``values`` read on the free nodes, and ``|g|^2``."""
+    g = mesh.grad(values[mesh.free_mask])
     return g, np.einsum("ai,ai->i", g, g)
 
 
@@ -167,8 +165,10 @@ def _power_mass(values: np.ndarray, p: float) -> np.ndarray:
 
 def _dirichlet_gradient_rep(mesh: Mesh, g: np.ndarray, s: np.ndarray, p: float, delta: float) -> np.ndarray:
     """Plain-dot representation of the first variation of
-    ``(1/p) int (|grad u|^2 + delta^2)^(p/2)``."""
-    return mesh.grad_adjoint(mesh.sample_weights * _flux_coeff(s, p, delta) * g)
+    ``(1/p) int (|grad u|^2 + delta^2)^(p/2)``, zero off the free nodes."""
+    rep = np.zeros(mesh.n_nodes)
+    rep[mesh.free_mask] = mesh.grad_adjoint(mesh.sample_weights * _flux_coeff(s, p, delta) * g)
+    return rep
 
 
 def q_v(u: DiscreteFunction, V: Potential, params: EnergyParams) -> float:
@@ -235,7 +235,6 @@ def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
     if eps != 0.0:
         nodal += eps * mass_grad
     nodal -= f.nodal_density()
-    nodal[mesh.constrained_mask] = 0.0
     return nodal
 
 

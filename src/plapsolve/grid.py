@@ -4,7 +4,8 @@ and the stacked first-order difference operator of the discrete energy.
 Domains are boxes, intervals, strips (a bounded cross-section times truncated
 unbounded axes), and boxes punctured at the origin.  All fields live as flat
 per-node arrays in C order; functions that vanish on the boundary mask model
-compactly supported test functions.
+compactly supported test functions, and the difference operator acts on
+their values on the free nodes.
 """
 
 from __future__ import annotations
@@ -207,24 +208,19 @@ class Mesh:
         # gradient quadrature (see ``grad``)
         self.sample_weights = self.weights * ~excluded
 
-        self._grad: sp.csr_matrix | None = None
-        self._grad_t: sp.csc_matrix | None = None
         self._stiffness: sp.csr_matrix | None = None
-
-    def _grad_op(self) -> sp.csr_matrix:
-        if self._grad is None:
-            self._grad = self._build_grad_op()
-            # a CSC view on the same arrays; transposing costs a matrix
-            # construction per call otherwise
-            self._grad_t = self._grad.T
-        return self._grad
 
     @cached_property
     def _free_grad(self) -> sp.csr_matrix:
-        """The free columns ``G_f`` of :meth:`_build_grad_op`'s ``G``, which
-        every operator on the energy space is assembled from; sliced on the
-        first request, since many meshes never assemble one."""
-        return self._grad_op()[:, self.free_mask]
+        """:meth:`_build_grad_op`'s ``G_f``, which every operator on the energy
+        space is assembled from; built on first request, as many meshes need none."""
+        return self._build_grad_op()
+
+    @cached_property
+    def _free_grad_t(self) -> sp.csc_matrix:
+        # a CSC view on the same arrays; transposing costs a matrix
+        # construction per call otherwise
+        return self._free_grad.T
 
     @cached_property
     def _free_grad_dense(self) -> np.ndarray:
@@ -251,36 +247,40 @@ class Mesh:
         return left, right, inv
 
     def _build_grad_op(self) -> sp.csr_matrix:
-        """Stacked ``(dims * n_nodes, n_nodes)`` difference operator ``G`` whose
-        row ``a * n_nodes + i`` is the :attr:`_stencil` derivative at node
-        ``i``: ``-inv`` at its left node, ``inv`` at its right one."""
+        """Stacked ``(dims * n_nodes, n_free)`` difference operator ``G_f`` on
+        the free nodes, whose row ``a * n_nodes + i`` is the :attr:`_stencil`
+        derivative at node ``i``: ``-inv`` at its left node and ``inv`` at its
+        right one, each where that node is free (constrained values are 0)."""
         nd, n = self.domain.dims, self.n_nodes
         index = np.int32 if 2 * nd * n < 2**31 else np.int64
         left, right, inv = (field.reshape(nd, n) for field in self._stencil)
         stride = np.cumprod((1,) + self.shape[:0:-1])[::-1].astype(index)[:, None]
         idx = np.arange(n, dtype=index)
-        use = inv > 0
-        cols = np.stack([idx - stride * left, idx + stride * right], axis=-1)[use]
+        cols = np.stack([idx - stride * left, idx + stride * right], axis=-1)
+        keep = (inv > 0)[..., None] & self.free_mask[cols]
         indptr = np.zeros(nd * n + 1, dtype=index)
-        np.cumsum(2 * use.ravel(), out=indptr[1:])
-        data = np.column_stack([-inv[use], inv[use]]).ravel()
-        return sp.csr_matrix((data, cols.ravel(), indptr), shape=(nd * n, n))
+        np.cumsum(keep.sum(axis=-1).ravel(), out=indptr[1:])
+        free_index = np.cumsum(self.free_mask, dtype=index) - 1
+        data = np.stack([-inv, inv], axis=-1)[keep]
+        return sp.csr_matrix((data, free_index[cols[keep]], indptr), shape=(nd * n, free_index[-1] + 1))
 
     def grad(self, values: np.ndarray) -> np.ndarray:
-        """Per-axis derivatives of nodal ``values`` at the gradient samples,
-        shape ``(dims,) + values.shape``.  A per-sample density integrates by
+        """Per-axis derivatives at the gradient samples of free-node ``values``,
+        shape ``(dims, n_samples) + values.shape[1:]``; a whole-mesh vector
+        raises.  A per-sample density integrates by
         :meth:`integrate_samples` against ``sample_weights``, nodal fields in it
         (weights, cutoffs) first pass :meth:`to_samples`, and mass terms keep
         the nodal rule of :func:`integrate`.  The samples are the nodes, their
         weights the nodal weights zeroed at excluded nodes, the map the identity.
         """
-        return (self._grad_op() @ values).reshape(self.domain.dims, *np.shape(values))
+        return (self._free_grad @ values).reshape(self.domain.dims, self.n_nodes, *np.shape(values)[1:])
 
     def box_grad(self, box: tuple[slice, ...], values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`grad` of nodal values held on a node box, one unit-step
-        ``slice`` with bounds per axis, as box-shaped ``values`` that are zero
-        off the box, at the box's samples: shape ``(dims, box nodes)`` in C
-        order, with those samples' weights.  Values that also vanish on the
+        """The :attr:`_stencil` applied to nodal values held on a node box, one
+        unit-step ``slice`` with bounds per axis, as box-shaped ``values`` that
+        are zero off the box and any on constrained nodes (:meth:`grad` where
+        they vanish there), at the box's samples: shape ``(dims, box nodes)``
+        in C order, with those samples' weights.  Values that also vanish on the
         box's outer layer have a zero gradient at every other sample, so a
         density of it summed against the weights is its whole integral.
         """
@@ -304,9 +304,9 @@ class Mesh:
         return field
 
     def grad_adjoint(self, flux: np.ndarray) -> np.ndarray:
-        """Transpose of :meth:`grad` applied to a ``(dims, n_samples)`` flux."""
-        self._grad_op()
-        return self._grad_t @ np.ravel(flux)
+        """Transpose of :meth:`grad` applied to a ``(dims, n_samples)`` flux:
+        its free-node values, shape ``(n_free,)``."""
+        return self._free_grad_t @ np.ravel(flux)
 
     def energy_stiffness(self, coeff: np.ndarray | None = None) -> sp.csr_matrix:
         """Quadratic form ``G_f^T diag(sample_weights * coeff) G_f`` of the

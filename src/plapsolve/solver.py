@@ -292,7 +292,7 @@ def dual_norm(
     """
     mesh = f.mesh
     r = f.plain_rep()
-    if not np.any(r[mesh.free_mask]):  # f pairs to 0 with every admissible u
+    if not np.any(r):  # f pairs to 0 with every admissible u
         return 0.0
     u = minimize_phi(DiscreteFunction.zeros(mesh), V, f, params.with_eps(0.0), tol, max_iter).u.values
     qv = _q_v_arrays(mesh, u, evaluate_potential(V, mesh), params.p)

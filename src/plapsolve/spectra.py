@@ -252,7 +252,6 @@ def _quotient_descent(
         k_grad = p * _dirichlet_gradient_rep(mesh, g, s, p, 0.0) / mesh.weights
         m_grad = p * w_mass * _power_mass(u, p)
         gq = k_grad - lam * m_grad
-        gq[~free] = 0.0
         res = np.sqrt(max(integrate(gq * gq, mesh), 0.0))
         if res <= tol * max(1.0, abs(lam)):
             break

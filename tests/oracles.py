@@ -2,6 +2,7 @@
 and the meshes with excluded nodes that several test modules share."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from plapsolve import DiscreteFunction, build_mesh, punctured_box, strip
 
@@ -40,3 +41,55 @@ def wide_system_1d(n):
     w[0] = w[-1] = h / 2
     A = G.T @ np.diag(w) @ G
     return x, h, w, A
+
+
+def reference_grad_op(mesh):
+    """The stacked ``(dims * n_nodes, n_nodes)`` whole-grid difference
+    operator as a sorted CSR matrix, assembled axis by axis: row
+    ``a * n_nodes + i`` is the axis-``a`` derivative at node ``i``, centered
+    where both neighbors are non-excluded, one-sided where one is missing or
+    excluded, and zero at excluded nodes.  ``Mesh.grad``'s operator is its
+    free columns."""
+    nd, shape, n = mesh.domain.dims, mesh.shape, mesh.n_nodes
+    exc = mesh.excluded_mask.reshape(shape)
+    ops = []
+    for axis in range(nd):
+        h = mesh.spacing[axis]
+        idx = np.arange(n).reshape(shape)
+
+        def axsl(s):
+            sl = [slice(None)] * nd
+            sl[axis] = s
+            return tuple(sl)
+
+        left_nbr = np.full(shape, -1, dtype=np.int64)
+        left_nbr[axsl(slice(1, None))] = idx[axsl(slice(0, -1))]
+        right_nbr = np.full(shape, -1, dtype=np.int64)
+        right_nbr[axsl(slice(0, -1))] = idx[axsl(slice(1, None))]
+        left_ok = np.zeros(shape, dtype=bool)
+        left_ok[axsl(slice(1, None))] = ~exc[axsl(slice(0, -1))]
+        right_ok = np.zeros(shape, dtype=bool)
+        right_ok[axsl(slice(0, -1))] = ~exc[axsl(slice(1, None))]
+
+        active = ~exc
+        centered = (active & left_ok & right_ok).ravel()
+        fwd = (active & ~left_ok & right_ok).ravel()
+        bwd = (active & left_ok & ~right_ok).ravel()
+        idx, left_nbr, right_nbr = idx.ravel(), left_nbr.ravel(), right_nbr.ravel()
+        rows = [idx[centered], idx[centered], idx[fwd], idx[fwd], idx[bwd], idx[bwd]]
+        cols = [right_nbr[centered], left_nbr[centered], right_nbr[fwd], idx[fwd], idx[bwd], left_nbr[bwd]]
+        vals = [
+            np.full(centered.sum(), 0.5 / h),
+            np.full(centered.sum(), -0.5 / h),
+            np.full(fwd.sum(), 1.0 / h),
+            np.full(fwd.sum(), -1.0 / h),
+            np.full(bwd.sum(), 1.0 / h),
+            np.full(bwd.sum(), -1.0 / h),
+        ]
+        mat = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        )
+        ops.append(mat)
+    op = sp.vstack(ops, format="csr")
+    op.sort_indices()
+    return op

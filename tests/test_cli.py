@@ -292,6 +292,8 @@ class TestExpression:
             evaluate_expression("__import__('os')", mesh)
         with pytest.raises(ConfigError):
             evaluate_expression("nope(x)", mesh)
+        with pytest.raises(ConfigError, match="unknown name 't'"):
+            evaluate_expression("t * x", mesh)
 
     @pytest.mark.parametrize(
         "expr",
@@ -625,6 +627,38 @@ class TestMain:
         assert code == 0
         run_dirs = [p for p in tmp_path.iterdir() if p.is_dir() and p.name.startswith("run_")]
         assert len(run_dirs) == 2
+
+    @pytest.mark.parametrize(
+        "config, sweep, key, values",
+        [
+            (SMALL_SOLVE, 'physics.forcing.expr="maximum(x, 0.5)","x"', ("physics", "forcing", "expr"),
+             ["maximum(x, 0.5)", "x"]),
+            (_with(SMALL_SOLVE, {"domain": {"kind": "box", "bounds": [[0.0, 1.0]] * 2},
+                                 "physics.forcing.expr": "sin(pi*x)*sin(pi*y)"}),
+             "mesh.nodes_per_axis=[9,13],[11,9]", ("mesh", "nodes_per_axis"), [[9, 13], [11, 9]]),
+        ],
+        ids=["comma_in_expression", "list_value"],
+    )
+    def test_sweep_values_are_one_json_array(self, tmp_path, capsys, config, sweep, key, values):
+        # a swept value may itself hold commas
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--sweep", sweep]) == 0
+        run_dirs = [Path(line.split()[1]) for line in capsys.readouterr().out.splitlines()]
+        echoed = []
+        for run_dir in run_dirs:
+            node = json.loads((run_dir / "config.json").read_text())
+            for part in key:
+                node = node[part]
+            echoed.append(node)
+        assert echoed == values
+
+    @pytest.mark.parametrize("source", ["preset:nope", "missing.json"])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, source):
+        source = source if source.startswith("preset:") else str(tmp_path / source)
+        assert main(["solve", "--config", source, "--out", str(tmp_path / "out")]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_runs_in_order_like_single_runs(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -30,6 +30,7 @@ from plapsolve._descent import (
 from plapsolve.energy import _grad_square
 from plapsolve.grid import box, build_mesh, interval, punctured_box, strip
 from plapsolve.potentials import evaluate_potential
+from oracles import reference_grad_op
 
 MESHES = {
     "punctured_3d": lambda: build_mesh(
@@ -187,8 +188,9 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
 
 def _sparse_free_operator(mesh, shift=1.0, coeff=None, mass_coeff=None):
     """The free-node operator by scipy on the whole grid: ``G^T diag(w) G``
-    over every node plus the mass diagonal, then its free rows and columns."""
-    G = mesh._grad_op()
+    over every node, ``G`` the reference whole-grid difference operator, plus
+    the mass diagonal, then its free rows and columns."""
+    G = reference_grad_op(mesh)
     w = mesh.sample_weights if coeff is None else mesh.sample_weights * coeff
     stiffness = (G.T @ (sp.diags(np.tile(w, mesh.domain.dims)) @ G)).tocsr()
     diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff

@@ -34,7 +34,8 @@ from plapsolve import (
     truncate,
     y_norm,
 )
-from plapsolve.energy import _dirichlet_gradient_rep, _grad_square
+from plapsolve.energy import _dirichlet_gradient_rep, _grad_square, _phi_gradient_arrays
+from plapsolve.potentials import evaluate_potential
 from plapsolve.sampling import bump_family
 from plapsolve.spectra import rayleigh_min
 from oracles import STACKED_MESHES, embed, wide_system_1d
@@ -258,7 +259,7 @@ class TestCauchyDiagnostic:
         )
         val = cauchy_diagnostic(u_a, u_b, zeta, p2)
         d = u_a.values - u_b.values
-        g = mesh201.grad(DiscreteFunction(mesh201, d).values).T
+        g = mesh201.grad(d[mesh201.free_mask]).T
         direct = integrate(zeta.values * np.einsum("ij,ij->i", g, g), mesh201)
         assert val == pytest.approx(direct, rel=1e-12)
         assert val >= 0.0
@@ -277,7 +278,7 @@ class TestNorms:
     def test_y_norm_definition_q2(self, mesh201, p2):
         u = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
         W = Weight.constant(1.0)
-        g = u.mesh.grad(u.values).T
+        g = mesh201.grad(u.values[mesh201.free_mask]).T
         direct = integrate(np.einsum("ij,ij->i", g, g) + u.values**2, mesh201)
         assert y_norm(u, W, p2) ** 2 == pytest.approx(direct, rel=1e-12)
 
@@ -539,3 +540,34 @@ class TestGradientQuadratureSeam:
         )
         for key in ("mass", "weighted_mass", "pairing", "product"):
             assert b[key] == a[key], key
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_MESHES))
+def test_first_variations_vanish_off_the_free_nodes(name):
+    # the adjoint returns free-node values and the forcing is projected onto
+    # the free nodes, so no first variation needs re-zeroing, whatever the
+    # potential, density or source carries on constrained nodes
+    mesh = STACKED_MESHES[name]()
+    off = ~mesh.free_mask
+    rng = np.random.default_rng(11)
+    u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
+    dens = rng.uniform(0.5, 2.0, mesh.n_nodes)
+    forcings = [
+        ForcingTerm.zero(mesh),
+        ForcingTerm.density(mesh, dens),
+        ForcingTerm.manufactured(mesh, lambda x: 1.0 + x[:, 0] ** 2),
+        ForcingTerm.distributional_sum([(DiscreteFunction(mesh, dens), 2.0)]),
+        ForcingTerm(mesh, dens),
+        3.0 * ForcingTerm.density(mesh, dens),
+    ]
+    for f in forcings:
+        assert not np.any(f.plain_rep()[off])
+        assert not np.any(f.nodal_density()[off])
+    g, s = _grad_square(mesh, u.values)
+    potentials = [Potential.zero(), Potential.constant(2.0), Potential.tabulated(dens)]
+    for p, delta in ((2.0, 0.0), (3.0, 1e-3), (1.5, 0.0)):
+        assert not np.any(_dirichlet_gradient_rep(mesh, g, s, p, delta)[off])
+        params = EnergyParams(p=p, eps=0.3, delta=delta)
+        for V in potentials:
+            nodal = _phi_gradient_arrays(mesh, u.values, evaluate_potential(V, mesh), forcings[1], params)
+            assert not np.any(nodal[off])

@@ -13,7 +13,17 @@ from plapsolve import (
     punctured_box,
     strip,
 )
-from oracles import STACKED_MESHES
+from oracles import STACKED_MESHES, reference_grad_op
+
+
+def _whole_box(mesh):
+    return tuple(slice(0, n) for n in mesh.shape)
+
+
+def _stencil_grad(mesh, values):
+    """The mesh's difference stencil applied to any nodal values, constrained
+    nodes included: ``box_grad`` on the whole mesh, shape ``(dims, n_nodes)``."""
+    return mesh.box_grad(_whole_box(mesh), values)[0]
 
 
 class TestDomain:
@@ -130,7 +140,7 @@ class TestGradient:
     def test_constant_field(self):
         mesh = build_mesh(box((0.0, 1.0), (0.0, 2.0)), [9, 9])
         u = DiscreteFunction(mesh, np.full(mesh.n_nodes, 3.0))
-        g = u.mesh.grad(u.values).T
+        g = u.mesh.grad(u.values[mesh.free_mask]).T
         # the projection zeroes the boundary, so only check deep interior
         deep = (
             (mesh.points[:, 0] > 0.2) & (mesh.points[:, 0] < 0.8)
@@ -141,7 +151,7 @@ class TestGradient:
     def test_affine_exact_at_interior(self):
         mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [9, 9])
         vals = mesh.points[:, 0].copy()
-        g0, g1 = mesh.grad(vals)
+        g0, g1 = _stencil_grad(mesh, vals)
         inner = mesh.free_mask
         assert np.allclose(g0[inner], 1.0, atol=1e-13)
         assert np.allclose(g1[inner], 0.0, atol=1e-13)
@@ -149,7 +159,7 @@ class TestGradient:
     def test_sine_derivative_oracle(self):
         mesh = build_mesh(interval(0.0, 1.0), [101])
         u = DiscreteFunction.from_callable(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-        g = u.mesh.grad(u.values).T
+        g = u.mesh.grad(u.values[mesh.free_mask]).T
         exact = np.pi * np.cos(np.pi * mesh.points[:, 0])
         assert np.max(np.abs(g[:, 0] - exact)) <= 1e-3
 
@@ -158,7 +168,7 @@ class TestGradient:
         for n in (51, 101):
             mesh = build_mesh(interval(0.0, 1.0), [n])
             u = DiscreteFunction.from_callable(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-            g = u.mesh.grad(u.values).T
+            g = u.mesh.grad(u.values[mesh.free_mask]).T
             exact = np.pi * np.cos(np.pi * mesh.points[:, 0])
             errs.append(np.max(np.abs(g[:, 0] - exact)))
         assert errs[1] < errs[0]
@@ -173,55 +183,9 @@ class TestGradient:
         assert not np.any(rows[:, kept][:, :, mesh.excluded_mask])
 
 
-def _reference_grad_ops(mesh):
-    """Per-axis difference operators assembled axis by axis, the reference
-    for the stacked operator behind ``Mesh.grad``."""
-    nd, shape, n = mesh.domain.dims, mesh.shape, mesh.n_nodes
-    exc = mesh.excluded_mask.reshape(shape)
-    ops = []
-    for axis in range(nd):
-        h = mesh.spacing[axis]
-        idx = np.arange(n).reshape(shape)
-
-        def axsl(s):
-            sl = [slice(None)] * nd
-            sl[axis] = s
-            return tuple(sl)
-
-        left_nbr = np.full(shape, -1, dtype=np.int64)
-        left_nbr[axsl(slice(1, None))] = idx[axsl(slice(0, -1))]
-        right_nbr = np.full(shape, -1, dtype=np.int64)
-        right_nbr[axsl(slice(0, -1))] = idx[axsl(slice(1, None))]
-        left_ok = np.zeros(shape, dtype=bool)
-        left_ok[axsl(slice(1, None))] = ~exc[axsl(slice(0, -1))]
-        right_ok = np.zeros(shape, dtype=bool)
-        right_ok[axsl(slice(0, -1))] = ~exc[axsl(slice(1, None))]
-
-        active = ~exc
-        centered = (active & left_ok & right_ok).ravel()
-        fwd = (active & ~left_ok & right_ok).ravel()
-        bwd = (active & left_ok & ~right_ok).ravel()
-        idx, left_nbr, right_nbr = idx.ravel(), left_nbr.ravel(), right_nbr.ravel()
-        rows = [idx[centered], idx[centered], idx[fwd], idx[fwd], idx[bwd], idx[bwd]]
-        cols = [right_nbr[centered], left_nbr[centered], right_nbr[fwd], idx[fwd], idx[bwd], left_nbr[bwd]]
-        vals = [
-            np.full(centered.sum(), 0.5 / h),
-            np.full(centered.sum(), -0.5 / h),
-            np.full(fwd.sum(), 1.0 / h),
-            np.full(fwd.sum(), -1.0 / h),
-            np.full(bwd.sum(), 1.0 / h),
-            np.full(bwd.sum(), -1.0 / h),
-        ]
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        )
-        ops.append(mat.tocsr())
-    return ops
-
-
 def _stacked_rows(mesh):
-    """Dense rows of the stacked gradient operator, shape (dims, n_nodes, n_nodes)."""
-    return mesh.grad(np.eye(mesh.n_nodes))
+    """Dense rows of the mesh's whole-grid stencil, shape (dims, n_nodes, n_nodes)."""
+    return np.stack([_stencil_grad(mesh, e) for e in np.eye(mesh.n_nodes)], axis=-1)
 
 
 @pytest.fixture(params=sorted(STACKED_MESHES))
@@ -234,14 +198,47 @@ def stacked_mesh(request):
 class TestStackedGradient:
     def test_matches_per_axis_reference_row_for_row(self, stacked_mesh):
         rows = _stacked_rows(stacked_mesh)
-        for a, op in enumerate(_reference_grad_ops(stacked_mesh)):
-            assert np.array_equal(rows[a], op.toarray()), f"axis {a}"
+        ref = reference_grad_op(stacked_mesh).toarray()
+        assert np.array_equal(rows.reshape(ref.shape), ref)
+
+    def test_operator_is_the_reference_free_columns(self, stacked_mesh):
+        # the one assembled operator is the whole-grid one's free columns,
+        # array for array, so every product with it is unchanged
+        mesh = stacked_mesh
+        want = reference_grad_op(mesh)[:, mesh.free_mask]
+        got = mesh._free_grad
+        assert isinstance(got, sp.csr_matrix)
+        assert got.shape == (mesh.domain.dims * mesh.n_nodes, np.count_nonzero(mesh.free_mask))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+    def test_mesh_holds_one_free_node_operator(self, stacked_mesh):
+        # the gradient takes free-node values and its adjoint returns them; a
+        # whole-mesh vector raises, and after every product no array the mesh
+        # holds has a column per node
+        mesh = stacked_mesh
+        n_free = np.count_nonzero(mesh.free_mask)
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError):
+            mesh.grad(rng.standard_normal(mesh.n_nodes))
+        g = mesh.grad(rng.standard_normal(n_free))
+        assert g.shape == (mesh.domain.dims, mesh.n_nodes)
+        assert mesh.grad_adjoint(g).shape == (n_free,)
+        mesh.energy_stiffness()
+        mesh.energy_stiffness(rng.uniform(0.5, 2.0, mesh.n_nodes))
+        mesh.free_stiffness_dense()
+        mesh.box_grad(_whole_box(mesh), rng.standard_normal(mesh.shape))
+        for name in ("_grad_op", "_grad", "_grad_t"):
+            assert not hasattr(mesh, name), name
+        for name, value in vars(mesh).items():
+            for item in value if isinstance(value, tuple) else (value,):
+                shape = getattr(item, "shape", ())
+                assert len(shape) < 2 or shape[1] != mesh.n_nodes, name
 
     def test_public_gradient_layout(self, stacked_mesh):
-        vals = np.random.default_rng(3).standard_normal(stacked_mesh.n_nodes)
-        g = stacked_mesh.grad(DiscreteFunction(stacked_mesh, vals).values).T
-        ref = np.column_stack([op @ DiscreteFunction(stacked_mesh, vals).values
-                               for op in _reference_grad_ops(stacked_mesh)])
+        vals = DiscreteFunction(stacked_mesh, np.random.default_rng(3).standard_normal(stacked_mesh.n_nodes)).values
+        g = stacked_mesh.grad(vals[stacked_mesh.free_mask]).T
+        ref = (reference_grad_op(stacked_mesh) @ vals).reshape(stacked_mesh.domain.dims, -1).T
         assert g.shape == (stacked_mesh.n_nodes, stacked_mesh.domain.dims)
         assert np.array_equal(g, ref)
 
@@ -251,6 +248,7 @@ class TestStackedGradient:
         # that vanishes on their outer layer: the box gradient equals the
         # whole-mesh one at the box's samples, which is zero off the box
         mesh = stacked_mesh
+        G = reference_grad_op(mesh)
         rng = np.random.default_rng(8)
         boxes = [tuple(slice(0, n) for n in mesh.shape)]
         for _ in range(30):
@@ -262,7 +260,7 @@ class TestStackedGradient:
             whole = np.zeros(mesh.shape)
             whole[box] = values
             g, weights = mesh.box_grad(box, values)
-            ref = mesh.grad(whole.ravel()).reshape((mesh.domain.dims,) + mesh.shape)
+            ref = (G @ whole.ravel()).reshape((mesh.domain.dims,) + mesh.shape)
             assert np.array_equal(g, ref[(slice(None),) + box].reshape(mesh.domain.dims, -1))
             assert np.array_equal(weights, mesh.sample_weights.reshape(mesh.shape)[box].ravel())
             ref[(slice(None),) + box] = 0.0
@@ -270,7 +268,7 @@ class TestStackedGradient:
 
     def test_adjoint_identity(self, stacked_mesh):
         rng = np.random.default_rng(5)
-        u = rng.standard_normal(stacked_mesh.n_nodes)
+        u = rng.standard_normal(np.count_nonzero(stacked_mesh.free_mask))
         flux = rng.standard_normal((stacked_mesh.domain.dims, stacked_mesh.n_nodes))
         lhs = float(np.sum(stacked_mesh.grad(u) * flux))
         rhs = float(u @ stacked_mesh.grad_adjoint(flux))
@@ -278,10 +276,10 @@ class TestStackedGradient:
 
     def test_adjoint_is_a_view_of_the_operator(self, stacked_mesh):
         flux = np.random.default_rng(6).standard_normal((stacked_mesh.domain.dims, stacked_mesh.n_nodes))
-        G = stacked_mesh._grad_op()
+        G = stacked_mesh._free_grad
         assert np.array_equal(stacked_mesh.grad_adjoint(flux), G.T @ np.ravel(flux))
-        assert np.shares_memory(stacked_mesh._grad_t.data, G.data)
-        assert np.shares_memory(stacked_mesh._grad_t.indices, G.indices)
+        assert np.shares_memory(stacked_mesh._free_grad_t.data, G.data)
+        assert np.shares_memory(stacked_mesh._free_grad_t.indices, G.indices)
 
     @pytest.mark.parametrize("with_coeff", [False, True])
     def test_stiffness_matches_per_axis_sum(self, stacked_mesh, with_coeff):
@@ -290,7 +288,8 @@ class TestStackedGradient:
         coeff = np.random.default_rng(9).uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
         w = mesh.weights * ~mesh.excluded_mask * (1.0 if coeff is None else coeff)
         free = mesh.free_mask
-        ref = sum(op.T @ sp.diags(w) @ op for op in _reference_grad_ops(mesh)).toarray()[np.ix_(free, free)]
+        G = reference_grad_op(mesh)
+        ref = (G.T @ sp.diags(np.tile(w, mesh.domain.dims)) @ G).toarray()[np.ix_(free, free)]
         got = mesh.energy_stiffness(coeff).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -300,10 +299,9 @@ class TestStackedGradient:
         mesh = stacked_mesh
         rng = np.random.default_rng(10)
         coeff = rng.uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
-        u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes)).values
-        g = mesh.grad(u)
+        u_free = rng.standard_normal(np.count_nonzero(mesh.free_mask))
+        g = mesh.grad(u_free)
         density = np.einsum("ai,ai->i", g, g) * (1.0 if coeff is None else coeff)
-        u_free = u[mesh.free_mask]
         form = float(u_free @ (mesh.energy_stiffness(coeff) @ u_free))
         assert abs(form - mesh.integrate_samples(density)) <= 1e-14 * form
 
@@ -385,9 +383,11 @@ class TestIntegrationByParts:
             x, y = mesh.points[:, 0], mesh.points[:, 1]
             u = DiscreteFunction(mesh, np.sin(np.pi * x) * np.sin(2 * np.pi * y))
             v = DiscreteFunction(mesh, np.sin(2 * np.pi * x) * np.sin(np.pi * y))
-            gu, gv = mesh.grad(u.values).T, mesh.grad(v.values).T
+            free = mesh.free_mask
+            gu, gv = mesh.grad(u.values[free]).T, mesh.grad(v.values[free]).T
             lhs = integrate(np.einsum("ij,ij->i", gu, gv), mesh)
-            lap_v = np.einsum("aia->i", mesh.grad(gv))
+            # grad v is nonzero on the boundary, so its divergence takes the stencil
+            lap_v = sum(_stencil_grad(mesh, gv[:, a])[a] for a in range(2))
             rhs = integrate(u.values * lap_v, mesh)
             errs.append(abs(lhs + rhs))
         h = 1.0 / 32

@@ -1,5 +1,7 @@
 """Fixed-eps minimization and the vanishing-eps continuation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,33 @@ class TestContinuation:
             continuation_solve(
                 Potential.constant(60.0), f, params, EpsSchedule(0.5, 0.25, 3), tol=1e-8
             )
+
+    def test_stage_above_the_dual_norm_bound_aborts(self, monkeypatch):
+        # q_v(u_eps) <= D^(p') is the a-priori bound of a minimizer; a stage
+        # whose iterate is inflated tenfold breaks it at the first stage,
+        # while the eps = 0 minimization behind the dual norm is left alone
+        minimize = plapsolve.solver.minimize_phi
+
+        def inflated(start, V, f, params, *args, **kwargs):
+            result = minimize(start, V, f, params, *args, **kwargs)
+            return dataclasses.replace(result, u=10.0 * result.u) if params.eps > 0 else result
+
+        monkeypatch.setattr(plapsolve.solver, "minimize_phi", inflated)
+        mesh = build_mesh(interval(0.0, 1.0), [51])
+        f = ForcingTerm.manufactured(mesh, lambda x: np.pi**2 * np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ContinuationBoundError, match=r"stage eps=5\.000e-01: q_v=.* exceeds the dual-norm bound"):
+            continuation_solve(Potential.zero(), f, EnergyParams(p=2.0), EpsSchedule(0.5, 0.25, 3))
+
+    def test_non_finite_dual_norm_refuses_to_start(self, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran after a non-finite dual norm")
+
+        monkeypatch.setattr(plapsolve.solver, "dual_norm", lambda *args: np.inf)
+        monkeypatch.setattr(plapsolve.solver, "minimize_phi", no_stage)
+        mesh = build_mesh(interval(0.0, 1.0), [51])
+        f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ValueError, match="dual norm estimate inf is not usably finite"):
+            continuation_solve(Potential.zero(), f, EnergyParams(p=2.0), EpsSchedule(0.5, 0.25, 3))
 
     # relative max errors on 101/201/401 nodes (each pinned 10 % above its
     # measured value) and the least observed order between refinements; at

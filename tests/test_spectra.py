@@ -79,9 +79,23 @@ class TestRayleighMin:
     def test_value_matches_minimizer_energy(self):
         mesh = build_mesh(interval(0.0, 1.0), [101])
         result = rayleigh_min(mesh, 2.0, tol=1e-9, seed=0)
-        g = mesh.grad(result.minimizer.values).T
+        g = mesh.grad(result.minimizer.values[mesh.free_mask]).T
         energy = integrate(np.einsum("ij,ij->i", g, g), mesh)
         assert result.value == pytest.approx(energy, rel=1e-10)
+
+    def test_descent_stops_on_a_failed_line_search(self, monkeypatch):
+        # a failed search ends the p != 2 descent at once, on the normalized
+        # start, its quotient and its residual
+        monkeypatch.setattr(plapsolve.spectra, "armijo_backtrack", lambda *args, **kwargs: (None, None, None))
+        mesh = build_mesh(interval(0.0, 1.0), [33])
+        p, start = 3.0, _seeded_start(mesh, 0)
+        u0 = np.where(mesh.free_mask, start, 0.0)
+        u0 = u0 / integrate(np.abs(u0) ** p, mesh) ** (1.0 / p)
+        lam, u, iterations, res = _quotient_descent(mesh, p, start, tol=1e-8)
+        assert iterations == 1
+        assert np.array_equal(u, u0)
+        assert lam == _dirichlet(mesh, _grad_square(mesh, u0)[1], p)
+        assert res > 1e-8 * lam
 
     def test_needs_interior(self):
         with pytest.raises(ValueError, match="interior"):
@@ -276,7 +290,8 @@ class TestCylinderEigen:
         assert all(mesh is omega for mesh, _ in runs[:section_runs])
         for L, (mesh, start) in zip(lengths, runs[section_runs:]):
             assert mesh.shape == (17, int(round(12 * L)) + 1)
-            g = mesh.grad(start)
+            assert not np.any(start[~mesh.free_mask])
+            g = mesh.grad(start[mesh.free_mask])
             dirichlet = integrate(np.sum(g * g, axis=0) ** (p / 2.0), mesh)
             quotient = dirichlet / integrate(np.abs(start) ** p, mesh)
             assert quotient == pytest.approx(record.details["tensor_quotients"][L], rel=1e-12)
@@ -405,6 +420,11 @@ class TestSupportBoxMargins:
         bump_box, values = tensor_bump(mesh, center, width)
         assert np.array_equal(embed(mesh, (bump_box, values)).values,
                               np.where(mesh.constrained_mask, 0.0, _per_node_bump(mesh, center, width)))
+
+    def test_too_coarse_mesh_is_refused(self):
+        mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [3, 9])
+        with pytest.raises(RuntimeError, match="mesh too coarse"):
+            next(bump_family(mesh, 1, 0))
 
     def test_bump_missing_every_node_keeps_its_margin(self, monkeypatch):
         # on a 4-node axis the family's narrow profiles can fall between nodes;
