@@ -12,13 +12,7 @@ from .energy import (
     EnergyParams,
     ForcingTerm,
     IndefiniteEnergyError,
-    cauchy_diagnostic,
-    phi,
-    phi_gradient,
-    q_v,
-    sobolev_norm,
     truncate,
-    y_norm,
 )
 from .grid import (
     DiscreteFunction,

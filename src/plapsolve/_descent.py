@@ -179,13 +179,11 @@ class TensorSolve:
         lam = reduce(np.add.outer, lams).ravel()
         lowest = float(lam.min())
         self.sigma = shift
-        if mass_coeff is not None:
-            c = mass_coeff[mesh.free_mask]
-            if np.all(c == c[0]):
-                if lowest + shift + c[0] > 0.0:
-                    self.sigma = shift + float(c[0])
-                elif not mesh.excluded_mask.any():
-                    raise IndefiniteEnergyError(_NONPOSITIVE % "a tensor-product eigenvector")
+        if mass_coeff is not None and np.all(mass_coeff == mass_coeff[0]):
+            if lowest + shift + mass_coeff[0] > 0.0:
+                self.sigma = shift + float(mass_coeff[0])
+            elif not mesh.excluded_mask.any():
+                raise IndefiniteEnergyError(_NONPOSITIVE % "a tensor-product eigenvector")
         self.inv_denominators = 1.0 / (lam + self.sigma)
         self.eigvecs_t = [np.ascontiguousarray(V.T) for V in self.eigvecs]
         box_free = mesh.free_mask[~mesh.boundary_mask]
@@ -229,10 +227,10 @@ class Preconditioner:
     multi-axis mesh at ``coeff = None``, which inverts the operator exactly
     when no node is excluded and ``mass_coeff`` is constant on the free
     nodes, so that CG ends after one product; and :func:`jacobi` for the
-    lagged metrics otherwise.  Every action is deterministic.  :meth:`apply`
-    maps a free-node vector to a free-node vector: a descent passes the free
-    part of ``weights * g``, ``g`` its nodal gradient, and scatters the
-    direction back itself.  The operator is positive definite unless a negative
+    lagged metrics otherwise.  Every action is deterministic.  ``mass_coeff``
+    is a free-node vector, and :meth:`apply` maps a free-node vector, such as
+    a descent's plain-dot first variation, to a free-node vector, its
+    direction.  The operator is positive definite unless a negative
     ``mass_coeff`` (the potential in the p = 2 Newton operator) makes the
     energy form nonpositive.  Then :class:`IndefiniteEnergyError` is raised:
     here when ``np.linalg.cholesky`` refuses a dense block, Jacobi scaling
@@ -250,7 +248,7 @@ class Preconditioner:
         coeff: np.ndarray | None = None,
         mass_coeff: np.ndarray | None = None,
     ):
-        mass = (mesh.weights * (shift if mass_coeff is None else shift + mass_coeff))[mesh.free_mask]
+        mass = mesh.free_weights * (shift if mass_coeff is None else shift + mass_coeff)
         self.exact = mass.size <= DENSE_MAX
         if self.exact:
             self.op = mesh.free_stiffness_dense(coeff)
@@ -287,7 +285,8 @@ def lagged_coefficient(s: np.ndarray, p: float) -> np.ndarray:
 
 def mass_curvature(values: np.ndarray, p: float, factor) -> np.ndarray:
     """Clamped curvature magnitude ``factor * (p-1) |u|^(p-2)`` of the p-th
-    power mass terms at p != 2, used to stiffen the preconditioner diagonal.
+    power mass terms at p != 2 from the free ``values`` of u, a free-node
+    ``mass_coeff`` that stiffens the preconditioner diagonal.
     ``factor`` may be per node; indefinite mass terms should contribute their
     magnitude, which overdamps rather than destabilizes."""
     if not np.any(factor):

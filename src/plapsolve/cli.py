@@ -191,7 +191,9 @@ _TYPES = {
 _CHECKS = ["monotonicity", "power_mean", "hardy", "poincare", "cylinder"]
 
 # section -> key -> (type, default).  A None default that the type refuses
-# makes the key required; a null q or weight p is physics.p.
+# makes the key required; a null q or weight p is physics.p.  The weight value
+# has no default: runs that read it require it, and no value passes the
+# admissibility gate everywhere.
 _SCHEMA = {
     "domain": {"kind": ("a string", None), "bounds": ("a nonempty list of [lo, hi] number pairs", None)},
     "mesh": {
@@ -207,7 +209,7 @@ _SCHEMA = {
         "forcing": ("an object", {}),
     },
     "physics.potential": {"kind": ("a string", "zero")},
-    "physics.weight": {"kind": ("a string", "constant"), "value": ("a number", 1.0)},
+    "physics.weight": {"kind": ("a string", "constant"), "value": ("a number or null", None)},
     "physics.forcing": {"kind": ("a string", "zero")},
     "solver": {
         "eps0": ("a number", 0.5),
@@ -428,6 +430,9 @@ def parse_config(text: str) -> RunConfig:
             cfg[name] = None
             if needs_domain:
                 errors.append(f"config.{name}: required for subcommand {sub!r}")
+    gated = sub in ("solve", "admissibility")
+    if gated and cfg["physics"]["weight"]["value"] is None:
+        errors.append(f"physics.weight.value: required for subcommand {sub!r}")
     fkind = cfg["physics"]["forcing"].get("kind", "zero")
     if fkind not in ("zero", "expression"):
         errors.append(f"physics.forcing.kind: must be 'zero' or 'expression', got {fkind!r}")
@@ -448,11 +453,12 @@ def parse_config(text: str) -> RunConfig:
     # only solve and admissibility runs evaluate the potential and the weight;
     # a 'lambda1_omega' value is computed at run time, and the Hardy kinds
     # need the domain's dimension
-    fields_mesh = mesh if sub in ("solve", "admissibility") else None
+    fields_mesh = mesh if gated else None
     dims = dom.dims if dom else None
     if pot.get("value") != "lambda1_omega" and (dims or pot["kind"] not in ("quadratic_hardy", "hardy_p")):
         _built("physics.potential", errors, _build_potential, config, fields_mesh, dims)
-    _built("physics.weight", errors, _build_weight, config, fields_mesh)
+    if weight["value"] is not None:
+        _built("physics.weight", errors, _build_weight, config, fields_mesh)
     if sub == "solve" and mesh is not None:
         _built("physics.forcing", errors, _build_forcing, config, mesh)
     solver = cfg["solver"]

@@ -1,18 +1,24 @@
 """Energy functionals and norms for the forced problem
 ``-div(|grad u|^(p-2) grad u) - V |u|^(p-2) u = f``.
 
-Provides the forcing term as its pairing vector, the energy gap form
-``q_v``, the regularized objective ``phi`` with its exact discrete first
-variation, the truncation clamp, a Cauchy-type gradient diagnostic, and the
-weighted Sobolev norm ``y_norm``.
+Every quantity takes a field by its values on the free nodes
+(``Mesh.free_mask``), the energy space, with ``gs = _grad_square(mesh,
+values)``, which the caller computes once and shares: the energy gap
+``_q_v_arrays``, the regularized objective ``_phi_arrays`` with its exact
+discrete first variation ``_phi_gradient_arrays``, the weighted Sobolev norm
+``_y_norm_arrays`` and a Cauchy-type gradient diagnostic ``_cauchy_arrays``.
+A potential comes as its free values, a weight or cutoff as its nodal field
+(and the weight also as its free values).  Besides them: the forcing term as
+its pairing vector on the free nodes, the truncation clamp, and ``BoxField``,
+which evaluates a field held on a node box of the mesh.
 
 Gradient terms integrate with the mesh's gradient quadrature
 (``Mesh.integrate_samples`` over ``Mesh.sample_weights``, nodal weights and
-cutoffs mapped by ``Mesh.to_samples``), mass terms with the nodal rule of
-``integrate``.  ``phi_gradient`` is the quadrature-exact adjoint of the
-discrete energy, so central finite differences of ``phi`` reproduce it to
-second order.  Whole-mesh gradients come from ``_grad_square``, box ones
-from ``BoxField``, and fluxes go back through ``_dirichlet_gradient_rep``.
+cutoffs mapped by ``Mesh.to_samples``), mass terms as dots against
+``Mesh.free_weights``.  A first variation is the plain-dot vector r on the
+free nodes, ``r . w = d/dt phi(u + t w)|_{t=0}`` for every free-node w, so
+its quadrature norm is ``sqrt(r . (r / free_weights))``; fluxes come back
+through ``_dirichlet_gradient_rep``.
 """
 
 from __future__ import annotations
@@ -23,23 +29,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# armijo_backtrack is unused here; the benchmark's tracer wraps the name
-# ``energy.armijo_backtrack`` (bench/spans.py), which must resolve
+# armijo_backtrack, integrate and evaluate_potential are unused here; the
+# benchmark's tracer wraps those names in ``energy`` (bench/spans.py), which
+# must resolve
 from ._descent import IndefiniteEnergyError, armijo_backtrack  # noqa: F401
-from .grid import DiscreteFunction, Mesh, integrate
-from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
+from .grid import DiscreteFunction, Mesh, integrate  # noqa: F401
+from .potentials import evaluate_potential, validate_exponents  # noqa: F401
 
 __all__ = [
     "EnergyParams",
     "ForcingTerm",
     "IndefiniteEnergyError",
-    "q_v",
-    "phi",
-    "phi_gradient",
     "truncate",
-    "cauchy_diagnostic",
-    "y_norm",
-    "sobolev_norm",
 ]
 
 
@@ -75,9 +76,9 @@ class EnergyParams:
 
 
 class ForcingTerm:
-    """Right-hand side of the forced problem, held as its pairing vector r:
-    ``<f, u> = r . values(u)`` for every boundary-vanishing u.  Like a
-    ``DiscreteFunction``, r is projected onto the free nodes when constructed.
+    """Right-hand side of the forced problem, held as its pairing vector r on
+    the free nodes: ``<f, u> = r . u`` for every boundary-vanishing u given by
+    its free values, the plain-dot form of a first variation.
 
     ``density`` pairs a nodal density by quadrature, ``manufactured`` samples
     a callable into one, and ``distributional_sum`` pairs a list of (source
@@ -87,21 +88,21 @@ class ForcingTerm:
 
     def __init__(self, mesh: Mesh, rep: np.ndarray):
         self.mesh = mesh
-        self._rep = np.where(mesh.free_mask, rep, 0.0)
+        self._rep = rep
 
     @classmethod
     def zero(cls, mesh: Mesh) -> "ForcingTerm":
-        return cls(mesh, np.zeros(mesh.n_nodes))
+        return cls(mesh, np.zeros_like(mesh.free_weights))
 
     @classmethod
     def density(cls, mesh: Mesh, values: np.ndarray) -> "ForcingTerm":
-        """Quadrature against ``values``; excluded nodes may carry anything."""
+        """Quadrature against the nodal field ``values``; excluded nodes may carry anything."""
         dens = np.asarray(values, dtype=float).ravel()
         if dens.size != mesh.n_nodes:
             raise ValueError("density size does not match mesh")
         if not np.all(np.isfinite(dens[~mesh.excluded_mask])):
             raise ValueError("density must be finite at non-excluded nodes")
-        return cls(mesh, mesh.weights * np.where(mesh.excluded_mask, 0.0, dens))
+        return cls(mesh, mesh.free_weights * dens[mesh.free_mask])
 
     @classmethod
     def manufactured(cls, mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> "ForcingTerm":
@@ -112,25 +113,22 @@ class ForcingTerm:
         if not components:
             raise ValueError("distributional_sum needs at least one component")
         mesh = components[0][0].mesh
-        rep = np.zeros(mesh.n_nodes)
+        rep = np.zeros_like(mesh.free_weights)
         for u_n, lam in components:
             if u_n.mesh is not mesh:
                 raise ValueError("all components must share one mesh")
-            g, s = _grad_square(mesh, u_n.values)
-            rep += _dirichlet_gradient_rep(mesh, g, s, 2.0, 0.0) - lam * mesh.weights * u_n.values
+            values = u_n.values[mesh.free_mask]
+            g, s = _grad_square(mesh, values)
+            rep += _dirichlet_gradient_rep(mesh, g, s, 2.0, 0.0) - lam * mesh.free_weights * values
         return cls(mesh, rep)
 
     def plain_rep(self) -> np.ndarray:
-        """Vector r with ``<f, u> = r . values(u)`` for boundary-vanishing u."""
+        """Vector r with ``<f, u> = r . u`` for the free values u of a boundary-vanishing function."""
         return self._rep
 
     def pairing(self, u: DiscreteFunction) -> float:
         """Duality pairing ``<f, u>``; linear in u."""
-        return float(self._rep @ u.values)
-
-    def nodal_density(self) -> np.ndarray:
-        """Nodal representation: pairing equals quadrature against it."""
-        return self._rep / self.mesh.weights
+        return float(self._rep @ u.values[self.mesh.free_mask])
 
     def __mul__(self, scalar: float) -> "ForcingTerm":
         return ForcingTerm(self.mesh, self._rep * float(scalar))
@@ -139,8 +137,8 @@ class ForcingTerm:
 
 
 def _grad_square(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient ``g`` of shape (dims, n_samples) of nodal ``values`` read on the free nodes, and ``|g|^2``."""
-    g = mesh.grad(values[mesh.free_mask])
+    """Gradient ``g`` of shape (dims, n_samples) of free-node ``values``, and ``|g|^2``."""
+    g = mesh.grad(values)
     return g, np.einsum("ai,ai->i", g, g)
 
 
@@ -164,78 +162,53 @@ def _power_mass(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def _dirichlet_gradient_rep(mesh: Mesh, g: np.ndarray, s: np.ndarray, p: float, delta: float) -> np.ndarray:
-    """Plain-dot representation of the first variation of
-    ``(1/p) int (|grad u|^2 + delta^2)^(p/2)``, zero off the free nodes."""
-    rep = np.zeros(mesh.n_nodes)
-    rep[mesh.free_mask] = mesh.grad_adjoint(mesh.sample_weights * _flux_coeff(s, p, delta) * g)
-    return rep
-
-
-def q_v(u: DiscreteFunction, V: Potential, params: EnergyParams) -> float:
-    """Energy gap ``int |grad u|^p - int V |u|^p``; the p-Dirichlet energy
-    when V = 0, and p-homogeneous in u."""
-    return _q_v_arrays(u.mesh, u.values, evaluate_potential(V, u.mesh), params.p)
+    """Plain-dot first variation on the free nodes of
+    ``(1/p) int (|grad u|^2 + delta^2)^(p/2)``, from ``(g, s) = _grad_square(mesh, u)``."""
+    return mesh.grad_adjoint(mesh.sample_weights * _flux_coeff(s, p, delta) * g)
 
 
 def _q_v_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray, p: float,
-                gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """:func:`q_v` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
-    _, s = _grad_square(mesh, values) if gs is None else gs
-    return _dirichlet(mesh, s, p) - integrate(v_vals * np.abs(values) ** p, mesh)
+                gs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Energy gap ``int |grad u|^p - int V |u|^p`` of free ``values`` with
+    ``gs = _grad_square(mesh, values)``, ``v_vals`` the free values of V; the
+    p-Dirichlet energy when V = 0, and p-homogeneous in u."""
+    return _dirichlet(mesh, gs[1], p) - float(mesh.free_weights @ (v_vals * np.abs(values) ** p))
 
 
-def phi(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams) -> float:
+def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
+                f: ForcingTerm, params: EnergyParams, gs: tuple[np.ndarray, np.ndarray]) -> float:
     """Regularized objective
 
     ``(1/p) int |grad u|^p - ((1-eps)/p) int V |u|^p + (eps/p) int |u|^p - <f, u>``
 
+    of free ``values`` (``gs`` and ``v_vals`` as in :func:`_q_v_arrays`),
     with the gradient term smoothed to ``((|grad u|^2 + delta^2)^(p/2) -
     delta^p)`` so that it stays the exact antiderivative of
-    :func:`phi_gradient` and vanishes at u = 0.
+    :func:`_phi_gradient_arrays` and vanishes at u = 0.
     """
-    return _phi_arrays(u.mesh, u.values, evaluate_potential(V, u.mesh), f, params)
-
-
-def _phi_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
-                f: ForcingTerm, params: EnergyParams,
-                gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """:func:`phi` on raw arrays; ``gs`` is ``_grad_square(mesh, values)`` when
-    the caller already has it."""
     p, eps, delta = params.p, params.eps, params.delta
-    _, s = _grad_square(mesh, values) if gs is None else gs
-    total = mesh.integrate_samples((s + delta * delta) ** (p / 2.0) - delta**p) / p
+    total = mesh.integrate_samples((gs[1] + delta * delta) ** (p / 2.0) - delta**p) / p
     mass = np.abs(values) ** p
-    total -= (1.0 - eps) / p * integrate(v_vals * mass, mesh)
+    total -= (1.0 - eps) / p * float(mesh.free_weights @ (v_vals * mass))
     if eps != 0.0:
-        total += eps / p * integrate(mass, mesh)
+        total += eps / p * float(mesh.free_weights @ mass)
     return total - float(f.plain_rep() @ values)
 
 
-def phi_gradient(u: DiscreteFunction, V: Potential, f: ForcingTerm, params: EnergyParams) -> DiscreteFunction:
-    """Nodal first variation of :func:`phi`.
-
-    At ``delta = 0`` and p = 2 this is the exact discrete residual of the
-    linear equation; in general it satisfies
-    ``<phi_gradient(u), w> = d/dt phi(u + t w)|_{t=0}`` exactly in the mesh
-    quadrature pairing, for every w vanishing on constrained nodes.
-    """
-    nodal = _phi_gradient_arrays(u.mesh, u.values, evaluate_potential(V, u.mesh), f, params)
-    return DiscreteFunction(u.mesh, nodal)
-
-
 def _phi_gradient_arrays(mesh: Mesh, values: np.ndarray, v_vals: np.ndarray,
-                         f: ForcingTerm, params: EnergyParams,
-                         gs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """:func:`phi_gradient` on raw arrays; ``gs`` as in :func:`_phi_arrays`."""
+                         f: ForcingTerm, params: EnergyParams, gs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Plain-dot first variation r of :func:`_phi_arrays` on the free nodes:
+    ``r . w = d/dt phi(u + t w)|_{t=0}`` exactly for every free-node w, so
+    central differences of the objective reproduce it to second order.  At
+    ``delta = 0`` and p = 2 it is the exact discrete residual of the linear
+    equation; its quadrature norm is ``sqrt(r . (r / mesh.free_weights))``.
+    """
     p, eps, delta = params.p, params.eps, params.delta
-    g, s = _grad_square(mesh, values) if gs is None else gs
-    nodal = _dirichlet_gradient_rep(mesh, g, s, p, delta) / mesh.weights
     mass_grad = _power_mass(values, p)
-    nodal -= (1.0 - eps) * v_vals * mass_grad
+    density = -(1.0 - eps) * v_vals * mass_grad
     if eps != 0.0:
-        nodal += eps * mass_grad
-    nodal -= f.nodal_density()
-    return nodal
+        density += eps * mass_grad
+    return _dirichlet_gradient_rep(mesh, *gs, p, delta) + mesh.free_weights * density - f.plain_rep()
 
 
 def truncate(s):
@@ -245,43 +218,31 @@ def truncate(s):
     return np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
 
 
-def cauchy_diagnostic(u_a: DiscreteFunction, u_b: DiscreteFunction,
-                      cutoff: DiscreteFunction, params: EnergyParams) -> float:
-    """Localized monotonicity pairing of the p-gradient fluxes.
+def _cauchy_arrays(mesh: Mesh, values_a: np.ndarray, values_b: np.ndarray,
+                   gs_a: tuple[np.ndarray, np.ndarray], gs_b: tuple[np.ndarray, np.ndarray],
+                   cutoff_vals: np.ndarray, p: float) -> float:
+    """Localized monotonicity pairing of the p-gradient fluxes of free
+    ``values_a`` and ``values_b``, with ``gs_a`` and ``gs_b`` their
+    ``_grad_square`` and ``cutoff_vals`` a nodal cutoff.
 
     Integrates ``cutoff * (F(u_a) - F(u_b)) . grad T(u_a - u_b)`` with
     ``F(v) = |grad v|^(p-2) grad v``; nonnegative up to quadrature noise
     wherever the clamp is inactive, and vanishing along a converging solve.
     """
-    mesh = u_a.mesh
-    if u_b.mesh is not mesh or cutoff.mesh is not mesh:
-        raise ValueError("all fields must share one mesh")
-    return _cauchy_arrays(mesh, u_a.values, u_b.values, _grad_square(mesh, u_a.values),
-                          _grad_square(mesh, u_b.values), cutoff.values, params.p)
-
-
-def _cauchy_arrays(mesh: Mesh, values_a: np.ndarray, values_b: np.ndarray,
-                   gs_a: tuple[np.ndarray, np.ndarray], gs_b: tuple[np.ndarray, np.ndarray],
-                   cutoff_vals: np.ndarray, p: float) -> float:
-    """:func:`cauchy_diagnostic` on raw arrays, with ``gs_a`` and ``gs_b`` the
-    ``_grad_square`` of ``values_a`` and ``values_b``."""
     (g_a, s_a), (g_b, s_b) = gs_a, gs_b
     flux = _flux_coeff(s_a, p, 0.0) * g_a - _flux_coeff(s_b, p, 0.0) * g_b
     g_t, _ = _grad_square(mesh, truncate(values_a - values_b))
     return mesh.integrate_samples(mesh.to_samples(cutoff_vals) * np.einsum("ai,ai->i", flux, g_t))
 
 
-def y_norm(u: DiscreteFunction, W: Weight, params: EnergyParams) -> float:
-    """Weighted Sobolev norm ``(int (|grad u|^q + |u|^q) W)^(1/q)``."""
-    return _y_norm_arrays(u.mesh, u.values, evaluate_weight(W, u.mesh), params.q)
-
-
-def _y_norm_arrays(mesh: Mesh, values: np.ndarray, w_vals: np.ndarray, q: float,
-                   gs: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """:func:`y_norm` on raw arrays (``w_vals`` may be 1.0); ``gs`` as in :func:`_phi_arrays`."""
-    _, s = _grad_square(mesh, values) if gs is None else gs
-    total = mesh.integrate_samples(s ** (q / 2.0) * mesh.to_samples(w_vals))
-    return (total + integrate(np.abs(values) ** q * w_vals, mesh)) ** (1.0 / q)
+def _y_norm_arrays(mesh: Mesh, values: np.ndarray, w_vals: np.ndarray, w_free: np.ndarray, q: float,
+                   gs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Weighted Sobolev norm ``(int (|grad u|^q + |u|^q) W)^(1/q)`` of free
+    ``values`` with ``gs = _grad_square(mesh, values)``: W is the nodal field
+    ``w_vals`` and ``w_free`` its free values (both 1.0 for the unweighted
+    norm)."""
+    total = mesh.integrate_samples(gs[1] ** (q / 2.0) * mesh.to_samples(w_vals))
+    return (total + float(mesh.free_weights @ (np.abs(values) ** q * w_free))) ** (1.0 / q)
 
 
 class BoxField:
@@ -305,7 +266,3 @@ class BoxField:
         """``int |u|^r weight``."""
         return float(np.dot(np.abs(self._values) ** r * self._on_box(weight), self._node_weights))
 
-
-def sobolev_norm(u: DiscreteFunction, p: float) -> float:
-    """Unweighted norm ``(int |grad u|^p + int |u|^p)^(1/p)``."""
-    return _y_norm_arrays(u.mesh, u.values, 1.0, p)

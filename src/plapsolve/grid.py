@@ -2,10 +2,10 @@
 and the stacked first-order difference operator of the discrete energy.
 
 Domains are boxes, intervals, strips (a bounded cross-section times truncated
-unbounded axes), and boxes punctured at the origin.  All fields live as flat
+unbounded axes), and boxes punctured at the origin.  Nodal fields live as flat
 per-node arrays in C order; functions that vanish on the boundary mask model
-compactly supported test functions, and the difference operator acts on
-their values on the free nodes.
+compactly supported test functions, and the difference operator and the
+solvers act on their values on the free nodes.
 """
 
 from __future__ import annotations
@@ -129,9 +129,14 @@ class Mesh:
 
     Nodes are stored flat in C order.  ``boundary_mask`` flags nodes on the
     outer box faces; ``excluded_mask`` flags nodes inside the puncture or the
-    singular cap, which never participate in integrals.  ``weights`` are
-    tensor trapezoidal; the weight sum over non-excluded nodes approximates
-    the domain volume minus the excluded volume.
+    singular cap, which never participate in integrals.  Excluded nodes are
+    natural boundaries: the stencil beside them goes one-sided and never
+    reads their zero, so the energy sees no jump into the hole.  ``weights``
+    are tensor trapezoidal; the weight sum over non-excluded nodes
+    approximates the domain volume minus the excluded volume.  The other
+    nodes, ``free_mask``, carry the energy space: unknowns, first variations
+    and descent directions are vectors on them, with the quadrature weights
+    ``free_weights``.
 
     Meshes are immutable after construction and safe to share.
     """
@@ -205,6 +210,8 @@ class Mesh:
         self._active = np.flatnonzero(~excluded) if excluded.any() else slice(None)
         self._active_weights = self.weights[self._active]
         self.free_mask = ~self.constrained_mask
+        # the quadrature weights of the energy space's vectors
+        self.free_weights = self.weights[self.free_mask]
         # gradient quadrature (see ``grad``)
         self.sample_weights = self.weights * ~excluded
 
@@ -377,6 +384,13 @@ class DiscreteFunction:
     @classmethod
     def zeros(cls, mesh: Mesh) -> "DiscreteFunction":
         return cls(mesh, np.zeros(mesh.n_nodes))
+
+    @classmethod
+    def from_free(cls, mesh: Mesh, values: np.ndarray) -> "DiscreteFunction":
+        """The function with free-node ``values``, zero on constrained nodes."""
+        vals = np.zeros(mesh.n_nodes)
+        vals[mesh.free_mask] = values
+        return cls(mesh, vals)
 
     @classmethod
     def from_callable(cls, mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray]) -> "DiscreteFunction":

@@ -128,26 +128,24 @@ def _method(p: float) -> str:
     return "lobpcg" if p == 2.0 else "descent"
 
 
-def _lobpcg(mesh: Mesh, start: np.ndarray, mass_weight: np.ndarray, tol: float,
+def _lobpcg(mesh: Mesh, start: np.ndarray, mass_weight: np.ndarray | float, tol: float,
             max_iter: int) -> tuple[float, np.ndarray, int, float]:
     """:func:`_quotient_descent` at p = 2: the smallest eigenpair of the
     free-node pencil ``K x = lam M x`` (``K`` the :meth:`Mesh.energy_stiffness`,
-    ``M`` the free part of ``weights * mass_weight``) by block-size-1 LOBPCG
+    ``M`` the diagonal ``free_weights * mass_weight``) by block-size-1 LOBPCG
     (Knyazev, SIAM J. Sci. Comput. 23, 2001).  Each step preconditions the
     residual ``r = K x - lam M x``, orthonormalizes it and the last direction
     against the basis in the ``M`` inner product, twice, dropping nearly
     dependent vectors (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006), and
     takes the smallest Ritz pair; ``K x`` follows from the same combination.
-    The residual ``2 sqrt(sum r^2 / weights)`` is the quadrature norm of the
-    quotient's first variation, so ``tol`` means what it means at p != 2.
+    The residual ``2 sqrt(sum r^2 / free_weights)`` is the quadrature norm of
+    the quotient's first variation, so ``tol`` means what it means at p != 2.
     """
-    free = mesh.free_mask
     pre = Preconditioner(mesh, rtol=METRIC_RTOL)
     K = mesh.energy_stiffness()
-    weights = mesh.weights[free]
-    mass = weights * mass_weight[free]
-    x = start[free]
-    x = x / np.sqrt(x @ (mass * x))
+    weights = mesh.free_weights
+    mass = weights * mass_weight
+    x = start / np.sqrt(start @ (mass * start))
     Kx = K @ x
     lam = float(x @ Kx)
     direction = None
@@ -179,9 +177,7 @@ def _lobpcg(mesh: Mesh, start: np.ndarray, mass_weight: np.ndarray, tol: float,
         m = float(x @ (mass * x))
         x, Kx = x / np.sqrt(m), Kx / np.sqrt(m)
         lam = float(x @ Kx)
-    u = np.zeros(mesh.n_nodes)
-    u[free] = x
-    return lam, u, iterations, res
+    return lam, x, iterations, res
 
 
 def _seeded_start(mesh: Mesh, seed: int) -> np.ndarray:
@@ -201,13 +197,14 @@ def _quotient_descent(
     mesh: Mesh,
     p: float,
     start: np.ndarray,
-    mass_weight: np.ndarray | None = None,
+    mass_weight: np.ndarray | float = 1.0,
     tol: float = 1e-8,
     max_iter: int = 800,
     stall_window: int = 25,
     stall_factor: float = 0.5,
 ) -> tuple[float, np.ndarray, int, float]:
-    """Minimize ``int |grad u|^p / int w |u|^p`` from the nodal values ``start``.
+    """Minimize ``int |grad u|^p / int w |u|^p`` from the free values
+    ``start``, with ``w`` the free values ``mass_weight``.
 
     At p = 2 the quotient is a generalized Rayleigh quotient, and
     :func:`_lobpcg` returns the exact smallest discrete eigenvalue up to
@@ -216,18 +213,16 @@ def _quotient_descent(
     increases.  It stops on the same residual of the quotient's first
     variation, on the stall rule (the residual above ``stall_factor`` times
     its value ``stall_window`` steps earlier) or on a failed line search.
-    Returns (value, values of unit mass, iterations, residual).
+    Returns (value, free values of unit mass, iterations, residual).
     """
-    w_mass = np.ones(mesh.n_nodes) if mass_weight is None else mass_weight
     if p == 2.0:
-        return _lobpcg(mesh, start, w_mass, tol, max_iter)
+        return _lobpcg(mesh, start, mass_weight, tol, max_iter)
     # the loop builds the lagged preconditioner at k = 0
     pre_refresh = 12
-    free = mesh.free_mask
-    u = np.where(free, start, 0.0)
+    weights = mesh.free_weights
 
     def masses(values):
-        return integrate(w_mass * np.abs(values) ** p, mesh)
+        return float(weights @ (mass_weight * np.abs(values) ** p))
 
     def quotient_of(values, s):
         m = masses(values)
@@ -240,7 +235,7 @@ def _quotient_descent(
         accepted = _grad_square(mesh, values)
         return quotient_of(values, accepted[1])
 
-    u = u / masses(u) ** (1.0 / p)
+    u = start / masses(start) ** (1.0 / p)
     g, s = _grad_square(mesh, u)
     lam = _dirichlet(mesh, s, p)  # the p-mass is one here
     step = 1.0
@@ -249,10 +244,9 @@ def _quotient_descent(
     res_window: list[float] = []
     for k in range(max_iter):
         iterations = k + 1
-        k_grad = p * _dirichlet_gradient_rep(mesh, g, s, p, 0.0) / mesh.weights
-        m_grad = p * w_mass * _power_mass(u, p)
-        gq = k_grad - lam * m_grad
-        res = np.sqrt(max(integrate(gq * gq, mesh), 0.0))
+        # the plain-dot first variation of the quotient at unit mass
+        r = p * (_dirichlet_gradient_rep(mesh, g, s, p, 0.0) - lam * weights * mass_weight * _power_mass(u, p))
+        res = np.sqrt(r @ (r / weights))
         if res <= tol * max(1.0, abs(lam)):
             break
         res_window.append(res)
@@ -262,10 +256,8 @@ def _quotient_descent(
             pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=lagged_coefficient(s, p))
         # the energy gradient carries a factor p; removing it makes a unit
         # step the natural preconditioned-inverse-iteration step
-        wg = mesh.weights * gq
-        d = np.zeros(mesh.n_nodes)
-        d[free] = -pre.apply(wg[free]) / p
-        slope = float(wg @ d)
+        d = -pre.apply(r) / p
+        slope = float(r @ d)
         taken, u_new, lam_new = armijo_backtrack(quotient, u, d, lam, slope, init_step=step)
         if taken is None:
             break
@@ -298,18 +290,20 @@ def rayleigh_min(
     is the one start of the descent at p: it lies in the cone of the simple,
     positive first p-eigenfunction (Lindqvist, Proc. AMS 109, 1990).
     """
-    if not np.any(mesh.free_mask):
+    free = mesh.free_mask
+    if not np.any(free):
         raise ValueError("mesh has no interior nodes")
-    u = _seeded_start(mesh, seed)
+    u = _seeded_start(mesh, seed)[free]
+    w = 1.0 if mass_weight is None else mass_weight[free]
     start_iterations = 0
     if p != 2.0:
-        _, u, start_iterations, _ = _quotient_descent(mesh, 2.0, u, mass_weight, tol, max_iter)
+        _, u, start_iterations, _ = _quotient_descent(mesh, 2.0, u, w, tol, max_iter)
     lam, u, iterations, res = _quotient_descent(
-        mesh, p, u, mass_weight, tol, max_iter, stall_window=stall_window, stall_factor=stall_factor,
+        mesh, p, u, w, tol, max_iter, stall_window=stall_window, stall_factor=stall_factor,
     )
     return EigenResult(
         value=float(lam),
-        minimizer=DiscreteFunction(mesh, u),
+        minimizer=DiscreteFunction.from_free(mesh, u),
         iterations=start_iterations + iterations,
         residual=float(res),
         method=_method(p),
@@ -395,10 +389,11 @@ def cylinder_eigen_check(
             z = mesh_L.axes[omega_mesh.domain.dims + a]
             profs.append(plateau_profile(z, 0.5 * L, 0.5 * L))
         cand = _tensor_field(omega_mesh, mesh_L, omega_eig.minimizer.values, profs)
-        dirich = _dirichlet(mesh_L, _grad_square(mesh_L, cand)[1], p)
+        start = cand[mesh_L.free_mask]
+        dirich = _dirichlet(mesh_L, _grad_square(mesh_L, start)[1], p)
         tensor_quotients[L] = dirich / integrate(np.abs(cand) ** p, mesh_L)
 
-        lam_L, _, _, res = _quotient_descent(mesh_L, p, cand, tol=eigen_tol, max_iter=max_iter)
+        lam_L, _, _, res = _quotient_descent(mesh_L, p, start, tol=eigen_tol, max_iter=max_iter)
         lam_L = strip_values[L] = float(lam_L)
         strip_residuals[L] = float(res)
         margins.append(lam_L - lam_omega)
@@ -763,7 +758,7 @@ def blowup_demo(
         w_prof = plateau_profile(z_axis - center, 0.5 * a, r)
         vals = _tensor_field(omega_mesh, mesh, v, [w_prof])
         u = DiscreteFunction(mesh, vals)
-        dirich = mesh.integrate_samples(_grad_square(mesh, u.values)[1])
+        dirich = mesh.integrate_samples(_grad_square(mesh, u.values[mesh.free_mask])[1])
         mass = integrate(u.values**2, mesh)
         gap = dirich - lam1 * mass
         if not gap > 0:
@@ -789,7 +784,7 @@ def blowup_demo(
         partial = partial + components[k - 1].values
         q_sum += gaps[k - 1]
         h_k += 1.0 / k
-        grad_energy = mesh.integrate_samples(_grad_square(mesh, partial)[1])
+        grad_energy = mesh.integrate_samples(_grad_square(mesh, partial[mesh.free_mask])[1])
         rows.append(
             BlowupRow(
                 k=k,

@@ -208,6 +208,25 @@ class TestParseConfig:
         cfg = parse_config(json.dumps({"subcommand": "certify"}))
         assert cfg.domain is None
 
+    @pytest.mark.parametrize("subcommand", ["solve", "admissibility"])
+    def test_gated_runs_need_a_weight_value(self, tmp_path, capsys, subcommand):
+        # no weight value passes the gate everywhere: the former default 1.0
+        # violated it on all 65 samples of this config, which exited 2
+        unset = _with(SMALL_SOLVE, {"subcommand": subcommand, "physics.weight": {"kind": "constant"}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(unset))
+        assert f"physics.weight.value: required for subcommand {subcommand!r}" in err.value.errors
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(unset))
+        assert main([subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: physics.weight.value: required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("updates", [{"subcommand": "eigen"}, {"subcommand": "certify"}, _BLOWUP])
+    def test_ungated_runs_need_no_weight(self, updates):
+        cfg = parse_config(json.dumps(_with(SMALL_SOLVE, {**updates, "physics.weight": {"kind": "constant"}})))
+        assert cfg.physics["weight"]["value"] is None
+
     @pytest.mark.parametrize(
         "updates, section, constraint", [case[1:] for case in REFUSED], ids=[case[0] for case in REFUSED]
     )
@@ -721,11 +740,11 @@ class TestMain:
 # config_hash of each shipped preset; a change to the normalized config moves it
 PRESET_HASHES = {
     "admissibility_hardy": "fe5411cb76b1",
-    "blowup_strip": "6e89b1a8e335",
+    "blowup_strip": "b4e1bd3573e8",
     "bounded_potential": "4f9d92626ac3",
-    "certify_suite": "4f1d693ff58a",
-    "eigen_interval": "13680c911944",
-    "eigen_strip_sweep": "ddb240dc0ca1",
+    "certify_suite": "95e479ea9448",
+    "eigen_interval": "63a285be4da7",
+    "eigen_strip_sweep": "59d3ffcafc43",
     "hardy_cylindrical": "0f48356ac2b5",
     "hardy_quadratic": "8ba32fcfbc04",
     "manufactured_interval": "0e4caf8fae9e",

@@ -65,21 +65,22 @@ ROLES = pytest.mark.parametrize("rtol", [METRIC_RTOL, NEWTON_RTOL], ids=["metric
 
 
 def _problem(mesh, p):
-    """A right-hand side on the free nodes, the free part of ``w g`` for a
-    nodal gradient ``g`` as the descents pass it to ``apply``, and, unless
+    """A right-hand side on the free nodes, a plain-dot first variation
+    ``w g`` as the descents pass it to ``apply``, and, unless
     ``p`` is None, the lagged coefficient at ``p`` of a rough field, whose
     contrast (about 1e3 at p = 1.5, 1e6 at p = 3) makes the inner solve
     harder."""
     rng = np.random.default_rng(4)
-    u = np.where(mesh.free_mask, rng.standard_normal(mesh.n_nodes), 0.0)
+    u = rng.standard_normal(mesh.n_nodes)[mesh.free_mask]
     g = rng.standard_normal(mesh.n_nodes)
     coeff = None if p is None else lagged_coefficient(_grad_square(mesh, u)[1], p)
     return _rhs(mesh, g), coeff
 
 
 def _rhs(mesh, g):
-    """The free part of ``w g``, what a descent passes to ``apply``."""
-    return (mesh.weights * g)[mesh.free_mask]
+    """The plain-dot vector ``w g`` on the free nodes of a nodal ``g``, what
+    a descent passes to ``apply``."""
+    return mesh.free_weights * g[mesh.free_mask]
 
 
 class _CountingOperator:
@@ -189,12 +190,15 @@ def test_small_blocks_are_solved_exactly(small_mesh, p, rtol, monkeypatch):
 def _sparse_free_operator(mesh, shift=1.0, coeff=None, mass_coeff=None):
     """The free-node operator by scipy on the whole grid: ``G^T diag(w) G``
     over every node, ``G`` the reference whole-grid difference operator, plus
-    the mass diagonal, then its free rows and columns."""
+    the mass diagonal of the free-node ``mass_coeff``, then its free rows and
+    columns."""
     G = reference_grad_op(mesh)
     w = mesh.sample_weights if coeff is None else mesh.sample_weights * coeff
     stiffness = (G.T @ (sp.diags(np.tile(w, mesh.domain.dims)) @ G)).tocsr()
-    diag = np.full(mesh.n_nodes, shift) if mass_coeff is None else shift + mass_coeff
     free = mesh.free_mask
+    diag = np.full(mesh.n_nodes, shift)
+    if mass_coeff is not None:
+        diag[free] += mass_coeff
     return (stiffness + sp.diags(mesh.weights * diag)).tocsr()[free][:, free]
 
 
@@ -210,7 +214,7 @@ def test_exact_block_is_assembled_dense(small_mesh, p, newton, monkeypatch):
     kwargs = {"coeff": coeff}
     if newton:
         # the p = 2 Newton operator with a constant potential below lambda_1
-        kwargs.update(shift=1e-10, mass_coeff=np.full(small_mesh.n_nodes, -3.0))
+        kwargs.update(shift=1e-10, mass_coeff=np.full_like(small_mesh.free_weights, -3.0))
 
     def no_stiffness(*args):
         raise AssertionError("an exact build assembled the sparse stiffness")
@@ -236,7 +240,9 @@ def test_sparse_op_is_the_whole_grid_operator_sliced(make, role):
     kwargs = {
         "plain": {},
         "lagged": {"coeff": _problem(mesh, 3.0)[1]},
-        "newton": {"shift": 1e-10, "mass_coeff": np.random.default_rng(13).uniform(-1.0, 1.0, mesh.n_nodes)},
+        "newton": {
+            "shift": 1e-10, "mass_coeff": np.random.default_rng(13).uniform(-1.0, 1.0, mesh.n_nodes)[mesh.free_mask],
+        },
     }[role]
     pre = Preconditioner(mesh, rtol=METRIC_RTOL, **kwargs)
     want = _sparse_free_operator(mesh, **kwargs)
@@ -265,7 +271,7 @@ def test_indefinite_small_block_raises_at_construction(rtol, monkeypatch):
     # 1 - 50 makes the block indefinite while its diagonal stays positive;
     # Cholesky refuses it, which certifies the indefiniteness before any apply
     mesh = SMALL_MESHES["interval_33"]()
-    op = _refused_at_construction(mesh, np.full(mesh.n_nodes, -50.0), rtol, monkeypatch, DENSE_MAX)
+    op = _refused_at_construction(mesh, np.full_like(mesh.free_weights, -50.0), rtol, monkeypatch, DENSE_MAX)
     assert op.shape[0] <= DENSE_MAX
 
 
@@ -275,7 +281,7 @@ def test_indefinite_interval_block_raises_at_construction(rtol, monkeypatch):
     # near (4 pi)^2 = 158, so a mass shift of 1 - 1000 makes the blocks
     # indefinite; Cholesky refuses them before any apply
     mesh = build_mesh(interval(0.0, 1.0), [401])
-    op = _refused_at_construction(mesh, np.full(mesh.n_nodes, -1000.0), rtol, monkeypatch, 100)
+    op = _refused_at_construction(mesh, np.full_like(mesh.free_weights, -1000.0), rtol, monkeypatch, 100)
     assert op.shape[0] > DENSE_MAX
 
 
@@ -327,7 +333,7 @@ def _role_preconditioners(mesh):
     default ``K + M`` of the quotient descents and LOBPCG."""
     _, coeff = _problem(mesh, 3.0)
     lam1 = rayleigh_min(mesh, 2.0, tol=1e-10).value
-    v_vals = evaluate_potential(Potential.constant(0.6 * lam1), mesh)
+    v_vals = evaluate_potential(Potential.constant(0.6 * lam1), mesh)[mesh.free_mask]
     return {
         "metric_p3": Preconditioner(mesh, rtol=METRIC_RTOL, shift=1e-10, coeff=coeff),
         "newton_p2": Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=-v_vals),
@@ -354,8 +360,8 @@ def _path(pre):
     ids=["dense", "block", "multi_axis"],
 )
 def test_every_role_maps_a_gradient_to_a_descent_direction(make, paths):
-    # minimize_phi and the quotient descent step along -apply(b), b the free
-    # part of w g, without an uphill fallback, so b . apply(b) > 0 must hold
+    # minimize_phi and the quotient descent step along -apply(b), b a
+    # plain-dot first variation, without an uphill fallback, so b . apply(b) > 0 must hold
     # on every path and every role
     mesh = make()
     rng = np.random.default_rng(11)
@@ -436,7 +442,7 @@ def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol)
     mesh = tensor_mesh
     kwargs = {}
     if newton:
-        kwargs = {"shift": 1e-10, "mass_coeff": np.full(mesh.n_nodes, -0.6 * _lambda_1(mesh))}
+        kwargs = {"shift": 1e-10, "mass_coeff": np.full_like(mesh.free_weights, -0.6 * _lambda_1(mesh))}
     b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol, **kwargs)
     assert _path(pre) == "tensor"
@@ -485,7 +491,7 @@ def test_axis_eigenpairs_are_computed_once_per_mesh(monkeypatch):
     b, _ = _problem(mesh, None)
     for rtol in (METRIC_RTOL, NEWTON_RTOL):
         Preconditioner(mesh, rtol=rtol).apply(b)
-        Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -1.0)).apply(b)
+        Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full_like(mesh.free_weights, -1.0)).apply(b)
     assert len(calls) == mesh.domain.dims
     second = build_mesh(box((0.0, 2.0), (0.0, 1.0)), [13, 17])
     Preconditioner(second, rtol=METRIC_RTOL).apply(_problem(second, None)[0])
@@ -506,12 +512,12 @@ def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
     calls = _counting_cg(monkeypatch)
     mesh = MESHES["strip_2d"]()
     lam1 = _lambda_1(mesh)
-    above = np.full(mesh.n_nodes, -1.001 * lam1)
+    above = np.full_like(mesh.free_weights, -1.001 * lam1)
     assert np.all(_sparse_free_operator(mesh, shift=1e-10, mass_coeff=above).diagonal() > 0.0)
     with pytest.raises(IndefiniteEnergyError, match="tensor-product eigenvector"):
         Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=above)
     assert not calls
-    pre = Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -0.999 * lam1))
+    pre = Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full_like(mesh.free_weights, -0.999 * lam1))
     pre.op = counting = _CountingOperator(pre.op)
     pre.apply(_problem(mesh, None)[0])
     assert counting.products == 1
@@ -527,7 +533,7 @@ def test_punctured_tensor_falls_back_to_the_shift(potential, indefinite):
     mesh = MESHES["punctured_3d"]()
     assert 7.2 < _lambda_1(mesh) < 7.3
     b, _ = _problem(mesh, None)
-    pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=np.full(mesh.n_nodes, -potential))
+    pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=np.full_like(mesh.free_weights, -potential))
     assert pre.precondition.sigma == 1e-10
     if indefinite:
         with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):

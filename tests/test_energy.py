@@ -21,21 +21,18 @@ from plapsolve import (
     Weight,
     box,
     build_mesh,
-    cauchy_diagnostic,
     continuation_solve,
     dual_norm,
     integrate,
     interval,
     minimize_phi,
-    phi,
-    phi_gradient,
-    q_v,
-    sobolev_norm,
     truncate,
-    y_norm,
 )
-from plapsolve.energy import _dirichlet_gradient_rep, _grad_square, _phi_gradient_arrays
-from plapsolve.potentials import evaluate_potential
+from plapsolve.energy import (
+    _cauchy_arrays, _dirichlet_gradient_rep, _grad_square, _phi_arrays, _phi_gradient_arrays, _q_v_arrays,
+    _y_norm_arrays,
+)
+from plapsolve.potentials import evaluate_potential, evaluate_weight
 from plapsolve.sampling import bump_family
 from plapsolve.spectra import rayleigh_min
 from oracles import STACKED_MESHES, embed, wide_system_1d
@@ -49,6 +46,24 @@ def mesh201():
 @pytest.fixture(scope="module")
 def p2():
     return EnergyParams(p=2.0)
+
+
+def _free(u):
+    """The free values of ``u`` and their ``_grad_square``, the form in which
+    the energy functions take a field."""
+    values = u.values[u.mesh.free_mask]
+    return values, _grad_square(u.mesh, values)
+
+
+def _v(V, mesh):
+    """The free values of the potential ``V``."""
+    return evaluate_potential(V, mesh)[mesh.free_mask]
+
+
+def _w(W, mesh):
+    """The weight ``W`` as a nodal field and its free values."""
+    w = evaluate_weight(W, mesh)
+    return w, w[mesh.free_mask]
 
 
 class TestEnergyParams:
@@ -75,18 +90,21 @@ class TestEnergyParams:
 
 class TestQv:
     def test_zero_function(self, mesh201, p2):
-        assert q_v(DiscreteFunction.zeros(mesh201), Potential.zero(), p2) == 0.0
+        u, gs = _free(DiscreteFunction.zeros(mesh201))
+        assert _q_v_arrays(mesh201, u, _v(Potential.zero(), mesh201), p2.p, gs) == 0.0
 
     def test_dirichlet_energy_of_sine(self, mesh201, p2):
-        u = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
-        assert q_v(u, Potential.zero(), p2) == pytest.approx(np.pi**2 / 2, abs=0.05)
+        u, gs = _free(DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0])))
+        qv = _q_v_arrays(mesh201, u, _v(Potential.zero(), mesh201), p2.p, gs)
+        assert qv == pytest.approx(np.pi**2 / 2, abs=0.05)
 
     def test_constant_potential_decomposition(self, mesh201, p2):
-        u = DiscreteFunction.from_callable(mesh201, lambda x: x[:, 0] * (1 - x[:, 0]))
+        fn = DiscreteFunction.from_callable(mesh201, lambda x: x[:, 0] * (1 - x[:, 0]))
+        u, gs = _free(fn)
         lam = 3.0
-        full = q_v(u, Potential.constant(lam), p2)
-        dirichlet = q_v(u, Potential.zero(), p2)
-        mass = integrate(np.abs(u.values) ** 2, mesh201)
+        full = _q_v_arrays(mesh201, u, _v(Potential.constant(lam), mesh201), p2.p, gs)
+        dirichlet = _q_v_arrays(mesh201, u, _v(Potential.zero(), mesh201), p2.p, gs)
+        mass = integrate(np.abs(fn.values) ** 2, mesh201)
         assert full == pytest.approx(dirichlet - lam * mass, rel=1e-13)
 
     @given(t=st.floats(-8.0, 8.0, allow_nan=False))
@@ -94,9 +112,11 @@ class TestQv:
     def test_homogeneity(self, t):
         mesh = build_mesh(interval(0.0, 1.0), [33])
         params = EnergyParams(p=2.5)
-        u = DiscreteFunction.from_callable(mesh, lambda x: np.sin(np.pi * x[:, 0]))
-        left = q_v(u * t, Potential.zero(), params)
-        right = abs(t) ** 2.5 * q_v(u, Potential.zero(), params)
+        fn = DiscreteFunction.from_callable(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        v = _v(Potential.zero(), mesh)
+        (u, gs), (ut, gs_t) = _free(fn), _free(fn * t)
+        left = _q_v_arrays(mesh, ut, v, params.p, gs_t)
+        right = abs(t) ** 2.5 * _q_v_arrays(mesh, u, v, params.p, gs)
         assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
 
 
@@ -104,15 +124,16 @@ class TestPhi:
     def test_zero_function(self, mesh201):
         params = EnergyParams(p=2.0, eps=0.5)
         f = ForcingTerm.zero(mesh201)
-        assert phi(DiscreteFunction.zeros(mesh201), Potential.zero(), f, params) == 0.0
+        u, gs = _free(DiscreteFunction.zeros(mesh201))
+        assert _phi_arrays(mesh201, u, _v(Potential.zero(), mesh201), f, params, gs) == 0.0
 
     def test_nonnegative_without_forcing(self, mesh201):
         params = EnergyParams(p=2.0, eps=0.5)
         f = ForcingTerm.zero(mesh201)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            u = DiscreteFunction(mesh201, rng.standard_normal(mesh201.n_nodes))
-            assert phi(u, Potential.zero(), f, params) > 0.0
+            u, gs = _free(DiscreteFunction(mesh201, rng.standard_normal(mesh201.n_nodes)))
+            assert _phi_arrays(mesh201, u, _v(Potential.zero(), mesh201), f, params, gs) > 0.0
 
     def test_minimizer_against_direct_solve(self):
         # oracle: hand-assembled (A + eps M) u = M f, then phi(u*) must beat
@@ -130,13 +151,14 @@ class TestPhi:
         mesh = build_mesh(interval(0.0, 1.0), [n])
         params = EnergyParams(p=2.0, eps=eps)
         f = ForcingTerm.density(mesh, fvals)
-        u = DiscreteFunction(mesh, u_star)
-        phi_star = phi(u, Potential.zero(), f, params)
+        v_vals = _v(Potential.zero(), mesh)
+        u, gs = _free(DiscreteFunction(mesh, u_star))
+        phi_star = _phi_arrays(mesh, u, v_vals, f, params, gs)
         rng = np.random.default_rng(1)
         for _ in range(100):
             pert = rng.standard_normal(n) * 1e-3
-            v = DiscreteFunction(mesh, u_star + pert)
-            assert phi(v, Potential.zero(), f, params) > phi_star
+            v, gs = _free(DiscreteFunction(mesh, u_star + pert))
+            assert _phi_arrays(mesh, v, v_vals, f, params, gs) > phi_star
 
     def test_coercivity_bound(self, mesh201):
         # phi(u) >= -F ||u||_{W^{1,p}} + eps/p ||u||^p with F the L^2 norm of
@@ -146,18 +168,18 @@ class TestPhi:
         f = ForcingTerm.density(mesh201, density)
         F = integrate(density**2, mesh201) ** 0.5
         for bump in bump_family(mesh201, 10, 5):
-            u = embed(mesh201, bump)
-            norm = sobolev_norm(u, 2.0)
+            u, gs = _free(embed(mesh201, bump))
+            norm = _y_norm_arrays(mesh201, u, 1.0, 1.0, 2.0, gs)
             lower = -F * norm + params.eps / 2.0 * norm**2
-            assert phi(u, Potential.zero(), f, params) >= lower - 1e-12
+            assert _phi_arrays(mesh201, u, _v(Potential.zero(), mesh201), f, params, gs) >= lower - 1e-12
 
 
 class TestPhiGradient:
     def test_zero_at_origin(self, mesh201):
         params = EnergyParams(p=2.0, eps=0.5)
         f = ForcingTerm.zero(mesh201)
-        g = phi_gradient(DiscreteFunction.zeros(mesh201), Potential.zero(), f, params)
-        assert np.all(g.values == 0.0)
+        u, gs = _free(DiscreteFunction.zeros(mesh201))
+        assert np.all(_phi_gradient_arrays(mesh201, u, _v(Potential.zero(), mesh201), f, params, gs) == 0.0)
 
     def test_linear_case_is_discrete_laplacian(self):
         n = 101
@@ -168,28 +190,28 @@ class TestPhiGradient:
         f = ForcingTerm.density(mesh, fvals)
         uvals = np.sin(np.pi * x)
         uvals[0] = uvals[-1] = 0.0
-        u = DiscreteFunction(mesh, uvals)
-        g = phi_gradient(u, Potential.zero(), f, params)
+        u, gs = _free(DiscreteFunction(mesh, uvals))
+        # the plain-dot first variation over the weights is the nodal residual
+        r = _phi_gradient_arrays(mesh, u, _v(Potential.zero(), mesh), f, params, gs)
         expected = (A @ uvals) / w - fvals
         inner = mesh.free_mask
-        assert np.allclose(g.values[inner], expected[inner], atol=1e-10)
+        assert np.allclose(r / mesh.free_weights, expected[inner], atol=1e-10)
 
     @staticmethod
     def _pairing_and_differences(mesh, params, steps):
-        """Quadrature pairing of ``phi_gradient`` with a random direction, and
-        the central differences of ``phi`` along it at each step."""
+        """Pairing of the first variation of ``phi`` with a random direction,
+        and the central differences of ``phi`` along it at each step."""
         f = ForcingTerm.manufactured(mesh, lambda x: np.cos(np.pi * x[:, 0]))
         rng = np.random.default_rng(2)
-        V = Potential.constant(0.5)
-        u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
-        wdir = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
-        g = phi_gradient(u, V, f, params)
-        pairing = integrate(g.values * wdir.values, mesh)
-        fds = []
-        for t in steps:
-            up = DiscreteFunction(mesh, u.values + t * wdir.values)
-            dn = DiscreteFunction(mesh, u.values - t * wdir.values)
-            fds.append((phi(up, V, f, params) - phi(dn, V, f, params)) / (2 * t))
+        v_vals = _v(Potential.constant(0.5), mesh)
+        u = rng.standard_normal(mesh.n_nodes)[mesh.free_mask]
+        wdir = rng.standard_normal(mesh.n_nodes)[mesh.free_mask]
+
+        def phi(values):
+            return _phi_arrays(mesh, values, v_vals, f, params, _grad_square(mesh, values))
+
+        pairing = float(_phi_gradient_arrays(mesh, u, v_vals, f, params, _grad_square(mesh, u)) @ wdir)
+        fds = [(phi(u + t * wdir) - phi(u - t * wdir)) / (2 * t) for t in steps]
         return pairing, fds
 
     def _check_quadratic_case(self, mesh):
@@ -247,7 +269,8 @@ class TestCauchyDiagnostic:
     def test_identical_fields(self, mesh201, p2):
         u = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
         zeta = DiscreteFunction(mesh201, np.ones(mesh201.n_nodes))
-        assert cauchy_diagnostic(u, u, zeta, p2) == 0.0
+        u, gs = _free(u)
+        assert _cauchy_arrays(mesh201, u, u, gs, gs, zeta.values, p2.p) == 0.0
 
     def test_quadratic_identity_when_clamp_inactive(self, mesh201, p2):
         # p = 2 with small difference: the pairing is the weighted squared
@@ -257,7 +280,8 @@ class TestCauchyDiagnostic:
         zeta = DiscreteFunction.from_callable(
             mesh201, lambda x: x[:, 0] * (1 - x[:, 0])
         )
-        val = cauchy_diagnostic(u_a, u_b, zeta, p2)
+        (a, gs_a), (b, gs_b) = _free(u_a), _free(u_b)
+        val = _cauchy_arrays(mesh201, a, b, gs_a, gs_b, zeta.values, p2.p)
         d = u_a.values - u_b.values
         g = mesh201.grad(d[mesh201.free_mask]).T
         direct = integrate(zeta.values * np.einsum("ij,ij->i", g, g), mesh201)
@@ -267,28 +291,35 @@ class TestCauchyDiagnostic:
 
 class TestNorms:
     def test_y_norm_zero(self, mesh201, p2):
-        assert y_norm(DiscreteFunction.zeros(mesh201), Weight.constant(1.0), p2) == 0.0
+        u, gs = _free(DiscreteFunction.zeros(mesh201))
+        assert _y_norm_arrays(mesh201, u, *_w(Weight.constant(1.0), mesh201), p2.q, gs) == 0.0
 
     def test_y_norm_homogeneous(self, mesh201):
-        params = EnergyParams(p=2.0, q=1.8)
-        u = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
-        W = Weight.constant(0.7)
-        assert y_norm(2.0 * u, W, params) == pytest.approx(2.0 * y_norm(u, W, params), rel=1e-12)
+        q = 1.8
+        fn = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
+        w = _w(Weight.constant(0.7), mesh201)
+        (u, gs), (u2, gs2) = _free(fn), _free(2.0 * fn)
+        assert _y_norm_arrays(mesh201, u2, *w, q, gs2) == pytest.approx(
+            2.0 * _y_norm_arrays(mesh201, u, *w, q, gs), rel=1e-12
+        )
 
     def test_y_norm_definition_q2(self, mesh201, p2):
-        u = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
-        W = Weight.constant(1.0)
-        g = mesh201.grad(u.values[mesh201.free_mask]).T
-        direct = integrate(np.einsum("ij,ij->i", g, g) + u.values**2, mesh201)
-        assert y_norm(u, W, p2) ** 2 == pytest.approx(direct, rel=1e-12)
+        fn = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
+        u, gs = _free(fn)
+        g = mesh201.grad(u).T
+        direct = integrate(np.einsum("ij,ij->i", g, g) + fn.values**2, mesh201)
+        assert _y_norm_arrays(mesh201, u, *_w(Weight.constant(1.0), mesh201), p2.q, gs) ** 2 == pytest.approx(
+            direct, rel=1e-12
+        )
 
     def test_y_norm_triangle_inequality(self, mesh201):
-        params = EnergyParams(p=2.0, q=1.7)
-        W = Weight.constant(0.5)
+        q = 1.7
+        w = _w(Weight.constant(0.5), mesh201)
         fams = [embed(mesh201, b) for b in bump_family(mesh201, 6, 11)]
         for u, v in zip(fams[:3], fams[3:]):
-            lhs = y_norm(u + v, W, params)
-            rhs = y_norm(u, W, params) + y_norm(v, W, params)
+            (a, gs_a), (b, gs_b), (c, gs_c) = _free(u + v), _free(u), _free(v)
+            lhs = _y_norm_arrays(mesh201, a, *w, q, gs_a)
+            rhs = _y_norm_arrays(mesh201, b, *w, q, gs_b) + _y_norm_arrays(mesh201, c, *w, q, gs_c)
             assert lhs <= rhs + 1e-12
 
     def test_norm_chain(self, mesh201):
@@ -298,10 +329,10 @@ class TestNorms:
         params = EnergyParams(p=2.0, q=2.0)
         W = Weight.constant(0.45)
         for bump in bump_family(mesh201, 12, 13):
-            u = embed(mesh201, bump)
-            yp = y_norm(u, W, params) ** 2
-            qv = q_v(u, Potential.zero(), params)
-            sp_ = sobolev_norm(u, 2.0) ** 2
+            u, gs = _free(embed(mesh201, bump))
+            yp = _y_norm_arrays(mesh201, u, *_w(W, mesh201), params.q, gs) ** 2
+            qv = _q_v_arrays(mesh201, u, _v(Potential.zero(), mesh201), params.p, gs)
+            sp_ = _y_norm_arrays(mesh201, u, 1.0, 1.0, 2.0, gs) ** 2
             assert yp <= qv + 1e-12
             assert qv <= sp_ + 1e-12
 
@@ -333,8 +364,8 @@ class TestForcingTerm:
             dens = 1.0 / np.linalg.norm(mesh.points, axis=1) ** 2
         assert not np.all(np.isfinite(dens))
         f = ForcingTerm.density(mesh, dens)
-        assert np.all(np.isfinite(f.nodal_density()))
-        assert not np.any(f.plain_rep()[mesh.excluded_mask])
+        assert f.plain_rep().shape == mesh.free_weights.shape
+        assert np.all(np.isfinite(f.plain_rep()))
         with pytest.raises(ValueError, match="does not match mesh"):
             ForcingTerm.density(mesh, dens[:-1])
         with pytest.raises(ValueError, match="finite at non-excluded nodes"):
@@ -469,7 +500,8 @@ class TestDualNorm:
         D = dual_norm(f, Potential.zero(), params)
         for bump in bump_family(mesh201, 20, 17):
             u = embed(mesh201, bump)
-            qv = q_v(u, Potential.zero(), params)
+            u_free, gs = _free(u)
+            qv = _q_v_arrays(mesh201, u_free, _v(Potential.zero(), mesh201), p, gs)
             assert f.pairing(u) <= D * qv ** (1.0 / p) + 1e-9
 
 
@@ -481,11 +513,14 @@ class TestZeroPotential:
         mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [13, 13])
         params = EnergyParams(p=p, eps=0.25, delta=1e-3)
         f = ForcingTerm.manufactured(mesh, lambda x: np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]))
-        u = embed(mesh, next(bump_family(mesh, 1, 3)))
+        u, gs = _free(embed(mesh, next(bump_family(mesh, 1, 3))))
         zero, const = Potential.zero(), Potential.constant(0.0)
-        assert q_v(u, zero, params) == q_v(u, const, params)
-        assert phi(u, zero, f, params) == phi(u, const, f, params)
-        assert np.array_equal(phi_gradient(u, zero, f, params).values, phi_gradient(u, const, f, params).values)
+        v_zero, v_const = _v(zero, mesh), _v(const, mesh)
+        assert _q_v_arrays(mesh, u, v_zero, p, gs) == _q_v_arrays(mesh, u, v_const, p, gs)
+        assert _phi_arrays(mesh, u, v_zero, f, params, gs) == _phi_arrays(mesh, u, v_const, f, params, gs)
+        assert np.array_equal(
+            _phi_gradient_arrays(mesh, u, v_zero, f, params, gs), _phi_gradient_arrays(mesh, u, v_const, f, params, gs)
+        )
         assert dual_norm(f, zero, params) == dual_norm(f, const, params)
 
 
@@ -501,12 +536,12 @@ class TestGradientQuadratureSeam:
         v = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
         params = EnergyParams(p=p, q=q, eps=0.3)
         f = ForcingTerm.manufactured(mesh, lambda x: np.cos(np.pi * x[:, 0]))
-        g, s = _grad_square(mesh, u.values)
+        u_free, (g, s) = _free(u)
         v_free = v.values[mesh.free_mask]
         return {
-            "q_v": q_v(u, Potential.zero(), params),
-            "phi": phi(u, Potential.constant(0.5), f, params),
-            "y_norm": y_norm(u, Weight.constant(0.4), params) ** q,
+            "q_v": _q_v_arrays(mesh, u_free, _v(Potential.zero(), mesh), p, (g, s)),
+            "phi": _phi_arrays(mesh, u_free, _v(Potential.constant(0.5), mesh), f, params, (g, s)),
+            "y_norm": _y_norm_arrays(mesh, u_free, *_w(Weight.constant(0.4), mesh), q, (g, s)) ** q,
             "rep": _dirichlet_gradient_rep(mesh, g, s, p, 0.0),
             "form": float(v_free @ (mesh.energy_stiffness() @ v_free)),
             "eigenvalue": rayleigh_min(mesh, 2.0, tol=1e-10).value,
@@ -544,30 +579,26 @@ class TestGradientQuadratureSeam:
 
 @pytest.mark.parametrize("name", sorted(STACKED_MESHES))
 def test_first_variations_vanish_off_the_free_nodes(name):
-    # the adjoint returns free-node values and the forcing is projected onto
-    # the free nodes, so no first variation needs re-zeroing, whatever the
-    # potential, density or source carries on constrained nodes
+    # every first variation and forcing vector lives on the free nodes: it
+    # has one entry per free node, whatever the potential, density or source
+    # carries on constrained nodes, so nothing off them needs re-zeroing
     mesh = STACKED_MESHES[name]()
-    off = ~mesh.free_mask
+    n_free = np.count_nonzero(mesh.free_mask)
     rng = np.random.default_rng(11)
-    u = DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes))
+    u, (g, s) = _free(DiscreteFunction(mesh, rng.standard_normal(mesh.n_nodes)))
     dens = rng.uniform(0.5, 2.0, mesh.n_nodes)
     forcings = [
         ForcingTerm.zero(mesh),
         ForcingTerm.density(mesh, dens),
         ForcingTerm.manufactured(mesh, lambda x: 1.0 + x[:, 0] ** 2),
         ForcingTerm.distributional_sum([(DiscreteFunction(mesh, dens), 2.0)]),
-        ForcingTerm(mesh, dens),
         3.0 * ForcingTerm.density(mesh, dens),
     ]
     for f in forcings:
-        assert not np.any(f.plain_rep()[off])
-        assert not np.any(f.nodal_density()[off])
-    g, s = _grad_square(mesh, u.values)
+        assert f.plain_rep().shape == (n_free,)
     potentials = [Potential.zero(), Potential.constant(2.0), Potential.tabulated(dens)]
     for p, delta in ((2.0, 0.0), (3.0, 1e-3), (1.5, 0.0)):
-        assert not np.any(_dirichlet_gradient_rep(mesh, g, s, p, delta)[off])
+        assert _dirichlet_gradient_rep(mesh, g, s, p, delta).shape == (n_free,)
         params = EnergyParams(p=p, eps=0.3, delta=delta)
         for V in potentials:
-            nodal = _phi_gradient_arrays(mesh, u.values, evaluate_potential(V, mesh), forcings[1], params)
-            assert not np.any(nodal[off])
+            assert _phi_gradient_arrays(mesh, u, _v(V, mesh), forcings[1], params, (g, s)).shape == (n_free,)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 import plapsolve.energy
 import plapsolve.grid
@@ -88,9 +89,8 @@ class TestRayleighMin:
         # start, its quotient and its residual
         monkeypatch.setattr(plapsolve.spectra, "armijo_backtrack", lambda *args, **kwargs: (None, None, None))
         mesh = build_mesh(interval(0.0, 1.0), [33])
-        p, start = 3.0, _seeded_start(mesh, 0)
-        u0 = np.where(mesh.free_mask, start, 0.0)
-        u0 = u0 / integrate(np.abs(u0) ** p, mesh) ** (1.0 / p)
+        p, start = 3.0, _seeded_start(mesh, 0)[mesh.free_mask]
+        u0 = start / float(mesh.free_weights @ np.abs(start) ** p) ** (1.0 / p)
         lam, u, iterations, res = _quotient_descent(mesh, p, start, tol=1e-8)
         assert iterations == 1
         assert np.array_equal(u, u0)
@@ -116,7 +116,8 @@ class TestRayleighMin:
 
         monkeypatch.setattr(plapsolve.spectra, "Preconditioner", Counting)
         mesh = build_mesh(interval(0.0, 1.0), [41])
-        lam, u, iterations, res = _quotient_descent(mesh, 2.5, _seeded_start(mesh, 0), tol=1e-10, max_iter=100)
+        start = _seeded_start(mesh, 0)[mesh.free_mask]
+        lam, u, iterations, res = _quotient_descent(mesh, 2.5, start, tol=1e-10, max_iter=100)
         assert iterations > 12
         assert len(builds) == math.ceil((iterations - 1) / 12)
         assert all(coeff is not None for coeff in builds)
@@ -166,11 +167,11 @@ class TestExactQuadratic:
 
     def test_hardy_weighted_pencil(self):
         mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9])
-        w = hardy_weight(mesh)
-        lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0), mass_weight=w, tol=1e-9)
+        w, free = hardy_weight(mesh), mesh.free_mask
+        lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0)[free], mass_weight=w[free], tol=1e-9)
         assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
         assert res <= 1e-9
-        assert integrate(w * u**2, mesh) == pytest.approx(1.0, rel=1e-12)
+        assert integrate(w * DiscreteFunction.from_free(mesh, u).values ** 2, mesh) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "hardy"])
     @pytest.mark.parametrize("name", sorted(STACKED_MESHES))
@@ -179,7 +180,9 @@ class TestExactQuadratic:
         # quadrature, and returns the dense eigenvalue of the free-node
         # pencil, with or without the Hardy weight over the singular axes
         mesh = STACKED_MESHES[name]()
-        w = singular_weight(mesh, mesh.singular_axes, 2.0) if weighted else None
+        free = mesh.free_mask
+        weight = singular_weight(mesh, mesh.singular_axes, 2.0) if weighted else None
+        w = 1.0 if weight is None else weight[free]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the p = 2 solve used the whole-grid machinery")
@@ -190,11 +193,11 @@ class TestExactQuadratic:
                 patch.setattr(module, "integrate", refuse)
             for method in ("grad", "grad_adjoint"):
                 patch.setattr(plapsolve.grid.Mesh, method, refuse)
-            lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0), mass_weight=w, tol=1e-9)
-        assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
+            lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0)[free], mass_weight=w, tol=1e-9)
+        assert lam == pytest.approx(dense_lambda1(mesh, weight), rel=1e-10)
         assert res <= 1e-9 * max(1.0, lam)
-        assert integrate((1.0 if w is None else w) * u**2, mesh) == pytest.approx(1.0, rel=1e-12)
-        assert not np.any(u[~mesh.free_mask])
+        assert u.shape == mesh.free_weights.shape
+        assert float(mesh.free_weights @ (w * u**2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_hardy_probe_records_the_exact_method(self):
         mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.15), [11, 11, 11])
@@ -226,7 +229,7 @@ class TestExactQuadratic:
         assert len(runs) == calls
         assert result.iterations == sum(run[3] for run in runs)
         assert runs[0][0] == 2.0
-        np.testing.assert_array_equal(runs[0][1], _seeded_start(mesh, 3))
+        np.testing.assert_array_equal(runs[0][1], _seeded_start(mesh, 3)[mesh.free_mask])
         if calls == 2:
             assert runs[1][0] == p
             assert runs[1][1] is runs[0][2]
@@ -290,10 +293,10 @@ class TestCylinderEigen:
         assert all(mesh is omega for mesh, _ in runs[:section_runs])
         for L, (mesh, start) in zip(lengths, runs[section_runs:]):
             assert mesh.shape == (17, int(round(12 * L)) + 1)
-            assert not np.any(start[~mesh.free_mask])
-            g = mesh.grad(start[mesh.free_mask])
+            assert start.shape == mesh.free_weights.shape
+            g = mesh.grad(start)
             dirichlet = integrate(np.sum(g * g, axis=0) ** (p / 2.0), mesh)
-            quotient = dirichlet / integrate(np.abs(start) ** p, mesh)
+            quotient = dirichlet / integrate(np.abs(DiscreteFunction.from_free(mesh, start).values) ** p, mesh)
             assert quotient == pytest.approx(record.details["tensor_quotients"][L], rel=1e-12)
             assert record.details["lambda_strip"][L] <= quotient
             assert L in record.details["strip_residuals"]
@@ -348,7 +351,7 @@ def _whole_mesh_margins(mesh, functions, p, lam, constant, weight):
     margins = []
     for u in functions:
         mass = np.abs(u.values) ** p
-        lhs = _dirichlet(mesh, _grad_square(mesh, u.values)[1], p) - lam * integrate(mass, mesh)
+        lhs = _dirichlet(mesh, _grad_square(mesh, u.values[mesh.free_mask])[1], p) - lam * integrate(mass, mesh)
         rhs = constant * integrate(weight * mass, mesh)
         margins.append((lhs - rhs) / max(abs(lhs), 1e-300))
     return np.array(margins)
@@ -457,17 +460,19 @@ class TestSupportBoxMargins:
         def close(got, want):
             return np.all(np.abs(np.asarray(got) - want) <= 1e-14 * np.abs(want))
 
-        q_vs = np.array([_q_v_arrays(mesh, u.values, V.table, p) for u in functions])
+        free = mesh.free_mask
+        fields = [(u.values[free], _grad_square(mesh, u.values[free])) for u in functions]
+        q_vs = np.array([_q_v_arrays(mesh, u, V.table[free], p, gs) for u, gs in fields])
         # y_norm^p scales as W^(p/q); constant weights that put the threshold
         # of the ratio q_v / y_norm^p in its widest gap (the Rayleigh
         # minimizer sits well below the bumps) and above every ratio, so that
         # no margin is near zero
-        ratios = np.sort(q_vs / [_y_norm_arrays(mesh, u.values, 1.0, q) ** p for u in functions])
+        ratios = np.sort(q_vs / [_y_norm_arrays(mesh, u, 1.0, 1.0, q, gs) ** p for u, gs in fields])
         gap = int(np.argmax(np.diff(np.log(ratios))))
         for threshold in (np.sqrt(ratios[gap] * ratios[gap + 1]), 2.0 * ratios[-1]):
             W = Weight.constant(float(threshold ** (q / p)))
             w_vals = evaluate_weight(W, mesh)
-            want = q_vs - [_y_norm_arrays(mesh, u.values, w_vals, q) ** p for u in functions]
+            want = q_vs - [_y_norm_arrays(mesh, u, w_vals, w_vals[free], q, gs) ** p for u, gs in fields]
             whole = report(W, bumps, eig)
             assert close(whole.sampled_margin, want.min())
             assert [v.split(":")[0] for v in whole.violations] == [t for t, m in zip(tags, want) if m < 0]
@@ -569,6 +574,33 @@ class TestHardyCheck:
             CertificationRecord.from_margins("hardy", [], [], 1e-8)
         with pytest.raises(ValueError, match="no samples"):
             hardy_check(hardy_mesh, 2.0, samples=0)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2])
+    def test_puncture_is_a_natural_boundary(self, rho):
+        # the stencil beside the hole goes one-sided and never reads the
+        # excluded nodes' zero, so the p = 2 probe is the weighted eigenvalue
+        # with a natural (Neumann) condition on the puncture: with
+        # H = ((N-2)/2)^2, L = ln(R/rho) and k the root in (pi/2L, pi/L) of
+        # tan(kL) = -2k/(N-2), the annulus value H + k^2 lies between its
+        # values at the outer radii R = sqrt(3) and R = 1 that enclose and fit
+        # in the box, and well below the Dirichlet-hole lower end
+        # H + (pi/ln(sqrt(3)/rho))^2.  Coarser meshes stay out: at 17 nodes
+        # per axis and rho = 0.05 only the origin is excluded (h = 0.125 >
+        # rho), the hole is not resolved, and the probe reads 0.8260, above
+        # its bracket
+        n_dims, h_const = 3, 0.25
+        mesh = build_mesh(punctured_box(*[(-1.0, 1.0)] * n_dims, radius=rho), [33] * n_dims)
+        weight = singular_weight(mesh, range(n_dims), 2.0)
+        probe = rayleigh_min(mesh, 2.0, tol=1e-6, max_iter=600, seed=0, mass_weight=weight).value
+
+        def natural(radius):
+            L = math.log(radius / rho)
+            k = brentq(lambda k: math.tan(k * L) + 2.0 * k / (n_dims - 2), math.pi / (2.0 * L) * (1 + 1e-12),
+                       math.pi / L * (1 - 1e-12))
+            return h_const + k**2
+
+        assert natural(math.sqrt(3.0)) <= probe <= natural(1.0)
+        assert probe < h_const + (math.pi / math.log(math.sqrt(3.0) / rho)) ** 2
 
 
 class TestBlowup:
