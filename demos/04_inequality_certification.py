@@ -37,8 +37,8 @@ print(f"  verdict: {rec.verdict}")
 
 print("\npoincare remainder on strips (weighted |z|^-p lower bound):")
 omega = pl.build_mesh(pl.interval(0.0, 1.0), [9])
-for p, m_axes, z_nodes in ((2.0, 3, 17), (1.5, 2, 33)):
-    rec = poincare_remainder_check(omega, m_axes, 2.0, p, samples=100, seed=0, z_nodes=z_nodes)
+for p, m_axes, per_unit in ((2.0, 3, 4.0), (1.5, 2, 8.0)):
+    rec = poincare_remainder_check(omega, m_axes, 2.0, p, samples=100, seed=0, z_nodes_per_unit=per_unit)
     print(
         f"  p={p}, M={m_axes}: constant {rec.details['constant']:.5f}, "
         f"worst margin {rec.worst_margin:.4f}, verdict {rec.verdict}"

@@ -13,7 +13,7 @@ import plapsolve as pl
 from plapsolve.spectra import blowup_demo
 
 omega = pl.build_mesh(pl.interval(0.0, 1.0), [17])
-result = blowup_demo(omega, 1, n_terms=16, length_per_bump=6.0, seed=0)
+result = blowup_demo(omega, n_terms=16, length_per_bump=6.0, seed=0)
 
 print(f"cross-section eigenvalue : {result.lambda_omega:.6f}")
 print(f"supports pairwise disjoint: {result.supports_disjoint}")

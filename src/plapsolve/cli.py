@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, presets
 from .energy import EnergyParams, ForcingTerm, IndefiniteEnergyError
-from .grid import Domain, DiscreteFunction, Mesh, build_mesh, strip
+from .grid import Domain, DiscreteFunction, Mesh, box, build_mesh, strip
 from .potentials import Potential, Weight, evaluate_potential, evaluate_weight, validate_exponents
 from .solver import ContinuationBoundError, EpsSchedule, SolveReport, continuation_solve
 from .spectra import (
@@ -324,11 +324,11 @@ def _built(section: str, errors: list[str], build, *args, **kwargs):
         return None
 
 
-def _domain(d: dict, cross_section: bool = False) -> Domain:
-    """The configured domain; with ``cross_section``, a box over its bounded axes."""
+def _domain(d: dict) -> Domain:
+    """The configured domain."""
     bounds = tuple(tuple(b) for b in d["bounds"])
-    if cross_section or d["kind"] in ("interval", "box"):
-        return Domain("interval" if len(bounds) == 1 else "box", bounds)
+    if d["kind"] in ("interval", "box"):
+        return box(*bounds)
     if d["kind"] == "strip":
         return strip(bounds, d["m_axes"], d["truncation_length"])
     return Domain(d["kind"], bounds, puncture_radius=d.get("puncture_radius", 0.0))
@@ -340,8 +340,8 @@ def _build_mesh(cfg: RunConfig) -> Mesh:
 
 def _omega_mesh(cfg: RunConfig) -> Mesh:
     """Cross-section mesh of a strip config (the bounded axes only)."""
-    n_omega = len(cfg.domain["bounds"])
-    return build_mesh(_domain(cfg.domain, cross_section=True), cfg.mesh["nodes_per_axis"][:n_omega])
+    bounds = cfg.domain["bounds"]
+    return build_mesh(box(*bounds), cfg.mesh["nodes_per_axis"][:len(bounds)])
 
 
 def _build_potential(cfg: RunConfig, mesh: Mesh | None, dims: int | None = None) -> Potential:
@@ -352,7 +352,7 @@ def _build_potential(cfg: RunConfig, mesh: Mesh | None, dims: int | None = None)
     pot = cfg.physics["potential"]
     p = cfg.physics["p"]
     if pot.get("value") == "lambda1_omega":
-        pot = {**pot, "value": section_eigenvalue(_omega_mesh(cfg), p, 1e-10, cfg.solver["seed"]).value}
+        pot = {**pot, "value": section_eigenvalue(_omega_mesh(cfg), p, cfg.solver["seed"]).value}
     if mesh is not None:
         dims = mesh.domain.dims
     kind = pot["kind"]
@@ -641,20 +641,14 @@ def _run_certify(cfg: RunConfig, artifact: RunArtifact) -> None:
             )
         elif check == "poincare":
             omega = build_mesh(Domain("interval", ((0.0, 1.0),)), [9])
-            records.append(
-                poincare_remainder_check(
-                    omega, 3, 2.0, 2.0,
-                    samples=c["samples"], seed=seed, z_nodes=17,
-                    constant_scale=scale, tolerance=c["tolerance"],
+            for m_axes, p, z_nodes_per_unit in ((3, 2.0, 4.0), (2, 1.5, 8.0)):
+                records.append(
+                    poincare_remainder_check(
+                        omega, m_axes, 2.0, p,
+                        samples=c["samples"], seed=seed, z_nodes_per_unit=z_nodes_per_unit,
+                        constant_scale=scale, tolerance=c["tolerance"],
+                    )
                 )
-            )
-            records.append(
-                poincare_remainder_check(
-                    omega, 2, 2.0, 1.5,
-                    samples=c["samples"], seed=seed, z_nodes=33,
-                    constant_scale=scale, tolerance=c["tolerance"],
-                )
-            )
         elif check == "cylinder":
             omega = build_mesh(Domain("interval", ((0.0, 1.0),)), [33])
             for p in c["p_values"]:
@@ -673,7 +667,6 @@ def _run_blowup(cfg: RunConfig, artifact: RunArtifact) -> None:
     omega = _omega_mesh(cfg)
     result = blowup_demo(
         omega,
-        cfg.domain["m_axes"],
         n_terms=b["n_terms"],
         length_per_bump=b["length_per_bump"],
         z_nodes_per_unit=b["z_nodes_per_unit"],

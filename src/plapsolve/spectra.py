@@ -12,7 +12,9 @@ continuum, and the record verdicts carry exactly that meaning.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +81,9 @@ class CertificationRecord:
     details: dict = field(default_factory=dict)
 
     @classmethod
-    def from_margins(cls, inequality_id, margins, descriptors, tolerance, details=None):
+    def from_margins(cls, inequality_id, margins, describe, tolerance, details=None):
+        """The record of ``margins``; ``describe(i)`` names sample ``i`` and
+        is called for the worst sample only."""
         margins = np.asarray(margins, dtype=float)
         if not margins.size:
             raise ValueError(f"{inequality_id}: no samples, so nothing is certified")
@@ -89,7 +93,7 @@ class CertificationRecord:
             inequality_id=inequality_id,
             sample_count=int(margins.size),
             worst_margin=worst,
-            worst_sample=descriptors[i],
+            worst_sample=describe(i),
             verdict="violation" if worst < -tolerance else "no_violation",
             tolerance=tolerance,
             details=details or {},
@@ -310,33 +314,38 @@ def rayleigh_min(
     )
 
 
-def section_eigenvalue(omega_mesh: Mesh, p: float, tol: float, seed: int) -> EigenResult:
+def section_eigenvalue(omega_mesh: Mesh, p: float, seed: int) -> EigenResult:
     """``rayleigh_min`` on a strip's cross section, pushed further than the
-    strip runs (3000 steps, a 120-step stall window at factor 0.95): the
-    cross-section value anchors every strip margin, so its upward bias must
-    not flip a comparison."""
+    strip runs (tolerance 1e-10, 3000 steps, a 120-step stall window at
+    factor 0.95): the cross-section value anchors every strip margin, so its
+    accuracy is not the caller's to choose and its upward bias must not flip
+    a comparison."""
     return rayleigh_min(
-        omega_mesh, p, tol=tol, max_iter=3000, seed=seed,
+        omega_mesh, p, tol=1e-10, max_iter=3000, seed=seed,
         stall_window=120, stall_factor=0.95,
     )
 
 
-def _strip_mesh(omega_mesh: Mesh, m_axes: int, length: float, z_nodes: int) -> Mesh:
-    dom = strip(omega_mesh.domain.bounds, m_axes, length)
-    shape = omega_mesh.shape + (z_nodes,) * m_axes
-    return build_mesh(dom, shape)
-
-
-def _tensor_field(omega_mesh: Mesh, strip_mesh: Mesh, v_vals: np.ndarray, z_profiles) -> np.ndarray:
-    """Assemble v(y) * prod_a w_a(z_a) on the strip mesh."""
+def _strip_mesh(omega_mesh: Mesh, m_axes: int, length: float, z_nodes_per_unit: float,
+                cap_cells: float = 0.0) -> Mesh:
+    """The cross section times ``m_axes`` axes truncated at ``+-length``, each
+    with ``max(round(2 length z_nodes_per_unit) + 1, 9)`` nodes.  A positive
+    ``cap_cells`` excludes the nodes within that many z spacings of the
+    z origin, measured over the z axes."""
+    n_z = max(int(round(2 * length * z_nodes_per_unit)) + 1, 9)
     n_omega = omega_mesh.domain.dims
-    shape = strip_mesh.shape
-    out = v_vals.reshape(shape[:n_omega] + (1,) * (len(shape) - n_omega))
-    for a, prof in enumerate(z_profiles):
-        ax_shape = [1] * len(shape)
-        ax_shape[n_omega + a] = shape[n_omega + a]
-        out = out * prof.reshape(ax_shape)
-    return np.ascontiguousarray(out).ravel()
+    cap = {}
+    if cap_cells > 0:
+        h_z = 2.0 * length / (n_z - 1)
+        cap = {"singular_cap_radius": cap_cells * h_z, "singular_axes": range(n_omega, n_omega + m_axes)}
+    dom = strip(omega_mesh.domain.bounds, m_axes, length)
+    return build_mesh(dom, omega_mesh.shape + (n_z,) * m_axes, **cap)
+
+
+def _tensor_field(omega_mesh: Mesh, v_vals: np.ndarray, z_profiles) -> np.ndarray:
+    """v(y) * w_0(z_0) * w_1(z_1) * ... on the strip over ``omega_mesh``, in
+    the product order of :func:`~plapsolve.sampling.tensor_bump`."""
+    return functools.reduce(np.multiply.outer, z_profiles, v_vals.reshape(omega_mesh.shape)).ravel()
 
 
 def cylinder_eigen_check(
@@ -355,7 +364,8 @@ def cylinder_eigen_check(
     toward it as the truncation grows.
 
     The cross-section value is :func:`section_eigenvalue` from ``seed``, with
-    its own 3000-step rule.  Each strip value is
+    its own tolerance and 3000-step rule, so ``eigen_tol`` reaches only the
+    strips.  Each strip value is
     one :func:`_quotient_descent`, capped at ``max_iter``, from the product
     candidate: the cross-section minimizer times a plateau of half-width L/2,
     whose quotient is an explicit upper bound that approaches the
@@ -370,7 +380,7 @@ def cylinder_eigen_check(
     if any(b >= a for a, b in zip(lengths[1:], lengths)):
         raise ValueError("truncation lengths must be increasing")
 
-    omega_eig = section_eigenvalue(omega_mesh, p, eigen_tol, seed)
+    omega_eig = section_eigenvalue(omega_mesh, p, seed)
     lam_omega = omega_eig.value
 
     margins = []
@@ -380,15 +390,9 @@ def cylinder_eigen_check(
     strip_residuals = {}
     prev = None
     for L in lengths:
-        n_z = int(round(2 * L * z_nodes_per_unit)) + 1
-        n_z = max(n_z, 9)
-        mesh_L = _strip_mesh(omega_mesh, m_axes, L, n_z)
-
-        profs = []
-        for a in range(m_axes):
-            z = mesh_L.axes[omega_mesh.domain.dims + a]
-            profs.append(plateau_profile(z, 0.5 * L, 0.5 * L))
-        cand = _tensor_field(omega_mesh, mesh_L, omega_eig.minimizer.values, profs)
+        mesh_L = _strip_mesh(omega_mesh, m_axes, L, z_nodes_per_unit)
+        profs = [plateau_profile(z, 0.5 * L, 0.5 * L) for z in mesh_L.axes[omega_mesh.domain.dims:]]
+        cand = _tensor_field(omega_mesh, omega_eig.minimizer.values, profs)
         start = cand[mesh_L.free_mask]
         dirich = _dirichlet(mesh_L, _grad_square(mesh_L, start)[1], p)
         tensor_quotients[L] = dirich / integrate(np.abs(cand) ** p, mesh_L)
@@ -407,7 +411,7 @@ def cylinder_eigen_check(
     return CertificationRecord.from_margins(
         "cylinder_first_eigenvalue",
         margins,
-        descriptors,
+        descriptors.__getitem__,
         tol,
         details={
             "p": p,
@@ -422,18 +426,18 @@ def cylinder_eigen_check(
 
 
 def _bump_margins(mesh: Mesh, p: float, lam: float, constant: float, weight: np.ndarray,
-                  samples: int, seed: int) -> tuple[list[float], list[str]]:
+                  samples: int, seed: int) -> tuple[list[float], Callable[[int], str]]:
     """Margins of ``int |grad u|^p - lam int |u|^p >= constant int weight |u|^p``
     on ``samples`` interior bumps, each integrated over its support box
     (:class:`~plapsolve.energy.BoxField`) and normalized by its left side,
-    with their descriptors."""
+    and the name of bump ``i`` as a function of ``i``."""
     margins = []
     for box, values in bump_family(mesh, samples, seed):
         u = BoxField(mesh, box, values)
         lhs = u.dirichlet(p) - lam * u.mass(p)
         rhs = constant * u.mass(p, weight)
         margins.append((lhs - rhs) / max(abs(lhs), 1e-300))
-    return margins, [f"bump_{i}" for i in range(len(margins))]
+    return margins, "bump_{}".format
 
 
 def admissibility_report(
@@ -492,7 +496,7 @@ def poincare_remainder_check(
     p: float,
     samples: int = 200,
     seed: int = 0,
-    z_nodes: int = 17,
+    z_nodes_per_unit: float = 4.0,
     constant_scale: float = 1.0,
     tolerance: float = 1e-8,
 ) -> CertificationRecord:
@@ -502,19 +506,15 @@ def poincare_remainder_check(
     coordinates.
 
     The constant is ``((M-p)/p)**p`` for p >= 2, damped by ``2**((p-2)/2)``
-    for 1 < p < 2; margins are normalized by the left-hand scale.  Sampled
-    functions avoid the singular slab by construction.
+    for 1 < p < 2; margins are normalized by the left-hand scale.  The strip
+    is :func:`_strip_mesh` with the nodes within 0.55 z spacings of the
+    z origin excluded; sampled functions avoid that cap by construction.
     """
     if not m_axes > p:
         raise ValueError(f"remainder check requires M > p, got M={m_axes}, p={p}")
-    lam_omega = section_eigenvalue(omega_mesh, p, 1e-9, seed).value
-
-    dom = strip(omega_mesh.domain.bounds, m_axes, length)
-    shape = omega_mesh.shape + (z_nodes,) * m_axes
-    n_omega = omega_mesh.domain.dims
-    z_axes = tuple(range(n_omega, n_omega + m_axes))
-    h_z = 2.0 * length / (z_nodes - 1)
-    mesh = build_mesh(dom, shape, singular_cap_radius=0.55 * h_z, singular_axes=z_axes)
+    lam_omega = section_eigenvalue(omega_mesh, p, seed).value
+    mesh = _strip_mesh(omega_mesh, m_axes, length, z_nodes_per_unit, cap_cells=0.55)
+    weight = singular_weight(mesh, mesh.singular_axes, p)
 
     base = ((m_axes - p) / p) ** p
     if p < 2.0:
@@ -523,7 +523,7 @@ def poincare_remainder_check(
 
     return CertificationRecord.from_margins(
         "poincare_singular_remainder",
-        *_bump_margins(mesh, p, lam_omega, constant, singular_weight(mesh, z_axes, p), samples, seed),
+        *_bump_margins(mesh, p, lam_omega, constant, weight, samples, seed),
         tolerance,
         details={
             "p": p,
@@ -583,16 +583,12 @@ def monotonicity_constant_check(
         ratio = pairing / d2 ** (p / 2.0)
     else:
         ratio = pairing * (nx + ny) ** (2.0 - p) / d2
-    i = int(np.argmin(ratio))
-    c_est = float(ratio[i])
-    return CertificationRecord(
-        inequality_id="flux_monotonicity_constant",
-        sample_count=int(ratio.size),
-        worst_margin=c_est,
-        worst_sample=f"x={x[i].tolist()}, y={y[i].tolist()}",
-        verdict="violation" if c_est < 0.0 else "no_violation",
-        tolerance=0.0,
-        details={"p": p, "c_est": c_est, "dim": dim},
+    return CertificationRecord.from_margins(
+        "flux_monotonicity_constant",
+        ratio,
+        lambda i: f"x={x[i].tolist()}, y={y[i].tolist()}",
+        0.0,
+        details={"p": p, "c_est": float(ratio.min()), "dim": dim},
     )
 
 
@@ -624,11 +620,10 @@ def power_mean_check(
     rhs = kappa * (a ** (p / 2.0) + b ** (p / 2.0))
     scale = np.maximum(lhs, 1e-300)
     margins = (lhs - rhs) / scale
-    descriptors = [f"a={ai:.6g}, b={bi:.6g}" for ai, bi in zip(a, b)]
     return CertificationRecord.from_margins(
         "scalar_power_mean",
         margins,
-        descriptors,
+        lambda i: f"a={a[i]:.6g}, b={b[i]:.6g}",
         1e-12,
         details={"p": p, "kappa": kappa, "normalized": True},
     )
@@ -698,7 +693,6 @@ class BlowupResult:
 
 def blowup_demo(
     omega_mesh: Mesh,
-    m_axes: int = 1,
     n_terms: int = 8,
     length_per_bump: float = 6.0,
     z_nodes_per_unit: float = 8.0,
@@ -708,17 +702,17 @@ def blowup_demo(
     summed forcing has finite dual norm while the gradient energy of the
     partial sums diverges like the harmonic series (quadratic case).
 
-    Bump K is a cross-section eigenfunction times a plateau of growing width,
-    scaled so its energy gap is exactly ``1/K**2``; supports are translated
-    into disjoint slots of width ``length_per_bump``.  Raises when a bump's
-    plateau cannot fit its slot, which means ``length_per_bump`` is too small.
+    The strip is :func:`_strip_mesh` with one truncated axis.  Bump K is the
+    cross-section eigenfunction (:func:`section_eigenvalue` at p = 2) times
+    a plateau of growing width, scaled so its energy gap is exactly
+    ``1/K**2``; supports are translated into disjoint slots of width
+    ``length_per_bump``.  Raises when a bump's plateau cannot fit its slot,
+    which means ``length_per_bump`` is too small.
     """
     if n_terms < 3:
         raise ValueError(f"need at least 3 bumps, got {n_terms}")
-    if m_axes != 1:
-        raise NotImplementedError("the translation construction uses one unbounded axis")
 
-    eig = rayleigh_min(omega_mesh, 2.0, tol=1e-10, seed=seed)
+    eig = section_eigenvalue(omega_mesh, 2.0, seed)
     v = eig.minimizer.values
     lam1 = eig.value
     if not lam1 > 0:
@@ -726,16 +720,12 @@ def blowup_demo(
 
     slot = float(length_per_bump)
     half_total = 0.5 * n_terms * slot
-    n_z = int(round(2 * half_total * z_nodes_per_unit)) + 1
-    dom = strip(omega_mesh.domain.bounds, 1, half_total)
-    mesh = build_mesh(dom, omega_mesh.shape + (n_z,))
+    mesh = _strip_mesh(omega_mesh, 1, half_total, z_nodes_per_unit)
     z_axis = mesh.axes[omega_mesh.domain.dims]
     h_z = z_axis[1] - z_axis[0]
     guard = 2.0 * h_z
 
     components = []
-    supports = []
-    energies = []
     gaps = []
     for n in range(1, n_terms + 1):
         center = -half_total + (n - 0.5) * slot
@@ -756,7 +746,7 @@ def blowup_demo(
             )
         a, r = chosen
         w_prof = plateau_profile(z_axis - center, 0.5 * a, r)
-        vals = _tensor_field(omega_mesh, mesh, v, [w_prof])
+        vals = _tensor_field(omega_mesh, v, [w_prof])
         u = DiscreteFunction(mesh, vals)
         dirich = mesh.integrate_samples(_grad_square(mesh, u.values[mesh.free_mask])[1])
         mass = integrate(u.values**2, mesh)
@@ -766,15 +756,10 @@ def blowup_demo(
         scale = np.sqrt((1.0 / n**2) / gap)
         u = u * scale
         components.append(u)
-        supports.append(np.abs(u.values) > 0)
-        energies.append(scale**2 * dirich)
         gaps.append(scale**2 * gap)
 
-    disjoint = True
-    for i in range(n_terms):
-        for j in range(i + 1, n_terms):
-            if np.any(supports[i] & supports[j]):
-                disjoint = False
+    # disjoint: no node lies in two supports
+    disjoint = bool(sum(u.values != 0.0 for u in components).max() <= 1)
 
     rows = []
     partial = np.zeros(mesh.n_nodes)

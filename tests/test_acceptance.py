@@ -90,14 +90,14 @@ def test_04_poincare_remainder_certification():
     t0 = time.perf_counter()
     omega = pl.build_mesh(pl.interval(0.0, 1.0), [9])
     rec_a = poincare_remainder_check(
-        omega, 3, 2.0, 2.0, samples=200, seed=0, z_nodes=17, tolerance=1e-8
+        omega, 3, 2.0, 2.0, samples=200, seed=0, z_nodes_per_unit=4.0, tolerance=1e-8
     )
     assert rec_a.details["constant"] == pytest.approx(0.25)
     assert rec_a.verdict == "no_violation"
     assert rec_a.sample_count >= 200
 
     rec_b = poincare_remainder_check(
-        omega, 2, 2.0, 1.5, samples=200, seed=0, z_nodes=33, tolerance=1e-8
+        omega, 2, 2.0, 1.5, samples=200, seed=0, z_nodes_per_unit=8.0, tolerance=1e-8
     )
     assert rec_b.details["constant"] == pytest.approx(2 ** (-0.25) * (1 / 3) ** 1.5)
     assert rec_b.verdict == "no_violation"
@@ -198,7 +198,7 @@ def test_08_gradient_finite_difference_order():
 
 def test_09_blowup_construction():
     omega = pl.build_mesh(pl.interval(0.0, 1.0), [17])
-    result = blowup_demo(omega, 1, n_terms=16, length_per_bump=6.0, seed=0)
+    result = blowup_demo(omega, n_terms=16, length_per_bump=6.0, seed=0)
     assert result.supports_disjoint
     rows = {row.k: row for row in result.rows}
     for row in result.rows:

@@ -371,7 +371,7 @@ class TestContinuation:
         # parts, with V = lam = lambda_1(Omega) is solved by u = sum_k phi_k,
         # whose energy gap is sum_k 1/k^2 and equals the squared dual norm;
         # the field error is pinned 10 % above its measured value
-        res = blowup_demo(build_mesh(interval(0.0, 1.0), [17]), 1, n_terms=4)
+        res = blowup_demo(build_mesh(interval(0.0, 1.0), [17]), n_terms=4)
         lam, mesh = res.lambda_omega, res.mesh
         f = ForcingTerm.distributional_sum([(phi_k, lam) for phi_k in res.components])
         V, params = Potential.constant(lam), EnergyParams(p=2.0)

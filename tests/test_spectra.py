@@ -35,7 +35,8 @@ from plapsolve import (
 from plapsolve.energy import _dirichlet, _grad_square, _q_v_arrays, _y_norm_arrays
 from plapsolve.potentials import Potential, Weight, evaluate_weight, singular_weight
 from plapsolve.sampling import bump_family, bump_profile, tensor_bump
-from plapsolve.spectra import EigenResult, _bump_margins, _quotient_descent, _seeded_start, admissibility_report
+from plapsolve.spectra import (EigenResult, _bump_margins, _quotient_descent, _seeded_start, _strip_mesh,
+                               _tensor_field, admissibility_report)
 from oracles import STACKED_MESHES, embed
 
 
@@ -318,6 +319,43 @@ class TestCylinderEigen:
         assert record.sample_count == 2 * len(lengths) - 1
         assert sorted(record.details["tensor_quotients"]) == lengths
 
+    def test_eigen_tol_caps_the_strips_only(self):
+        # the cross section runs at its own tolerance, whatever the strips ask
+        omega = build_mesh(interval(0.0, 1.0), [33])
+        loose, tight = (
+            cylinder_eigen_check(omega, 1, [2.0], 2.0, z_nodes_per_unit=4.0, eigen_tol=eigen_tol)
+            for eigen_tol in (1e-4, 1e-8)
+        )
+        assert loose.details["lambda_omega"] == tight.details["lambda_omega"]
+
+
+class TestStripMesh:
+    @pytest.mark.parametrize("m_axes, z_nodes_per_unit", [(3, 3.0), (3, 4.0), (2, 8.0)])
+    def test_capped_strip_is_the_node_count_construction(self, m_axes, z_nodes_per_unit):
+        # at L = 2, u nodes per unit length are 4 u + 1 nodes per z axis
+        omega = build_mesh(interval(0.0, 1.0), [9])
+        n_z = int(4 * z_nodes_per_unit) + 1
+        h_z = 4.0 / (n_z - 1)
+        reference = build_mesh(
+            strip(((0.0, 1.0),), m_axes, 2.0), [9] + [n_z] * m_axes,
+            singular_cap_radius=0.55 * h_z, singular_axes=range(1, 1 + m_axes),
+        )
+        mesh = _strip_mesh(omega, m_axes, 2.0, z_nodes_per_unit, cap_cells=0.55)
+        assert mesh.shape == reference.shape
+        assert mesh.excluded_mask.any()
+        assert np.array_equal(mesh.excluded_mask, reference.excluded_mask)
+
+    def test_tensor_field_is_the_per_node_product(self):
+        omega = build_mesh(box((0.0, 1.0), (0.0, 2.0)), [5, 7])
+        mesh = _strip_mesh(omega, 2, 1.0, 4.0)
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(omega.n_nodes)
+        w0, w1 = (rng.standard_normal(n) for n in mesh.shape[2:])
+        field = _tensor_field(omega, v, [w0, w1])
+        i = np.unravel_index(np.arange(mesh.n_nodes), mesh.shape)
+        per_node = v[np.ravel_multi_index(i[:2], omega.shape)] * w0[i[2]] * w1[i[3]]
+        assert np.array_equal(field, per_node)
+
 
 def _per_node_bump(mesh, center, width):
     """Nodal values of a tensor bump evaluated node by node, axis by axis."""
@@ -492,14 +530,14 @@ class TestPoincareRemainder:
 
     def test_small_sample_run(self):
         omega = build_mesh(interval(0.0, 1.0), [9])
-        record = poincare_remainder_check(omega, 3, 2.0, 2.0, samples=20, seed=0, z_nodes=13)
+        record = poincare_remainder_check(omega, 3, 2.0, 2.0, samples=20, seed=0, z_nodes_per_unit=3.0)
         assert record.verdict == "no_violation"
         assert record.details["constant"] == pytest.approx(0.25)
         assert record.sample_count == 20
 
     def test_damped_constant_below_two(self):
         omega = build_mesh(interval(0.0, 1.0), [9])
-        record = poincare_remainder_check(omega, 2, 1.5, 1.5, samples=10, seed=0, z_nodes=17)
+        record = poincare_remainder_check(omega, 2, 1.5, 1.5, samples=10, seed=0, z_nodes_per_unit=16 / 3)
         assert record.details["constant"] == pytest.approx(2 ** (-0.25) * (1 / 3) ** 1.5)
         assert record.verdict == "no_violation"
         assert record.details["method"] == "descent"
@@ -508,7 +546,7 @@ class TestPoincareRemainder:
         # a bump far along the unbounded axis sees a vanishing weight, so the
         # margin is essentially the whole left side
         omega = build_mesh(interval(0.0, 1.0), [9])
-        record = poincare_remainder_check(omega, 3, 3.0, 2.0, samples=40, seed=1, z_nodes=17)
+        record = poincare_remainder_check(omega, 3, 3.0, 2.0, samples=40, seed=1, z_nodes_per_unit=8 / 3)
         assert record.worst_margin > 0.5  # normalized margins near one
 
 
@@ -607,7 +645,7 @@ class TestBlowup:
     @pytest.fixture(scope="class")
     def result(self):
         omega = build_mesh(interval(0.0, 1.0), [17])
-        return blowup_demo(omega, 1, n_terms=8, length_per_bump=6.0)
+        return blowup_demo(omega, n_terms=8, length_per_bump=6.0)
 
     def test_first_term_equalities(self, result):
         row = result.rows[0]
@@ -640,14 +678,9 @@ class TestBlowup:
     def test_slot_too_small_raises(self):
         omega = build_mesh(interval(0.0, 1.0), [17])
         with pytest.raises(ValueError, match="length_per_bump"):
-            blowup_demo(omega, 1, n_terms=8, length_per_bump=1.0)
-
-    def test_needs_single_unbounded_axis(self):
-        omega = build_mesh(interval(0.0, 1.0), [17])
-        with pytest.raises(NotImplementedError):
-            blowup_demo(omega, 2, n_terms=4)
+            blowup_demo(omega, n_terms=8, length_per_bump=1.0)
 
     def test_needs_three_terms(self):
         omega = build_mesh(interval(0.0, 1.0), [17])
         with pytest.raises(ValueError, match="at least 3"):
-            blowup_demo(omega, 1, n_terms=2)
+            blowup_demo(omega, n_terms=2)
