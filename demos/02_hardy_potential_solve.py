@@ -11,8 +11,8 @@ import numpy as np
 
 import plapsolve as pl
 
-domain = pl.punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-mesh = pl.build_mesh(domain, [21, 21, 21])
+# the puncture is the mesh's singular cap, over every axis
+mesh = pl.build_mesh(pl.box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [21, 21, 21], singular_cap_radius=0.05)
 V = pl.Potential.quadratic_hardy(3)
 W = pl.Weight.constant(0.29)
 params = pl.EnergyParams(p=2.0, q=1.8)

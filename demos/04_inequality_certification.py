@@ -27,8 +27,7 @@ for p in (1.5, 2.0, 3.0):
     print(f"  p={p:<4} kappa = {rec.details['kappa']:.4f}   worst margin = {rec.worst_margin:.1e}")
 
 print("\nhardy inequality with the critical constant (punctured box, N=3, p=2):")
-dom = pl.punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-mesh = pl.build_mesh(dom, [33, 33, 33])
+mesh = pl.build_mesh(pl.box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [33, 33, 33], singular_cap_radius=0.05)
 rec = hardy_check(mesh, 2.0, samples=100, seed=0)
 print(f"  worst normalized margin over bumps : {rec.worst_margin:.4f}")
 print(f"  adversarial quotient probe infimum : {rec.details['probe_infimum']:.4f}  "

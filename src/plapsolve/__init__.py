@@ -22,7 +22,6 @@ from .grid import (
     build_mesh,
     integrate,
     interval,
-    punctured_box,
     strip,
 )
 from .potentials import (

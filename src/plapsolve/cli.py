@@ -309,6 +309,13 @@ class RunConfig:
         return {name: value for name, value in vars(self).items() if value is not None}
 
     @property
+    def seed(self) -> int:
+        """The seed the run draws from: its subcommand's section's, the
+        solver's for ``solve`` and the certify section's for ``admissibility``."""
+        section = {"solve": "solver", "admissibility": "certify"}.get(self.subcommand, self.subcommand)
+        return getattr(self, section)["seed"]
+
+    @property
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -325,17 +332,39 @@ def _built(section: str, errors: list[str], build, *args, **kwargs):
 
 
 def _domain(d: dict) -> Domain:
-    """The configured domain."""
+    """The configured domain.  A punctured box is its box, and
+    :func:`_build_mesh` caps its mesh at the puncture."""
     bounds = tuple(tuple(b) for b in d["bounds"])
-    if d["kind"] in ("interval", "box"):
-        return box(*bounds)
     if d["kind"] == "strip":
         return strip(bounds, d["m_axes"], d["truncation_length"])
-    return Domain(d["kind"], bounds, puncture_radius=d.get("puncture_radius", 0.0))
+    if d["kind"] not in ("interval", "box", "punctured_box"):
+        raise ValueError(f"unknown domain kind {d['kind']!r}")
+    domain = box(*bounds)
+    radius = d.get("puncture_radius", 0.0)
+    gap = min(min(-lo, hi) for lo, hi in domain.bounds)
+    if radius < 0:
+        raise ValueError("puncture_radius must be nonnegative")
+    if radius > 0 and gap <= 0:
+        raise ValueError("punctured_box must contain the origin in its interior")
+    if radius >= gap > 0:
+        raise ValueError(
+            f"puncture_radius {radius} must be smaller than the distance {gap} from the origin to the boundary"
+        )
+    return domain
 
 
 def _build_mesh(cfg: RunConfig) -> Mesh:
-    return build_mesh(_domain(cfg.domain), **cfg.mesh)
+    """The configured mesh.  A punctured box's mesh is capped over every axis
+    at its puncture radius, and that cap is its only exclusion."""
+    mesh = cfg.mesh
+    if cfg.domain["kind"] == "punctured_box":
+        if mesh["singular_cap_radius"] != 0 or mesh["singular_axes"] is not None:
+            raise ValueError(
+                "a punctured_box is capped over every axis at its puncture_radius "
+                "and takes no singular_cap_radius or singular_axes"
+            )
+        mesh = {**mesh, "singular_cap_radius": cfg.domain["puncture_radius"]}
+    return build_mesh(_domain(cfg.domain), **mesh)
 
 
 def _omega_mesh(cfg: RunConfig) -> Mesh:
@@ -352,7 +381,7 @@ def _build_potential(cfg: RunConfig, mesh: Mesh | None, dims: int | None = None)
     pot = cfg.physics["potential"]
     p = cfg.physics["p"]
     if pot.get("value") == "lambda1_omega":
-        pot = {**pot, "value": section_eigenvalue(_omega_mesh(cfg), p, cfg.solver["seed"]).value}
+        pot = {**pot, "value": section_eigenvalue(_omega_mesh(cfg), p, cfg.seed).value}
     if mesh is not None:
         dims = mesh.domain.dims
     kind = pot["kind"]
@@ -448,7 +477,7 @@ def parse_config(text: str) -> RunConfig:
 
     config = RunConfig(subcommand=sub, **cfg)
     dom = _built("domain", errors, _domain, domain) if domain is not None else None
-    mesh = _built("mesh", errors, build_mesh, dom, **cfg["mesh"]) if dom and cfg["mesh"] else None
+    mesh = _built("mesh", errors, _build_mesh, config) if dom and cfg["mesh"] else None
     _built("physics", errors, EnergyParams, p, physics["q"])
     # only solve and admissibility runs evaluate the potential and the weight;
     # a 'lambda1_omega' value is computed at run time, and the Hardy kinds
@@ -516,12 +545,10 @@ class RunArtifact:
 
     @property
     def provenance(self) -> dict:
-        # the seed of the section the subcommand reads; eigen, certify and blowup read their own
-        seeded = {"solve": "solver", "admissibility": "certify"}.get(self.config.subcommand, self.config.subcommand)
         return {
             "version": __version__,
             "config_hash": self.config.config_hash,
-            "seed": getattr(self.config, seeded)["seed"],
+            "seed": self.config.seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
 
@@ -534,7 +561,7 @@ def _run_solve(cfg: RunConfig, artifact: RunArtifact, override: bool) -> None:
     W = _build_weight(cfg, mesh)
     p, q = cfg.physics["p"], cfg.physics["q"]
     artifact.admissibility = admissibility_report(
-        V, mesh, p, q, W, samples=min(cfg.certify["samples"], 64), seed=cfg.certify["seed"]
+        V, mesh, p, q, W, samples=min(cfg.certify["samples"], 64), seed=cfg.seed
     )
     if artifact.admissibility.violations and (gate_only or not override):
         artifact.failure = "admissibility violations" if gate_only else (
@@ -631,16 +658,15 @@ def _run_certify(cfg: RunConfig, artifact: RunArtifact) -> None:
                     power_mean_check(p, samples=4000, seed=seed, constant_scale=scale)
                 )
         elif check == "hardy":
-            cube = Domain("punctured_box", ((-1.0, 1.0),) * 3, puncture_radius=0.05)
             # no name keeps the mesh and its cached operators alive in later checks
             records.append(
                 hardy_check(
-                    build_mesh(cube, [33, 33, 33]), 2.0, samples=c["samples"], seed=seed,
-                    constant_scale=scale, tolerance=c["tolerance"],
+                    build_mesh(box(*[(-1.0, 1.0)] * 3), [33] * 3, singular_cap_radius=0.05), 2.0,
+                    samples=c["samples"], seed=seed, constant_scale=scale, tolerance=c["tolerance"],
                 )
             )
         elif check == "poincare":
-            omega = build_mesh(Domain("interval", ((0.0, 1.0),)), [9])
+            omega = build_mesh(box((0.0, 1.0)), [9])
             for m_axes, p, z_nodes_per_unit in ((3, 2.0, 4.0), (2, 1.5, 8.0)):
                 records.append(
                     poincare_remainder_check(
@@ -650,7 +676,7 @@ def _run_certify(cfg: RunConfig, artifact: RunArtifact) -> None:
                     )
                 )
         elif check == "cylinder":
-            omega = build_mesh(Domain("interval", ((0.0, 1.0),)), [33])
+            omega = build_mesh(box((0.0, 1.0)), [33])
             for p in c["p_values"]:
                 if p > 3.0:
                     continue

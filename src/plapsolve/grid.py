@@ -1,11 +1,13 @@
 """Structured tensor-product grids with boundary masks, trapezoidal quadrature,
 and the stacked first-order difference operator of the discrete energy.
 
-Domains are boxes, intervals, strips (a bounded cross-section times truncated
-unbounded axes), and boxes punctured at the origin.  Nodal fields live as flat
-per-node arrays in C order; functions that vanish on the boundary mask model
-compactly supported test functions, and the difference operator and the
-solvers act on their values on the free nodes.
+Domains are boxes, intervals and strips (a bounded cross-section times
+truncated unbounded axes).  A singular set is removed by the mesh's one
+exclusion rule, its singular cap: the nodes within a radius of the origin,
+measured over some or all axes, so a punctured box is a box capped over every
+axis.  Nodal fields live as flat per-node arrays in C order; functions that
+vanish on the boundary mask model compactly supported test functions, and the
+difference operator and the solvers act on their values on the free nodes.
 """
 
 from __future__ import annotations
@@ -24,38 +26,29 @@ __all__ = [
     "interval",
     "box",
     "strip",
-    "punctured_box",
     "build_mesh",
     "integrate",
 ]
 
-_DOMAIN_KINDS = ("interval", "box", "strip", "punctured_box")
-
 
 @dataclass(frozen=True)
 class Domain:
-    """Tensor-product computational domain.
+    """Tensor-product computational domain: its bounds, and which axes stand
+    in for unbounded directions.  Points it excludes are the mesh's business
+    (:class:`Mesh`'s singular cap).
 
     Attributes
     ----------
-    kind : str
-        One of ``interval``, ``box``, ``strip``, ``punctured_box``.
     bounds : tuple of (lo, hi)
         Extent per axis.  For a strip the truncated axes carry ``(-L, L)``.
     unbounded_axes : frozenset of int
         Axes that stand in for unbounded directions, truncated at ``+-L``.
-    puncture_radius : float
-        Radius of the ball removed around the origin (``punctured_box`` only).
     """
 
-    kind: str
     bounds: tuple[tuple[float, float], ...]
     unbounded_axes: frozenset[int] = field(default_factory=frozenset)
-    puncture_radius: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _DOMAIN_KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
         if not self.bounds:
             raise ValueError("domain needs at least one axis")
         for a, (lo, hi) in enumerate(self.bounds):
@@ -67,19 +60,6 @@ class Domain:
             lo, hi = self.bounds[a]
             if not (lo == -hi and hi > 0):
                 raise ValueError(f"truncated axis {a} must have bounds (-L, L) with L > 0")
-        if self.puncture_radius < 0:
-            raise ValueError("puncture_radius must be nonnegative")
-        if self.puncture_radius > 0:
-            if self.kind != "punctured_box":
-                raise ValueError("puncture_radius is only valid for punctured_box domains")
-            gap = min(min(-lo, hi) for lo, hi in self.bounds)
-            if gap <= 0:
-                raise ValueError("punctured_box must contain the origin in its interior")
-            if self.puncture_radius >= gap:
-                raise ValueError(
-                    f"puncture_radius {self.puncture_radius} must be smaller than the "
-                    f"distance {gap} from the origin to the boundary"
-                )
 
     @property
     def dims(self) -> int:
@@ -92,13 +72,12 @@ class Domain:
 
 def interval(lo: float, hi: float) -> Domain:
     """One-dimensional domain ``(lo, hi)``."""
-    return Domain("interval", ((float(lo), float(hi)),))
+    return box((lo, hi))
 
 
 def box(*bounds: tuple[float, float]) -> Domain:
-    """Axis-aligned box with the given per-axis bounds."""
-    bs = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    return Domain("box" if len(bs) > 1 else "interval", bs)
+    """Axis-aligned box with the given per-axis bounds, on any number of axes."""
+    return Domain(tuple((float(lo), float(hi)) for lo, hi in bounds))
 
 
 def strip(omega_bounds: Sequence[tuple[float, float]], m_axes: int, length: float) -> Domain:
@@ -115,23 +94,19 @@ def strip(omega_bounds: Sequence[tuple[float, float]], m_axes: int, length: floa
     n_omega = len(ob)
     zb = tuple((-float(length), float(length)) for _ in range(m_axes))
     unb = frozenset(range(n_omega, n_omega + m_axes))
-    return Domain("strip", ob + zb, unbounded_axes=unb)
-
-
-def punctured_box(*bounds: tuple[float, float], radius: float) -> Domain:
-    """Box containing the origin, with the ball of ``radius`` removed."""
-    bs = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    return Domain("punctured_box", bs, puncture_radius=float(radius))
+    return Domain(ob + zb, unbounded_axes=unb)
 
 
 class Mesh:
     """Structured grid over a :class:`Domain` with masks and quadrature weights.
 
     Nodes are stored flat in C order.  ``boundary_mask`` flags nodes on the
-    outer box faces; ``excluded_mask`` flags nodes inside the puncture or the
-    singular cap, which never participate in integrals.  Excluded nodes are
-    natural boundaries: the stencil beside them goes one-sided and never
-    reads their zero, so the energy sees no jump into the hole.  ``weights``
+    outer box faces; ``excluded_mask`` flags the nodes of the singular cap, the
+    mesh's one exclusion rule: those closer than ``singular_cap_radius`` to
+    the origin, measured over ``singular_axes`` (a punctured box caps all
+    axes, a cylinder some).  They never participate in integrals.  Excluded
+    nodes are natural boundaries: the stencil beside them goes one-sided and
+    never reads their zero, so the energy sees no jump into the hole.  ``weights``
     are tensor trapezoidal; the weight sum over non-excluded nodes
     approximates the domain volume minus the excluded volume.  The other
     nodes, ``free_mask``, carry the energy space: unknowns, first variations
@@ -199,11 +174,8 @@ class Mesh:
                 raise ValueError(f"singular axis index {a} out of range")
 
         excluded = np.zeros(self.n_nodes, dtype=bool)
-        if domain.puncture_radius > 0:
-            excluded |= np.linalg.norm(self.points, axis=1) < domain.puncture_radius
         if singular_cap_radius > 0:
-            d = np.linalg.norm(self.points[:, self.singular_axes], axis=1)
-            excluded |= d < singular_cap_radius
+            excluded = np.linalg.norm(self.points[:, self.singular_axes], axis=1) < singular_cap_radius
         self.excluded_mask = excluded
         self.constrained_mask = self.boundary_mask | self.excluded_mask
         # quadrature over the non-excluded nodes, for ``integrate``

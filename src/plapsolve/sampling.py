@@ -64,8 +64,8 @@ def bump_family(mesh: Mesh, count: int, seed: int) -> Iterator[tuple[tuple[slice
     lo, hi = np.array(mesh.domain.bounds).T
     extent = hi - lo
     h = mesh.spacing
-    cap = max(mesh.singular_cap_radius, mesh.domain.puncture_radius)
-    cap_axes = list(mesh.singular_axes) if mesh.singular_cap_radius > 0 else list(range(dims))
+    cap = mesh.singular_cap_radius
+    cap_axes = list(mesh.singular_axes)
 
     wmax = np.minimum(0.4 * extent - h, 10 * h)
     wmin = np.minimum(2.0 * h, 0.8 * wmax)

@@ -637,10 +637,10 @@ def hardy_check(
     constant_scale: float = 1.0,
     tolerance: float = 1e-8,
 ) -> CertificationRecord:
-    """Certify the Hardy inequality with its critical constant on a punctured
-    mesh: the p-Dirichlet energy of sampled interior bumps dominates
-    ``((N-p)/p)**p`` times the critically weighted p-mass, N the mesh's
-    dimension.
+    """Certify the Hardy inequality with its critical constant on a mesh
+    capped at the origin (a punctured box): the p-Dirichlet energy of sampled
+    interior bumps dominates ``((N-p)/p)**p`` times the critically weighted
+    p-mass, N the mesh's dimension.
 
     A probe, :func:`rayleigh_min` of the weighted quotient (600 iterations,
     residual tolerance 1e-6), searches for the discrete infimum; it is
@@ -651,7 +651,7 @@ def hardy_check(
     """
     n_dims = mesh.domain.dims
     constant = constant_scale * hardy_constant(n_dims, p)
-    if max(mesh.singular_cap_radius, mesh.domain.puncture_radius) <= 0:
+    if mesh.singular_cap_radius <= 0:
         raise ValueError("hardy check needs a mesh punctured or capped at the origin")
 
     weight = singular_weight(mesh, range(n_dims), p)

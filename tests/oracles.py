@@ -4,12 +4,12 @@ and the meshes with excluded nodes that several test modules share."""
 import numpy as np
 import scipy.sparse as sp
 
-from plapsolve import DiscreteFunction, build_mesh, punctured_box, strip
+from plapsolve import DiscreteFunction, box, build_mesh, strip
 
 # a punctured 3D box and a 4D strip capped over two of its axes
 STACKED_MESHES = {
     "punctured_3d": lambda: build_mesh(
-        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9]
+        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3
     ),
     "capped_4d_strip": lambda: build_mesh(
         strip([(0.0, 1.0)], 3, 1.5), [5, 5, 7, 5], singular_cap_radius=0.45, singular_axes=(1, 2)
@@ -20,9 +20,9 @@ STACKED_MESHES = {
 def embed(mesh, bump):
     """A sampled bump, its support box and box-shaped values, as the
     whole-mesh function it stands for."""
-    box, values = bump
+    support, values = bump
     whole = np.zeros(mesh.shape)
-    whole[box] = values
+    whole[support] = values
     return DiscreteFunction(mesh, whole)
 
 

@@ -112,8 +112,7 @@ def test_04_poincare_remainder_certification():
 
 
 def test_05_hardy_certification():
-    dom = pl.punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-    mesh = pl.build_mesh(dom, [33, 33, 33])
+    mesh = pl.build_mesh(pl.box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [33, 33, 33], singular_cap_radius=0.05)
     record = hardy_check(mesh, 2.0, samples=200, seed=0, tolerance=1e-8)
     assert record.verdict == "no_violation"
     assert record.sample_count >= 200

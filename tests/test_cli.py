@@ -22,7 +22,7 @@ from plapsolve.cli import (
     parse_config,
     run,
 )
-from plapsolve.grid import build_mesh, interval
+from plapsolve.grid import box, build_mesh, interval
 
 SMALL_SOLVE = {
     "subcommand": "solve",
@@ -68,6 +68,11 @@ REFUSED = [
      "domain:", "smaller than the distance"),
     ("puncture_outside_box", {"domain": {**_PUNCTURED, "bounds": [[0.5, 1.0]] * 3}, **_NODES3},
      "domain:", "contain the origin"),
+    ("domain_kind", {"domain": {**_CUBE, "kind": "sphere"}, **_NODES3}, "domain:", "unknown domain kind 'sphere'"),
+    ("puncture_with_cap", {"domain": _PUNCTURED, **_NODES3, "mesh.singular_cap_radius": 0.1},
+     "mesh:", "takes no singular_cap_radius or singular_axes"),
+    ("puncture_with_singular_axes", {"domain": _PUNCTURED, **_NODES3, "mesh.singular_axes": [0, 1]},
+     "mesh:", "takes no singular_cap_radius or singular_axes"),
     ("node_count", {"mesh.nodes_per_axis": [2]}, "mesh:", "at least 3 nodes"),
     ("node_axes", {"mesh.nodes_per_axis": [5, 5]}, "mesh:", "expected 1 node counts"),
     ("cap_negative", {"mesh.singular_cap_radius": -0.1}, "mesh:", "nonnegative"),
@@ -149,6 +154,8 @@ FORMERLY_PAST_PARSE = {
     "blowup_z_nodes_zero": "blowup",
     "length_per_bump_negative": "blowup",
     "pair_samples_negative": "certify",
+    "puncture_with_cap": "solve",
+    "puncture_with_singular_axes": "solve",
 }
 
 # refused at run time (exit 1 after the run starts) before the constructors validated the config
@@ -275,6 +282,14 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert f"config error: {section}" in err and constraint in err
         assert not (tmp_path / "out").exists()
+
+    def test_punctured_box_is_a_box_capped_over_every_axis(self):
+        cfg = parse_config(json.dumps(_with(SMALL_SOLVE, {"domain": _PUNCTURED, **_NODES3})))
+        mesh = plapsolve.cli._build_mesh(cfg)
+        capped = build_mesh(box(*[(-1.0, 1.0)] * 3), [5, 5, 5], singular_cap_radius=0.1)
+        assert (mesh.domain, mesh.singular_cap_radius, mesh.singular_axes) == (capped.domain, 0.1, (0, 1, 2))
+        assert mesh.excluded_mask.any()
+        assert np.array_equal(mesh.excluded_mask, capped.excluded_mask)
 
     def test_readme_config_grammar_has_no_unknown_key(self):
         # the grammar block lists every key; one the schema drops must leave it,
@@ -605,6 +620,13 @@ class TestMain:
         assert f"config error: {section}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_without_values_runs_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_SOLVE))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--sweep", "solver.tol="]) == 1
+        assert "config error: --sweep expected KEY=V1,V2,..." in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_with_a_config_error_runs_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(SMALL_SOLVE))
@@ -721,6 +743,18 @@ class TestMain:
         seeds = {"solver.seed": 1, "eigen.seed": 2, "certify.seed": 3, "blowup.seed": 4}
         cfg = parse_config(json.dumps(_with(SMALL_SOLVE, {"subcommand": subcommand, **updates, **seeds})))
         assert RunArtifact(config=cfg).provenance["seed"] == seed
+
+    def test_solve_gate_draws_from_the_solver_seed(self):
+        # a solve's gate draws from solver.seed, the seed its provenance names
+        hardy = _with(presets.get("hardy_quadratic"), {"mesh.nodes_per_axis": [9, 9, 9], "certify.seed": 0})
+        margins = []
+        for seed in (0, 5):
+            solve = run(parse_config(json.dumps(_with(hardy, {"solver.seed": seed}))))
+            gate = run(parse_config(json.dumps(_with(hardy, {"subcommand": "admissibility", "certify.seed": seed}))))
+            assert solve.provenance["seed"] == seed
+            assert solve.admissibility.sampled_margin == gate.admissibility.sampled_margin
+            margins.append(solve.admissibility.sampled_margin)
+        assert margins[0] != margins[1]
 
     def test_profile_writes_pstats_and_changes_nothing_else(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

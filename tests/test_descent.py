@@ -28,13 +28,13 @@ from plapsolve._descent import (
     conjugate_gradient, jacobi, lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
-from plapsolve.grid import box, build_mesh, interval, punctured_box, strip
+from plapsolve.grid import box, build_mesh, interval, strip
 from plapsolve.potentials import evaluate_potential
 from oracles import reference_grad_op
 
 MESHES = {
     "punctured_3d": lambda: build_mesh(
-        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [13, 13, 13]
+        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [13, 13, 13], singular_cap_radius=0.3
     ),
     "strip_2d": lambda: build_mesh(strip([(0.0, 1.0)], 1, 2.0), [17, 33]),
 }
@@ -45,7 +45,7 @@ SMALL_MESHES = {
     "interval_33": lambda: build_mesh(interval(0.0, 1.0), [33]),
     "box_11": lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [11, 11]),
     "punctured_7": lambda: build_mesh(
-        punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [7, 7, 7]
+        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [7, 7, 7], singular_cap_radius=0.3
     ),
 }
 

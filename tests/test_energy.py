@@ -371,6 +371,14 @@ class TestForcingTerm:
         with pytest.raises(ValueError, match="finite at non-excluded nodes"):
             ForcingTerm.density(mesh, np.where(mesh.points[:, 0] > 0.5, np.nan, 1.0))
 
+    def test_distributional_sum_needs_components_on_one_mesh(self, mesh201):
+        with pytest.raises(ValueError, match="at least one component"):
+            ForcingTerm.distributional_sum([])
+        other = build_mesh(interval(0.0, 1.0), [201])
+        u, v = DiscreteFunction.zeros(mesh201), DiscreteFunction.zeros(other)
+        with pytest.raises(ValueError, match="share one mesh"):
+            ForcingTerm.distributional_sum([(u, 1.0), (v, 1.0)])
+
     def test_scaling(self, mesh201):
         u_n = DiscreteFunction.from_callable(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
         u = DiscreteFunction.from_callable(mesh201, lambda x: x[:, 0] * (1 - x[:, 0]))

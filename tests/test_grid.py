@@ -10,7 +10,6 @@ from plapsolve import (
     build_mesh,
     integrate,
     interval,
-    punctured_box,
     strip,
 )
 from oracles import STACKED_MESHES, reference_grad_op
@@ -48,12 +47,6 @@ class TestDomain:
         with pytest.raises(ValueError, match="positive"):
             strip([(0.0, 1.0)], 1, 0.0)
 
-    def test_puncture_must_fit(self):
-        with pytest.raises(ValueError, match="smaller than the distance"):
-            punctured_box((-1.0, 1.0), (-0.2, 1.0), radius=0.3)
-        with pytest.raises(ValueError, match="interior"):
-            punctured_box((0.5, 1.0), (0.5, 1.0), radius=0.1)
-
 
 class TestBuildMesh:
     def test_interval_11_nodes(self):
@@ -72,8 +65,8 @@ class TestBuildMesh:
         assert mesh.weights.sum() == pytest.approx(8.0, abs=0.16)
 
     def test_weight_sum_minus_excluded_on_coarse_grid(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), radius=0.4)
-        mesh = build_mesh(dom, [21, 21])
+        dom = box((-1.0, 1.0), (-1.0, 1.0))
+        mesh = build_mesh(dom, [21, 21], singular_cap_radius=0.4)
         active_sum = mesh.weights[~mesh.excluded_mask].sum()
         expected = dom.volume - np.pi * 0.4**2
         assert active_sum == pytest.approx(expected, rel=0.02)
@@ -357,8 +350,8 @@ class TestIntegrate:
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_punctured_volume(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), radius=0.25)
-        mesh = build_mesh(dom, [17, 17])
+        dom = box((-1.0, 1.0), (-1.0, 1.0))
+        mesh = build_mesh(dom, [17, 17], singular_cap_radius=0.25)
         cell = float(np.prod(mesh.spacing))
         got = integrate(np.ones(mesh.n_nodes), mesh)
         expected = dom.volume - mesh.weights[mesh.excluded_mask].sum()

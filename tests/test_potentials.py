@@ -19,7 +19,6 @@ from plapsolve import (
     hardy_constant,
     integrability_exponent,
     interval,
-    punctured_box,
     singular_weight,
     sobolev_conjugate,
     strip,
@@ -69,16 +68,14 @@ class TestEvaluatePotential:
         assert np.all(vals == 2.0)
 
     def test_quadratic_hardy_pointwise(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-        mesh = build_mesh(dom, [9, 9, 9])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.05)
         vals = evaluate_potential(Potential.quadratic_hardy(3), mesh)
         # node at (0.5, 0, 0) has |x| = 0.5, so V = 0.25 / 0.25 = 1
         i = np.argmin(np.linalg.norm(mesh.points - np.array([0.5, 0.0, 0.0]), axis=1))
         assert vals[i] == pytest.approx(1.0)
 
     def test_hardy_matches_quadratic_at_p2(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-        mesh = build_mesh(dom, [9, 9, 9])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.05)
         a = evaluate_potential(Potential.quadratic_hardy(3), mesh)
         b = evaluate_potential(Potential.hardy(3, 2.0), mesh)
         c = evaluate_potential(Potential.cylindrical_hardy(3, 2.0), mesh)
@@ -86,8 +83,7 @@ class TestEvaluatePotential:
         assert np.array_equal(a, c)
 
     def test_ray_scaling(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-        mesh = build_mesh(dom, [9, 9, 9])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.05)
         for p in (1.5, 2.0, 2.5):
             V = Potential.hardy(3, p) if p < 3 else Potential.quadratic_hardy(3)
             vals = evaluate_potential(V, mesh)
@@ -102,8 +98,7 @@ class TestEvaluatePotential:
             evaluate_potential(Potential.quadratic_hardy(3), mesh)
 
     def test_excluded_nodes_carry_zero(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3)
-        mesh = build_mesh(dom, [9, 9, 9])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3)
         vals = evaluate_potential(Potential.hardy(3, 2.0), mesh)
         assert np.all(vals[mesh.excluded_mask] == 0.0)
         assert np.all(np.isfinite(vals))
@@ -126,6 +121,15 @@ class TestEvaluatePotential:
         active = ~mesh.excluded_mask
         y = np.linalg.norm(mesh.points[active][:, :2], axis=1)
         np.testing.assert_allclose(w[active], y**-1.5, rtol=1e-15)
+
+    def test_refuses_a_potential_built_for_another_mesh(self):
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3)
+        with pytest.raises(ValueError, match="tabulated potential has 4 entries, mesh has 729"):
+            evaluate_potential(Potential.tabulated(np.ones(4)), mesh)
+        with pytest.raises(ValueError, match="built for N=4, mesh has N=3"):
+            evaluate_potential(Potential.quadratic_hardy(4), mesh)
+        with pytest.raises(ValueError, match="acts on 4 axes, mesh has 3"):
+            evaluate_potential(Potential.cylindrical_hardy(4, 2.0), mesh)
 
     def test_cylindrical_needs_k_above_p(self):
         with pytest.raises(ValueError, match="k > p"):
@@ -195,8 +199,7 @@ class TestAdmissibilityReport:
         assert r1.local_integrability_proxy == r2.local_integrability_proxy
 
     def test_integrability_proxy_finite_for_hardy(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.2)
-        mesh = build_mesh(dom, [17, 17, 17])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [17, 17, 17], singular_cap_radius=0.2)
         rep = admissibility_report(
             Potential.quadratic_hardy(3), mesh, 2.0, 1.8, Weight.constant(0.29),
             samples=12, seed=0,

@@ -23,7 +23,6 @@ from plapsolve import (
     integrate,
     interval,
     minimize_phi,
-    punctured_box,
 )
 from plapsolve._descent import METRIC_RTOL, NEWTON_RTOL
 from plapsolve.energy import _grad_square, _phi_arrays, _phi_gradient_arrays, _q_v_arrays
@@ -59,6 +58,11 @@ class TestMinimizePhi:
         assert result.phi_value <= 0.0 + 1e-15
         assert np.max(np.abs(result.u.values)) <= 1e-8
         assert result.converged
+
+    def test_refuses_a_forcing_on_another_mesh(self):
+        mesh, other = (build_mesh(interval(0.0, 1.0), [51]) for _ in range(2))
+        with pytest.raises(ValueError, match="different mesh"):
+            minimize_phi(DiscreteFunction.zeros(mesh), Potential.zero(), ForcingTerm.zero(other), EnergyParams(p=2.0))
 
     def test_failed_steepest_descent_search_counts_once(self, monkeypatch):
         # a failed preconditioned search is not retried along -g: it counts
@@ -259,8 +263,7 @@ class TestContinuation:
         assert report.converged
 
     def test_hardy_continuation_bounds(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-        mesh = build_mesh(dom, [17, 17, 17])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [17, 17, 17], singular_cap_radius=0.05)
         params = EnergyParams(p=2.0, q=1.8)
         f = ForcingTerm.manufactured(
             mesh, lambda x: np.exp(-4 * ((x[:, 0] - 0.3) ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2))

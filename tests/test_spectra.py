@@ -28,7 +28,6 @@ from plapsolve import (
     monotonicity_constant_check,
     poincare_remainder_check,
     power_mean_check,
-    punctured_box,
     rayleigh_min,
     strip,
 )
@@ -167,7 +166,7 @@ class TestExactQuadratic:
         assert result.method == "lobpcg"
 
     def test_hardy_weighted_pencil(self):
-        mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3)
         w, free = hardy_weight(mesh), mesh.free_mask
         lam, u, _, res = _quotient_descent(mesh, 2.0, _seeded_start(mesh, 0)[free], mass_weight=w[free], tol=1e-9)
         assert lam == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
@@ -201,13 +200,13 @@ class TestExactQuadratic:
         assert float(mesh.free_weights @ (w * u**2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_hardy_probe_records_the_exact_method(self):
-        mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.15), [11, 11, 11])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [11, 11, 11], singular_cap_radius=0.15)
         record = hardy_check(mesh, 2.0, samples=5, seed=0)
         assert record.details["method"] == "lobpcg"
         assert record.details["probe_infimum"] == pytest.approx(dense_lambda1(mesh, hardy_weight(mesh)), rel=1e-10)
 
     def test_weighted_rayleigh_min(self):
-        mesh = build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [9, 9, 9])
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3)
         w = hardy_weight(mesh)
         result = rayleigh_min(mesh, 2.0, tol=1e-9, seed=0, mass_weight=w)
         assert result.value == pytest.approx(dense_lambda1(mesh, w), rel=1e-10)
@@ -248,7 +247,7 @@ class TestExactQuadratic:
         "mesh, tol",
         [
             (build_mesh(interval(0.0, 1.0), [401]), 1e-8),
-            (build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05), [21, 21, 21]), 1e-7),
+            (build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [21, 21, 21], singular_cap_radius=0.05), 1e-7),
             (build_mesh(strip(((0.0, 1.0),), 1, 8.0), [33, 129]), 1e-8),
         ],
         ids=["interval_401", "punctured_21", "strip_33x129"],
@@ -399,7 +398,7 @@ def _whole_mesh_margins(mesh, functions, p, lam, constant, weight):
 # with a hand-placed bump whose support holds a one-sided row beside the cap
 SUPPORT_BOX_CASES = {
     "punctured_17": (
-        lambda: build_mesh(punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.3), [17, 17, 17]),
+        lambda: build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [17, 17, 17], singular_cap_radius=0.3),
         range(3), 2.0, 0.0, 0.25, ([0.45, 0.0, 0.0], [0.2, 0.2, 0.2]),
     ),
     "capped_strip_4d": (
@@ -466,6 +465,13 @@ class TestSupportBoxMargins:
         mesh = build_mesh(box((0.0, 1.0), (0.0, 1.0)), [3, 9])
         with pytest.raises(RuntimeError, match="mesh too coarse"):
             next(bump_family(mesh, 1, 0))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cap_leaving_no_room_is_refused(self, seed):
+        # on the 9^3 box no draw within the attempt budget clears a cap of 0.3 by a spacing
+        mesh = build_mesh(box(*[(-1.0, 1.0)] * 3), [9, 9, 9], singular_cap_radius=0.3)
+        with pytest.raises(RuntimeError, match="could not place bump supports"):
+            next(bump_family(mesh, 1, seed))
 
     def test_bump_missing_every_node_keeps_its_margin(self, monkeypatch):
         # on a 4-node axis the family's narrow profiles can fall between nodes;
@@ -590,8 +596,7 @@ class TestPowerMean:
 class TestHardyCheck:
     @pytest.fixture(scope="class")
     def hardy_mesh(self):
-        dom = punctured_box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), radius=0.05)
-        return build_mesh(dom, [21, 21, 21])
+        return build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [21, 21, 21], singular_cap_radius=0.05)
 
     def test_no_violation_small(self, hardy_mesh):
         record = hardy_check(hardy_mesh, 2.0, samples=30, seed=0)
@@ -627,7 +632,7 @@ class TestHardyCheck:
         # rho), the hole is not resolved, and the probe reads 0.8260, above
         # its bracket
         n_dims, h_const = 3, 0.25
-        mesh = build_mesh(punctured_box(*[(-1.0, 1.0)] * n_dims, radius=rho), [33] * n_dims)
+        mesh = build_mesh(box(*[(-1.0, 1.0)] * n_dims), [33] * n_dims, singular_cap_radius=rho)
         weight = singular_weight(mesh, range(n_dims), 2.0)
         probe = rayleigh_min(mesh, 2.0, tol=1e-6, max_iter=600, seed=0, mass_weight=weight).value
 
