@@ -3,11 +3,14 @@ that raise :class:`IndefiniteEnergyError` on nonpositive curvature, a compact
 second-order preconditioner that inverts small blocks exactly, one-axis
 meshes block by block (and raises when Cholesky refuses a block) and the
 constant-coefficient operators of multi-axis meshes by tensor fast
-diagonalization (and raises when an exact tensor solve has a nonpositive
-denominator), and Armijo backtracking."""
+diagonalization, made exact on capped meshes by a capacitance correction on
+the few nodes where the cap changes the operator (and raises when the tensor
+solve of an uncapped mesh has a nonpositive denominator), and Armijo
+backtracking."""
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache, partial, reduce
 from typing import Callable
 
@@ -32,6 +35,13 @@ CG_ITERS = 300
 # but past that LAPACK's blocked factorizations make OpenBLAS allocate level-3
 # buffers (+7 MB for one block of 399 nodes).
 DENSE_MAX = 128
+# Values per block of box vectors that a tensor solve's build holds at once
+# (0.5 MB), so that its |S| box solves never hold |S| box vectors.
+BLOCK_VALUES = 2**16
+# Relative size below which an entry of a capped mesh's stiffness counts as
+# equal to its box's: the two are assembled in different orders, while a cap
+# changes the entries it touches by a fraction of order one.
+ROUNDING = 1e-12
 
 
 class IndefiniteEnergyError(RuntimeError):
@@ -139,64 +149,183 @@ def conjugate_gradient(
 
 
 @lru_cache(maxsize=32)
+def axis_operator(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of a mesh's box operator: the free-node
+    :meth:`Mesh.energy_stiffness` of the interval ``(lo, hi)`` on ``n`` nodes,
+    so the same stencil, as a dense array, and its interior trapezoid
+    weights.  Built once per axis for every mesh that has it, so the arrays
+    are shared and read-only.
+    """
+    line = Mesh(interval(lo, hi), [n])
+    K, m = line.free_stiffness_dense(), line.weights[1:-1].copy()
+    K.flags.writeable = m.flags.writeable = False
+    return K, m
+
+
+@lru_cache(maxsize=32)
 def axis_pencil(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the pencil ``K v = lam M v`` of one
-    axis: ``K`` the free-node :meth:`Mesh.energy_stiffness` of the interval
-    ``(lo, hi)`` on ``n`` nodes, so the same stencil, and ``M`` its interior
-    trapezoid weights, with ``V^T M V = I`` and ``V^T K V = diag(lam)``.
-    With no excluded node a mesh's free-node stiffness is the Kronecker sum
+    axis, ``K`` and the diagonal ``M`` its :func:`axis_operator`, with
+    ``V^T M V = I`` and ``V^T K V = diag(lam)``.  With no excluded node a
+    mesh's free-node stiffness is the Kronecker sum
     ``sum_a (M_0 x .. K_a .. x M_(N-1))`` of its axes' pencils.  Solved with
     ``np.linalg.eigh`` on ``M^-1/2 K M^-1/2`` once per axis for every mesh
     that has it, so the arrays are shared and read-only.
     """
-    line = Mesh(interval(lo, hi), [n])
-    s = 1.0 / np.sqrt(line.weights[1:-1])
-    lam, Q = np.linalg.eigh(s[:, None] * line.free_stiffness_dense() * s)
+    K, m = axis_operator(lo, hi, n)
+    s = 1.0 / np.sqrt(m)
+    lam, Q = np.linalg.eigh(s[:, None] * K * s)
     V = s[:, None] * Q
     lam.flags.writeable = V.flags.writeable = False
     return lam, V
 
 
+_CAP_DIFFERENCES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def cap_difference(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Where a capped mesh's stiffness differs from its box's, and by how much.
+
+    On the box of interior nodes, ``K_box`` is the Kronecker sum of the
+    :func:`axis_operator` of each axis (the stiffness with no node excluded)
+    and ``K~`` is the free-node :meth:`Mesh.energy_stiffness` on the free
+    nodes with ``K_box``'s own diagonal on the excluded ones.  Returns the
+    box indices ``S`` of the rows where the two differ, in increasing
+    order, and the dense ``(K~ - K_box)_SS``; the difference vanishes off
+    ``S x S``, since both are symmetric.  The rows compared are those within
+    each axis operator's reach (its bandwidth) of an excluded node, the only
+    rows a cap can change; the reach is read off the operator, not off the
+    stencil.  Entries that agree to rounding count as equal.  A mesh with
+    no excluded node has an empty ``S``.  Computed once per mesh, as neither
+    depends on ``sigma``; the arrays are shared and read-only.
+    """
+    if mesh not in _CAP_DIFFERENCES:
+        cap, delta = _compare_with_box(mesh)
+        cap.flags.writeable = delta.flags.writeable = False
+        _CAP_DIFFERENCES[mesh] = cap, delta
+    return _CAP_DIFFERENCES[mesh]
+
+
+def _compare_with_box(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cap_difference`, computed."""
+    nd, shape = mesh.domain.dims, tuple(n - 2 for n in mesh.shape)
+    operators = [axis_operator(lo, hi, n) for (lo, hi), n in zip(mesh.domain.bounds, mesh.shape)]
+    near = mesh.excluded_mask.reshape(mesh.shape)
+    for a, (K, _) in enumerate(operators):
+        rows, cols = np.nonzero(K)
+        up, down = (slice(None),) * a + (slice(1, None),), (slice(None),) * a + (slice(None, -1),)
+        for _ in range(int(np.abs(rows - cols).max())):
+            grown = near.copy()
+            grown[up] |= near[down]
+            grown[down] |= near[up]
+            near = grown
+    rows = np.flatnonzero(near[(slice(1, -1),) * nd])
+    coords = np.unravel_index(rows, shape)
+    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    masses = [m[c] for (_, m), c in zip(operators, coords)]
+    box_free = mesh.free_mask[~mesh.boundary_mask]
+    # -K_box on these rows: axis a's stiffness row times the other axes' weights
+    entries, scale = [], np.zeros(rows.size)
+    for a, (K, _) in enumerate(operators):
+        values = -K[coords[a]] * np.prod(masses[:a] + masses[a + 1:], axis=0)[:, None]
+        columns = rows[:, None] + (np.arange(K.shape[0]) - coords[a][:, None]) * stride[a]
+        entries.append((np.repeat(np.arange(rows.size), K.shape[0]), columns.ravel(), values.ravel()))
+        scale = np.maximum(scale, np.abs(values).max(axis=1))
+    # + K~: the free rows of the mesh's stiffness (excluded rows cancel below)
+    free_rows = np.flatnonzero(box_free[rows])
+    Kf = mesh.energy_stiffness()[(np.cumsum(box_free) - 1)[rows[free_rows]]].tocoo()
+    entries.append((free_rows[Kf.row], np.flatnonzero(box_free)[Kf.col], Kf.data))
+    r, c, v = (np.concatenate(parts) for parts in zip(*entries))
+    D = sp.csr_matrix((v, (r, c)), shape=(rows.size, box_free.size))
+    at = np.repeat(np.arange(rows.size), np.diff(D.indptr))
+    excluded_diagonal = ~box_free[rows[at]] & (D.indices == rows[at])
+    D.data[excluded_diagonal | (np.abs(D.data) <= ROUNDING * scale[at])] = 0.0
+    D.eliminate_zeros()
+    in_s = np.diff(D.indptr) > 0
+    return rows[in_s], D[in_s][:, rows[in_s]].toarray()
+
+
 class TensorSolve:
-    """Fast-diagonalization inverse of ``K + sigma M`` on the box of interior
-    nodes (Lynch, Rice & Thomas, Numer. Math. 6, 1964), from the
-    :func:`axis_pencil` of each mesh axis: ``V diag(1 / (sum_a lam_a + sigma))
-    V^T`` with ``V`` the Kronecker product of the axis eigenvectors, applied
-    as one contiguous ``matmul`` per axis each way.  A residual on the free
-    nodes is padded with zeros at the excluded ones and read back there, so
-    the action is a principal block of a positive definite inverse.
+    """Fast-diagonalization inverse of ``K + sigma M`` on the free nodes
+    (Lynch, Rice & Thomas, Numer. Math. 6, 1964), corrected for excluded
+    nodes by a capacitance matrix (Buzbee, Dorr, George & Golub, SIAM J.
+    Numer. Anal. 8, 1971; Proskurowski & Widlund, Math. Comp. 30, 1976).
+
+    The box operator ``B = K_box + sigma M`` on the box of interior nodes is
+    inverted from the :func:`axis_pencil` of each mesh axis as
+    ``V diag(1 / (sum_a lam_a + sigma)) V^T``, ``V`` the Kronecker product of
+    the axis eigenvectors, applied as one ``matmul`` per axis each way.  On a
+    capped mesh the free-node operator is a principal block of
+    ``A~ = B + U_S Delta U_S^T``, with ``K_box``'s diagonal on the excluded
+    nodes and ``S``, ``Delta`` the :func:`cap_difference` of the mesh.  Built
+    here from ``|S|`` box solves: ``T = (B^-1)_SS`` and
+    ``C = (I + Delta T)^-1 Delta``; applied as ``y = B^-1 r``, then
+    ``y -= B^-1 U_S C y_S`` (Woodbury), two box solves.  No array of
+    ``|S|`` box vectors is held, and a mesh with no excluded node has an
+    empty ``S``.
 
     ``sigma`` is ``shift``, plus ``mass_coeff`` when that is constant on the
-    free nodes.  With no excluded node the box operator is then the free-node
-    operator itself, so a nonpositive denominator is an exact certificate and
-    raises :class:`IndefiniteEnergyError`; with excluded nodes such a
-    ``sigma`` falls back to ``shift``, and CG's curvature test stays the
-    witness.
+    free nodes and folding it keeps the operator positive definite: on a
+    capped mesh while ``sigma`` stays positive, and with no excluded node
+    while the box pencil's denominators do; there ``B`` is the free-node
+    operator, so a nonpositive denominator is an exact certificate and raises
+    :class:`IndefiniteEnergyError`.  Otherwise ``sigma`` falls back to
+    ``shift``.  ``exact`` says whether the solve inverts the operator
+    ``K + shift M + diag(mass_coeff M)`` itself: when ``mass_coeff`` is None
+    or was folded in.
     """
 
     def __init__(self, mesh: Mesh, shift: float, mass_coeff: np.ndarray | None):
         lams, self.eigvecs = zip(*(axis_pencil(lo, hi, n) for (lo, hi), n in zip(mesh.domain.bounds, mesh.shape)))
         lam = reduce(np.add.outer, lams).ravel()
-        lowest = float(lam.min())
-        self.sigma = shift
+        capped = bool(mesh.excluded_mask.any())
+        self.sigma, self.exact = shift, mass_coeff is None
         if mass_coeff is not None and np.all(mass_coeff == mass_coeff[0]):
-            if lowest + shift + mass_coeff[0] > 0.0:
-                self.sigma = shift + float(mass_coeff[0])
-            elif not mesh.excluded_mask.any():
+            sigma = shift + float(mass_coeff[0])
+            if sigma > 0.0 or (not capped and float(lam.min()) + sigma > 0.0):
+                self.sigma, self.exact = sigma, True
+            elif not capped:
                 raise IndefiniteEnergyError(_NONPOSITIVE % "a tensor-product eigenvector")
         self.inv_denominators = 1.0 / (lam + self.sigma)
         self.eigvecs_t = [np.ascontiguousarray(V.T) for V in self.eigvecs]
         box_free = mesh.free_mask[~mesh.boundary_mask]
         self.box_free = None if box_free.all() else box_free
+        self.cap, delta = cap_difference(mesh)
+        # the box solves of vectors on S only need the rows of V on the
+        # smallest sub-box holding S
+        coords = np.unravel_index(self.cap, tuple(n - 2 for n in mesh.shape))
+        first = [int(c.min()) if c.size else 0 for c in coords]
+        sub_shape = tuple(int(c.max()) + 1 - f if c.size else 0 for c, f in zip(coords, first))
+        self.sub_rows = [V[f:f + n] for V, f, n in zip(self.eigvecs, first, sub_shape)]
+        self.sub_cols = [np.ascontiguousarray(R.T) for R in self.sub_rows]
+        self.sub_cap = np.ravel_multi_index([c - f for c, f in zip(coords, first)], sub_shape)
+        self.sub_size = int(np.prod(sub_shape))
+        T = np.empty((self.cap.size, self.cap.size))
+        block = max(1, BLOCK_VALUES // self.inv_denominators.size)
+        for start in range(0, self.cap.size, block):
+            units = np.zeros((min(block, self.cap.size - start), self.sub_size))
+            units[np.arange(len(units)), self.sub_cap[start:start + block]] = 1.0
+            T[start:start + block] = self._on_cap(self._from_sub_box(units))
+        self.capacitance = np.linalg.solve(np.eye(self.cap.size) + delta @ T, delta)
 
     @staticmethod
     def _along_axes(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-        """``x`` (the box in C order) with ``mats[a]^T`` applied along each
-        axis ``a``: each product contracts the leading axis and moves it
-        last, so after one pass the axes are back in order."""
+        """Each row of ``x`` (a box in C order) with ``mats[a]^T`` applied
+        along each axis ``a``: each product contracts the leading box axis
+        and moves it last, so after one pass the axes are back in order."""
+        rows = len(x)
         for B in mats:
-            x = x.reshape(B.shape[0], -1).T @ B
-        return x.ravel()
+            x = x.reshape(rows, B.shape[0], -1).swapaxes(1, 2).reshape(-1, B.shape[0]) @ B
+        return x.reshape(rows, -1)
+
+    def _from_sub_box(self, x: np.ndarray) -> np.ndarray:
+        """``diag(1 / (lam + sigma)) V^T x`` for rows ``x`` of box vectors
+        that vanish off the sub-box, given there."""
+        return self._along_axes(x, self.sub_rows) * self.inv_denominators
+
+    def _on_cap(self, spectral: np.ndarray) -> np.ndarray:
+        """``(V spectral)_S`` for rows of spectral coefficients."""
+        return self._along_axes(spectral, self.sub_cols)[:, self.sub_cap]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if self.box_free is None:
@@ -204,9 +333,13 @@ class TensorSolve:
         else:
             x = np.zeros(self.box_free.size)
             x[self.box_free] = r
-        x = self._along_axes(x, self.eigvecs) * self.inv_denominators
-        x = self._along_axes(x, self.eigvecs_t)
-        return x if self.box_free is None else x[self.box_free]
+        spectral = self._along_axes(x[None], self.eigvecs) * self.inv_denominators
+        if self.cap.size:
+            z = np.zeros((1, self.sub_size))
+            z[:, self.sub_cap] = self._on_cap(spectral) @ self.capacitance.T
+            spectral -= self._from_sub_box(z)
+        y = self._along_axes(spectral, self.eigvecs_t)[0]
+        return y if self.box_free is None else y[self.box_free]
 
 
 class Preconditioner:
@@ -219,24 +352,25 @@ class Preconditioner:
     :meth:`Mesh.energy_stiffness` plus the mass diagonal: a dense array (from
     :meth:`Mesh.free_stiffness_dense`) for a block of at most ``DENSE_MAX``
     free nodes, which is inverted once here and applied as one product, an
-    exact solve for every role, and CSR above it.  A larger block is applied
-    by :func:`conjugate_gradient` at unscaled relative residual ``rtol``
+    exact solve for every role, and CSR above it.  On a multi-axis mesh at
+    ``coeff = None`` a :class:`TensorSolve` is built here; when it is
+    ``exact`` (``mass_coeff`` None, or constant on the free nodes and folded
+    into its ``sigma``), it is applied directly as well, with no CG, on
+    capped and uncapped meshes alike.  Every other operator is applied by
+    :func:`conjugate_gradient` at unscaled relative residual ``rtol``
     (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), preconditioned by one of
-    three operators built once here:
-    :func:`block_inverses` on a one-axis mesh; :class:`TensorSolve` on a
-    multi-axis mesh at ``coeff = None``, which inverts the operator exactly
-    when no node is excluded and ``mass_coeff`` is constant on the free
-    nodes, so that CG ends after one product; and :func:`jacobi` for the
-    lagged metrics otherwise.  Every action is deterministic.  ``mass_coeff``
-    is a free-node vector, and :meth:`apply` maps a free-node vector, such as
-    a descent's plain-dot first variation, to a free-node vector, its
-    direction.  The operator is positive definite unless a negative
-    ``mass_coeff`` (the potential in the p = 2 Newton operator) makes the
-    energy form nonpositive.  Then :class:`IndefiniteEnergyError` is raised:
+    three operators built once here: :func:`block_inverses` on a one-axis
+    mesh; the :class:`TensorSolve` of ``K + shift M`` on a multi-axis mesh at
+    ``coeff = None``; and :func:`jacobi` for the lagged metrics otherwise.
+    Every action is deterministic.  ``mass_coeff`` is a free-node vector,
+    and :meth:`apply` maps a free-node vector, such as a descent's plain-dot
+    first variation, to a free-node vector, its direction.  The operator is
+    positive definite unless a negative ``mass_coeff`` (the potential in the
+    p = 2 Newton operator) makes the energy form nonpositive.  Then :class:`IndefiniteEnergyError` is raised:
     here when ``np.linalg.cholesky`` refuses a dense block, Jacobi scaling
-    meets a nonpositive diagonal entry or an exact tensor solve a
-    nonpositive denominator, and by CG in ``apply`` when it meets a
-    direction of nonpositive curvature.
+    meets a nonpositive diagonal entry or the tensor solve of a mesh with no
+    excluded node a nonpositive denominator, and by CG in ``apply`` when it
+    meets a direction of nonpositive curvature.
     """
 
     def __init__(
@@ -261,6 +395,7 @@ class Preconditioner:
             self.precondition = partial(apply_blocks, self.inverses)
         elif coeff is None:
             self.precondition = TensorSolve(mesh, shift, mass_coeff)
+            self.exact = self.precondition.exact
         else:
             self.precondition = jacobi(self.op)
         self.rtol = rtol

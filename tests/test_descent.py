@@ -5,7 +5,8 @@ raise on nonpositive curvature, exact dense solves on small positive definite
 blocks assembled as one dense product, block-Jacobi solves on one-axis
 meshes, the error an indefinite dense block raises at construction, tensor
 fast-diagonalization solves of the constant-coefficient operators on
-multi-axis meshes and the indefiniteness they certify, and no sparse
+multi-axis meshes and the indefiniteness they certify, their capacitance
+correction on capped meshes, which makes them exact there too, and no sparse
 factorization on the metric paths."""
 
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import eigsh, spsolve
 
 import plapsolve
 import plapsolve.energy
@@ -25,7 +26,7 @@ import plapsolve.grid
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
     CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, armijo_backtrack, axis_pencil,
-    conjugate_gradient, jacobi, lagged_coefficient,
+    cap_difference, conjugate_gradient, jacobi, lagged_coefficient,
 )
 from plapsolve.energy import _grad_square
 from plapsolve.grid import box, build_mesh, interval, strip
@@ -437,8 +438,8 @@ def test_axis_factors_are_a_kronecker_sum_of_the_free_stiffness(tensor_mesh):
 @ROLES
 def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol):
     # K + M, or the p = 2 Newton operator with a constant potential at 60 %
-    # of lambda_1 folded into sigma: the tensor solve inverts it, so CG ends
-    # after one product at either tolerance
+    # of lambda_1 folded into sigma: the tensor solve inverts it, so it is
+    # applied with no CG product at either tolerance
     mesh = tensor_mesh
     kwargs = {}
     if newton:
@@ -450,7 +451,7 @@ def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol)
     assert np.linalg.norm(pre.precondition(b) - exact) <= 1e-12 * np.linalg.norm(exact)
     pre.op = counting = _CountingOperator(pre.op)
     d = pre.apply(b)
-    assert counting.products == 1
+    assert counting.products == 0
     assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
     assert np.array_equal(d, pre.apply(b))
     assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, **kwargs).apply(b))
@@ -458,20 +459,17 @@ def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol)
 
 @ROLES
 def test_tensor_solve_preconditions_a_punctured_mesh(rtol):
-    # excluded nodes make the box inverse an approximation: CG still meets
-    # the role's residual, in fewer products than Jacobi scaling takes (10
-    # against 16 at METRIC_RTOL, 21 against 37 at NEWTON_RTOL)
+    # the capacitance correction makes the tensor solve of K + M exact on
+    # the punctured box, so it is applied with no CG product
     mesh = MESHES["punctured_3d"]()
     b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol)
-    assert _path(pre) == "tensor" and mesh.excluded_mask.any()
-    jacobi_products = _CountingOperator(pre.op)
-    conjugate_gradient(jacobi_products, b, rtol, jacobi(pre.op))
+    assert _path(pre) == "tensor" and mesh.excluded_mask.any() and pre.exact
+    exact = spsolve(pre.op.tocsc(), b)
     pre.op = counting = _CountingOperator(pre.op)
     d = pre.apply(b)
-    assert np.linalg.norm(b - counting.A @ d) <= rtol * np.linalg.norm(b)
-    assert counting.products <= (10 if rtol == METRIC_RTOL else 21)
-    assert counting.products < jacobi_products.products
+    assert counting.products == 0
+    assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def test_axis_eigenpairs_are_computed_once_per_mesh(monkeypatch):
@@ -508,7 +506,7 @@ def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
     # excluded node the tensor solve is the operator itself, so its
     # nonpositive denominator certifies the indefiniteness before any CG
     # call, while the diagonal stays positive; just below, the operator is
-    # solved in one product
+    # solved with no CG product
     calls = _counting_cg(monkeypatch)
     mesh = MESHES["strip_2d"]()
     lam1 = _lambda_1(mesh)
@@ -520,7 +518,7 @@ def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
     pre = Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full_like(mesh.free_weights, -0.999 * lam1))
     pre.op = counting = _CountingOperator(pre.op)
     pre.apply(_problem(mesh, None)[0])
-    assert counting.products == 1
+    assert counting.products == 0
 
 
 @pytest.mark.parametrize("potential, indefinite", [(7.6, False), (20.0, True)], ids=["between", "above"])
@@ -541,6 +539,126 @@ def test_punctured_tensor_falls_back_to_the_shift(potential, indefinite):
     else:
         d = pre.apply(b)
         assert np.linalg.norm(b - pre.op @ d) <= NEWTON_RTOL * np.linalg.norm(b)
+
+
+# capped meshes: the punctured 13^3 box, the punctured 21^3 box of the
+# hardy_quadratic preset, a 17^3 box capped about the z axis like the
+# hardy_cylindrical preset, and a strip with two z axes capped over both
+CAPPED_MESHES = {
+    "punctured_3d": MESHES["punctured_3d"],
+    "punctured_21": lambda: build_mesh(
+        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [21, 21, 21], singular_cap_radius=0.05
+    ),
+    "cylinder_17": lambda: build_mesh(
+        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [17, 17, 17], singular_cap_radius=0.1, singular_axes=(0, 1)
+    ),
+    "capped_strip_3d": lambda: build_mesh(
+        strip([(0.0, 1.0)], 2, 1.5), [9, 13, 13], singular_cap_radius=0.3, singular_axes=(1, 2)
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CAPPED_MESHES))
+def capped_mesh(request):
+    return CAPPED_MESHES[request.param]()
+
+
+def test_cap_difference_is_where_the_operators_differ(capped_mesh):
+    # against the box stiffness as a Kronecker sum of line meshes' stiffness,
+    # and the free-node stiffness with the box diagonal on the excluded nodes
+    mesh = capped_mesh
+    lines = [build_mesh(interval(lo, hi), [n]) for (lo, hi), n in zip(mesh.domain.bounds, mesh.shape)]
+    terms = []
+    for a, line in enumerate(lines):
+        mats = [sp.diags(other.weights[1:-1]) for other in lines]
+        mats[a] = line.energy_stiffness()
+        terms.append(reduce(sp.kron, mats))
+    box_stiffness = sum(terms).tocsr()
+    free = mesh.free_mask[~mesh.boundary_mask]
+    lift = sp.eye(free.size, format="csr")[:, np.flatnonzero(free)]
+    capped = lift @ mesh.energy_stiffness() @ lift.T + sp.diags(np.where(free, 0.0, box_stiffness.diagonal()))
+    difference = (capped - box_stiffness).tocsr()
+    scale = abs(box_stiffness).max()
+    difference.data[np.abs(difference.data) <= 1e-12 * scale] = 0.0
+    difference.eliminate_zeros()
+    cap, delta = cap_difference(mesh)
+    assert np.array_equal(cap, np.flatnonzero(np.diff(difference.indptr)))
+    assert np.all(np.isin(np.flatnonzero(~free), cap))
+    assert np.max(np.abs(delta - difference[cap][:, cap].toarray())) <= 1e-12 * scale
+    assert abs(difference[cap][:, cap]).sum() == abs(difference).sum()
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["plain", "folded"])
+@ROLES
+def test_capped_tensor_solve_is_exact(capped_mesh, folded, rtol, monkeypatch):
+    # K + M, or K + 0.5 M with a constant mass coefficient folded into a
+    # positive sigma: the capacitance-corrected tensor solve inverts it, so
+    # apply makes no CG call, and its applies repeat bit for bit
+    calls = _counting_cg(monkeypatch)
+    mesh = capped_mesh
+    kwargs = {"mass_coeff": np.full_like(mesh.free_weights, -0.5)} if folded else {}
+    b, _ = _problem(mesh, None)
+    pre = Preconditioner(mesh, rtol=rtol, **kwargs)
+    assert _path(pre) == "tensor" and pre.exact and mesh.excluded_mask.any()
+    assert pre.precondition.sigma == (0.5 if folded else 1.0)
+    exact = spsolve(pre.op.tocsc(), b)
+    d = pre.apply(b)
+    assert not calls
+    assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
+    assert np.array_equal(d, pre.apply(b))
+    assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, **kwargs).apply(b))
+
+
+def test_capped_tensor_solve_holds_no_box_vector_per_cap_node(capped_mesh):
+    # the correction is applied by a second box solve, not from a stored
+    # (box nodes, |S|) array
+    solve = TensorSolve(capped_mesh, 1.0, None)
+    box_nodes, cap_nodes = solve.inv_denominators.size, solve.cap.size
+    assert cap_nodes > 1
+    held = [v for value in vars(solve).values() for v in (value if isinstance(value, (list, tuple)) else [value])]
+    assert max(v.size for v in held if isinstance(v, np.ndarray)) < box_nodes * cap_nodes
+
+
+@pytest.mark.parametrize("potential, indefinite", [(5.0, False), (20.0, True)], ids=["below", "above"])
+def test_capped_tensor_solve_keeps_cg_for_a_negative_sigma(potential, indefinite, monkeypatch):
+    # the Newton operator with a constant potential on the 17^3 cylinder cap,
+    # whose lambda_1 is 7.31: folding it would make sigma negative, so sigma
+    # falls back to the shift and CG solves the operator around the
+    # corrected tensor solve, or meets its negative curvature above lambda_1
+    calls = _counting_cg(monkeypatch)
+    mesh = CAPPED_MESHES["cylinder_17"]()
+    b, _ = _problem(mesh, None)
+    pre = Preconditioner(mesh, rtol=NEWTON_RTOL, shift=1e-10, mass_coeff=np.full_like(mesh.free_weights, -potential))
+    assert pre.precondition.sigma == 1e-10 and not pre.exact
+    if indefinite:
+        with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
+            pre.apply(b)
+    else:
+        d = pre.apply(b)
+        assert np.linalg.norm(b - pre.op @ d) <= NEWTON_RTOL * np.linalg.norm(b)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make, want, most_iterations",
+    [
+        (CAPPED_MESHES["punctured_21"], 7.341522556, 48),
+        (CAPPED_MESHES["cylinder_17"], 7.307564879, 33),
+    ],
+    ids=["punctured_21", "cylinder_17"],
+)
+def test_lobpcg_on_a_capped_mesh_is_exact_and_cg_free(make, want, most_iterations, monkeypatch):
+    # p = 2 LOBPCG preconditioned by the exact tensor solve of K + M meets
+    # scipy's eigenvalue of the free-node pencil, with no CG call
+    calls = _counting_cg(monkeypatch)
+    mesh = make()
+    result = rayleigh_min(mesh, 2.0, tol=1e-8)
+    assert not calls
+    stiffness = mesh.energy_stiffness().tocsc()
+    (reference,), _ = eigsh(stiffness, k=1, M=sp.diags(mesh.free_weights).tocsc(), sigma=0.0, which="LM")
+    assert abs(reference - want) <= 5e-10
+    assert abs(result.value - reference) <= 1e-12 * reference
+    assert result.iterations <= most_iterations
 
 
 def test_metric_paths_import_no_factorization():

@@ -576,6 +576,14 @@ class TestMonotonicity:
         with pytest.raises(ValueError, match="p > 1"):
             monotonicity_constant_check(1.0)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_blocks_of_pairs_leave_the_record_unchanged(self, p, monkeypatch):
+        # 2 006 pairs fit in one block by default; blocks of 37 split them,
+        # the six fixed pairs included, and must give the same record
+        whole = monotonicity_constant_check(p, samples=2000, seed=3)
+        monkeypatch.setattr(plapsolve.spectra, "PAIR_BLOCK", 37)
+        assert repr(monotonicity_constant_check(p, samples=2000, seed=3)) == repr(whole)
+
 
 class TestPowerMean:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
