@@ -1,7 +1,8 @@
 """Preconditioner roles: the inner tolerance each role meets, descent
 directions from truncated and exact solves for every role, determinism, the
-gain of Jacobi scaling on lagged coefficients, the error conjugate gradients
-raise on nonpositive curvature, exact dense solves on small positive definite
+gain of Jacobi scaling on lagged coefficients and of the two-colour reduction
+on two-cyclic meshes, the error conjugate gradients raise on nonpositive
+curvature, also through the reduction, exact dense solves on small positive definite
 blocks assembled as one dense product, block-Jacobi solves on one-axis
 meshes, the error an indefinite dense block raises at construction, tensor
 fast-diagonalization solves of the constant-coefficient operators on
@@ -25,8 +26,8 @@ import plapsolve.energy
 import plapsolve.grid
 from plapsolve import IndefiniteEnergyError, Potential, rayleigh_min
 from plapsolve._descent import (
-    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, TensorSolve, armijo_backtrack, axis_pencil,
-    cap_difference, conjugate_gradient, jacobi, lagged_coefficient,
+    CG_ITERS, DENSE_MAX, METRIC_RTOL, NEWTON_RTOL, Preconditioner, ReducedSolve, TensorSolve, armijo_backtrack,
+    axis_pencil, cap_difference, conjugate_gradient, jacobi, lagged_coefficient, two_colouring,
 )
 from plapsolve.energy import _grad_square
 from plapsolve.grid import box, build_mesh, interval, strip
@@ -120,7 +121,7 @@ def _plain_cg_products(A, b, maxiter, rel_tol):
 def test_cg_meshes_are_above_the_dense_cap(mesh):
     # the CG tests below would pass vacuously on a dense inverse
     pre = Preconditioner(mesh, rtol=METRIC_RTOL)
-    assert pre.op.shape[0] > DENSE_MAX
+    assert mesh.free_weights.size > DENSE_MAX
     assert pre.inverses is None
 
 
@@ -131,7 +132,7 @@ def test_apply_meets_its_roles_residual(mesh, p, rtol):
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
     d = pre.apply(b)
     assert d.shape == b.shape
-    assert np.linalg.norm(b - pre.op @ d) <= rtol * np.linalg.norm(b)
+    assert np.linalg.norm(b - _sparse_free_operator(mesh, coeff=coeff) @ d) <= rtol * np.linalg.norm(b)
 
 
 @LAGGED
@@ -153,12 +154,24 @@ def test_applies_are_deterministic(mesh, p):
 @pytest.mark.parametrize("p", [1.5, 3.0], ids=["lagged", "lagged_p3"])
 @ROLES
 def test_jacobi_scaling_takes_fewer_products_than_plain_cg(mesh, p, rtol):
+    # the products counted are those apply makes: of op on the capped mesh,
+    # of the red Schur complement on the two-cyclic one, where they are also
+    # at most 0.6 of Jacobi CG's on op (0.48-0.52 measured)
     b, coeff = _problem(mesh, p)
     pre = Preconditioner(mesh, rtol=rtol, coeff=coeff)
     plain = _plain_cg_products(pre.op, b, CG_ITERS, rtol)
-    pre.op = counting = _CountingOperator(pre.op)
+    reduced = _path(pre) == "reduced"
+    assert reduced != mesh.excluded_mask.any()
+    if reduced:
+        jacobi_cg = _CountingOperator(pre.op)
+        conjugate_gradient(jacobi_cg, b, rtol, jacobi(pre.op))
+        pre.precondition.schur = counting = _CountingOperator(pre.precondition.schur)
+    else:
+        pre.op = counting = _CountingOperator(pre.op)
     pre.apply(b)
-    assert counting.products < plain, (counting.products, plain)
+    assert 0 < counting.products < plain, (counting.products, plain)
+    if reduced:
+        assert counting.products <= 0.6 * jacobi_cg.products, (counting.products, jacobi_cg.products)
 
 
 def _counting_cg(monkeypatch):
@@ -247,9 +260,15 @@ def test_sparse_op_is_the_whole_grid_operator_sliced(make, role):
     }[role]
     pre = Preconditioner(mesh, rtol=METRIC_RTOL, **kwargs)
     want = _sparse_free_operator(mesh, **kwargs)
-    assert isinstance(pre.op, sp.csr_matrix) and pre.op.shape[0] > DENSE_MAX
+    op = pre.op
+    if pre.exact:
+        # the exact tensor solve reads no assembled operator, so none is built;
+        # every other path assembles it as the mesh's stiffness plus the mass
+        assert op is None and _path(pre) == "tensor"
+        op = mesh.energy_stiffness() + sp.diags(mesh.free_weights)
+    assert isinstance(op, sp.csr_matrix) and op.shape[0] > DENSE_MAX
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(pre.op, attr), getattr(want, attr)), attr
+        assert np.array_equal(getattr(op, attr), getattr(want, attr)), attr
 
 
 def _refused_at_construction(mesh, mass_coeff, rtol, monkeypatch, block):
@@ -344,7 +363,8 @@ def _role_preconditioners(mesh):
 
 def _path(pre):
     if pre.inverses is None:
-        return "tensor" if isinstance(pre.precondition, TensorSolve) else "jacobi"
+        kinds = {TensorSolve: "tensor", ReducedSolve: "reduced"}
+        return kinds.get(type(pre.precondition), "jacobi")
     return "dense" if len(pre.inverses) == 1 else "block"
 
 
@@ -355,10 +375,11 @@ def _path(pre):
         (lambda: build_mesh(interval(0.0, 1.0), [401]), {"metric_p3": "block", "newton_p2": "block", "default": "block"}),
         (
             lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [17, 17]),
-            {"metric_p3": "jacobi", "newton_p2": "tensor", "default": "tensor"},
+            {"metric_p3": "reduced", "newton_p2": "tensor", "default": "tensor"},
         ),
+        (MESHES["punctured_3d"], {"metric_p3": "jacobi", "newton_p2": "tensor", "default": "tensor"}),
     ],
-    ids=["dense", "block", "multi_axis"],
+    ids=["dense", "block", "multi_axis", "capped"],
 )
 def test_every_role_maps_a_gradient_to_a_descent_direction(make, paths):
     # minimize_phi and the quotient descent step along -apply(b), b a
@@ -436,39 +457,39 @@ def test_axis_factors_are_a_kronecker_sum_of_the_free_stiffness(tensor_mesh):
 
 @pytest.mark.parametrize("newton", [False, True], ids=["plain", "newton"])
 @ROLES
-def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol):
+def test_tensor_solve_is_exact_without_excluded_nodes(tensor_mesh, newton, rtol, monkeypatch):
     # K + M, or the p = 2 Newton operator with a constant potential at 60 %
     # of lambda_1 folded into sigma: the tensor solve inverts it, so it is
-    # applied with no CG product at either tolerance
+    # applied with no CG call at either tolerance
+    calls = _counting_cg(monkeypatch)
     mesh = tensor_mesh
     kwargs = {}
     if newton:
         kwargs = {"shift": 1e-10, "mass_coeff": np.full_like(mesh.free_weights, -0.6 * _lambda_1(mesh))}
     b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol, **kwargs)
-    assert _path(pre) == "tensor"
-    exact = spsolve(pre.op.tocsc(), b)
+    assert _path(pre) == "tensor" and pre.op is None
+    exact = spsolve(_sparse_free_operator(mesh, **kwargs).tocsc(), b)
     assert np.linalg.norm(pre.precondition(b) - exact) <= 1e-12 * np.linalg.norm(exact)
-    pre.op = counting = _CountingOperator(pre.op)
     d = pre.apply(b)
-    assert counting.products == 0
+    assert not calls
     assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
     assert np.array_equal(d, pre.apply(b))
     assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, **kwargs).apply(b))
 
 
 @ROLES
-def test_tensor_solve_preconditions_a_punctured_mesh(rtol):
+def test_tensor_solve_preconditions_a_punctured_mesh(rtol, monkeypatch):
     # the capacitance correction makes the tensor solve of K + M exact on
-    # the punctured box, so it is applied with no CG product
+    # the punctured box, so it is applied with no CG call
+    calls = _counting_cg(monkeypatch)
     mesh = MESHES["punctured_3d"]()
     b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol)
     assert _path(pre) == "tensor" and mesh.excluded_mask.any() and pre.exact
-    exact = spsolve(pre.op.tocsc(), b)
-    pre.op = counting = _CountingOperator(pre.op)
+    exact = spsolve(_sparse_free_operator(mesh).tocsc(), b)
     d = pre.apply(b)
-    assert counting.products == 0
+    assert not calls
     assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
@@ -506,7 +527,7 @@ def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
     # excluded node the tensor solve is the operator itself, so its
     # nonpositive denominator certifies the indefiniteness before any CG
     # call, while the diagonal stays positive; just below, the operator is
-    # solved with no CG product
+    # solved with no CG call
     calls = _counting_cg(monkeypatch)
     mesh = MESHES["strip_2d"]()
     lam1 = _lambda_1(mesh)
@@ -516,9 +537,8 @@ def test_indefinite_tensor_operator_raises_at_construction(rtol, monkeypatch):
         Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=above)
     assert not calls
     pre = Preconditioner(mesh, rtol=rtol, shift=1e-10, mass_coeff=np.full_like(mesh.free_weights, -0.999 * lam1))
-    pre.op = counting = _CountingOperator(pre.op)
     pre.apply(_problem(mesh, None)[0])
-    assert counting.products == 0
+    assert not calls
 
 
 @pytest.mark.parametrize("potential, indefinite", [(7.6, False), (20.0, True)], ids=["between", "above"])
@@ -539,6 +559,82 @@ def test_punctured_tensor_falls_back_to_the_shift(potential, indefinite):
     else:
         d = pre.apply(b)
         assert np.linalg.norm(b - pre.op @ d) <= NEWTON_RTOL * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize(
+    "make, two_cyclic",
+    [
+        (MESHES["strip_2d"], True),
+        (TENSOR_MESHES["strip_4d"], True),
+        (lambda: build_mesh(box((0.0, 1.0), (0.0, 1.0)), [4, 129]), True),
+        (MESHES["punctured_3d"], False),
+    ],
+    ids=["strip_2d", "strip_4d", "thin_box", "punctured_3d"],
+)
+def test_two_colouring_finds_the_two_cyclic_meshes(make, two_cyclic):
+    # against the reference operator: with each node coloured by the parity of
+    # sum_a floor(i_a / 2), no off-diagonal entry joins one colour on the
+    # uncapped meshes, while the one-sided rows beside the cap do.  An axis of
+    # 4 nodes has a diagonal operator, reach 0, so any colouring along it will
+    # do; the one returned splits the free nodes with no coupling inside a colour
+    mesh = make()
+    index = np.indices(mesh.shape).reshape(mesh.domain.dims, -1)[:, mesh.free_mask]
+    A = _sparse_free_operator(mesh).tocoo()
+    off = A.row != A.col
+
+    def joins_one_colour(black):
+        return np.any((black[A.row] == black[A.col]) & off)
+
+    assert joins_one_colour((index // 2).sum(axis=0) % 2 == 1) != two_cyclic
+    colours = two_colouring(mesh)
+    assert two_colouring(mesh) is colours
+    if two_cyclic:
+        assert np.array_equal(np.sort(np.concatenate(colours)), np.arange(mesh.free_weights.size))
+        assert not joins_one_colour(np.isin(np.arange(mesh.free_weights.size), colours[1]))
+    else:
+        assert colours is None
+        pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=_problem(mesh, 3.0)[1])
+        assert _path(pre) == "jacobi"
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0], ids=["lagged", "lagged_p3"])
+@ROLES
+def test_reduced_solve_meets_its_roles_residual(tensor_mesh, p, rtol):
+    # a lagged metric with a varying mass coefficient, as minimize_phi builds
+    # it: the black unknowns are eliminated exactly, so the residual vanishes
+    # there to rounding, and the whole residual meets the role's tolerance
+    mesh = tensor_mesh
+    b, coeff = _problem(mesh, p)
+    mass_coeff = np.random.default_rng(5).uniform(0.0, 2.0, mesh.free_weights.size)
+    pre = Preconditioner(mesh, rtol=rtol, coeff=coeff, mass_coeff=mass_coeff)
+    assert _path(pre) == "reduced"
+    d = pre.apply(b)
+    residual = b - _sparse_free_operator(mesh, coeff=coeff, mass_coeff=mass_coeff) @ d
+    assert np.linalg.norm(residual) <= rtol * np.linalg.norm(b)
+    assert np.linalg.norm(residual[two_colouring(mesh)[1]]) <= 1e-14 * np.linalg.norm(b)
+    assert float(b @ d) > 0.0
+    assert np.array_equal(d, Preconditioner(mesh, rtol=rtol, coeff=coeff, mass_coeff=mass_coeff).apply(b))
+
+
+@pytest.mark.parametrize(
+    "potential, match", [(200.0, "conjugate-gradient direction"), (1000.0, "unit vector")], ids=["curvature", "diagonal"]
+)
+def test_indefinite_reduced_operator_raises(potential, match):
+    # the lagged p = 3 metric of the 2D strip has lambda_1 of about 147 and
+    # its diagonal is at least 414 times the mass, so a mass coefficient of
+    # -200 makes the operator indefinite with a positive diagonal, and CG on
+    # the Schur complement meets the negative curvature; -1000 makes diagonal
+    # entries nonpositive, which raises at construction
+    mesh = MESHES["strip_2d"]()
+    b, coeff = _problem(mesh, 3.0)
+    mass_coeff = np.full_like(mesh.free_weights, -potential)
+    op = _sparse_free_operator(mesh, coeff=coeff, mass_coeff=mass_coeff)
+    assert np.linalg.eigvalsh(op.toarray())[0] < 0.0
+    assert np.all(op.diagonal() > 0.0) == (match == "conjugate-gradient direction")
+    with pytest.raises(IndefiniteEnergyError, match=match):
+        pre = Preconditioner(mesh, rtol=METRIC_RTOL, coeff=coeff, mass_coeff=mass_coeff)
+        assert _path(pre) == "reduced"
+        pre.apply(b)
 
 
 # capped meshes: the punctured 13^3 box, the punctured 21^3 box of the
@@ -600,8 +696,8 @@ def test_capped_tensor_solve_is_exact(capped_mesh, folded, rtol, monkeypatch):
     b, _ = _problem(mesh, None)
     pre = Preconditioner(mesh, rtol=rtol, **kwargs)
     assert _path(pre) == "tensor" and pre.exact and mesh.excluded_mask.any()
-    assert pre.precondition.sigma == (0.5 if folded else 1.0)
-    exact = spsolve(pre.op.tocsc(), b)
+    assert pre.precondition.sigma == (0.5 if folded else 1.0) and pre.op is None
+    exact = spsolve(_sparse_free_operator(mesh, **kwargs).tocsc(), b)
     d = pre.apply(b)
     assert not calls
     assert np.linalg.norm(d - exact) <= 1e-12 * np.linalg.norm(exact)
