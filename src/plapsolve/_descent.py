@@ -1,7 +1,7 @@
 """Shared descent machinery: deterministic preconditioned conjugate gradients
 that raise :class:`IndefiniteEnergyError` on nonpositive curvature, a compact
-second-order preconditioner that inverts small blocks exactly, one-axis
-meshes block by block (and raises when Cholesky refuses a block) and the
+second-order preconditioner that solves every one-axis operator exactly by an
+LDL^T factorization of its band (and raises on a nonpositive pivot) and the
 constant-coefficient operators of multi-axis meshes by tensor fast
 diagonalization, made exact on capped meshes by a capacitance correction on
 the few nodes where the cap changes the operator (and raises when the tensor
@@ -12,7 +12,7 @@ of a two-colour reduction, and Armijo backtracking."""
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -29,13 +29,6 @@ from .grid import Mesh, interval
 METRIC_RTOL = 1e-4
 NEWTON_RTOL = 1e-10
 CG_ITERS = 300
-# Largest free-node block that is inverted densely once per build: the whole
-# operator up to this size, and each diagonal block of a one-axis operator
-# above it (at most DENSE_MAX * 8 bytes per free node, 0.32 MB on 399 nodes).
-# Memory sets it: at 128 nodes the dense path raises peak RSS by about 1 MB,
-# but past that LAPACK's blocked factorizations make OpenBLAS allocate level-3
-# buffers (+7 MB for one block of 399 nodes).
-DENSE_MAX = 128
 # Values per block of box vectors that a tensor solve's build holds at once
 # (0.5 MB), so that its |S| box solves never hold |S| box vectors.
 BLOCK_VALUES = 2**16
@@ -66,47 +59,6 @@ def jacobi(A: sp.spmatrix | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: inv_diag * r
 
 
-def block_inverses(A: sp.spmatrix | np.ndarray) -> np.ndarray:
-    """Inverses of the diagonal blocks of ``A``, shape ``(count, size, size)``:
-    contiguous blocks of at most ``DENSE_MAX`` rows and near-equal size, the
-    last padded with an identity.  Checked and inverted by
-    :func:`checked_inverses`.
-    """
-    n = A.shape[0]
-    count = -(-n // DENSE_MAX)
-    size = -(-n // count)
-    coo = sp.coo_matrix(A)
-    block = coo.row // size
-    inside = block == coo.col // size
-    blocks = np.zeros((count, size, size))
-    blocks[block[inside], coo.row[inside] % size, coo.col[inside] % size] = coo.data[inside]
-    pad = np.arange(n - (count - 1) * size, size)
-    blocks[-1, pad, pad] = 1.0
-    return checked_inverses(blocks)
-
-
-def checked_inverses(blocks: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of symmetric blocks, checked first with one batched
-    ``np.linalg.cholesky``, which raises :class:`IndefiniteEnergyError` when
-    it refuses any of them (a principal block that is not positive definite
-    shows that the operator it came from is not), and inverted with one
-    batched ``np.linalg.inv``."""
-    try:
-        np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        raise IndefiniteEnergyError(_NONPOSITIVE % "a free-node block that Cholesky refuses") from None
-    return np.linalg.inv(blocks)
-
-
-def apply_blocks(inverses: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Block-Jacobi action of :func:`block_inverses` on ``r`` (Concus, Golub &
-    Meurant, SIAM J. Sci. Stat. Comput. 6, 1985)."""
-    count, size, _ = inverses.shape
-    padded = np.zeros(count * size)
-    padded[: r.size] = r
-    return (inverses @ padded.reshape(count, size, 1)).ravel()[: r.size]
-
-
 def conjugate_gradient(
     A: sp.spmatrix | np.ndarray,
     b: np.ndarray,
@@ -116,7 +68,7 @@ def conjugate_gradient(
     """Preconditioned CG from a zero start; deterministic for fixed inputs.
 
     ``precondition`` is a symmetric positive definite approximate inverse of
-    ``A``, such as :func:`jacobi` or :func:`block_inverses` of ``A``.  Returns
+    ``A``, such as :func:`jacobi` or a :class:`TensorSolve`.  Returns
     the iterate once ``||b - A x|| <= rel_tol ||b||`` (the unscaled residual)
     or after ``CG_ITERS`` iterations; every step has positive curvature, so
     ``b . x = x . A x > 0`` for ``b != 0``.  Raises
@@ -149,6 +101,76 @@ def conjugate_gradient(
     return x
 
 
+_BANDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def band_pattern(mesh: Mesh) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The band of a one-axis mesh's :meth:`Mesh.energy_stiffness`: for its
+    diagonal and its off-diagonals at offsets 1 and 2, ``(samples, columns,
+    products)`` such that entry ``j`` sums ``w c products`` where
+    ``columns == j``, ``w c`` the weighted coefficient at ``samples``.  Each
+    row of ``G_f`` reads one or two free nodes, 2 apart where it is centered
+    and 1 apart where it goes one-sided beside a cap; the diagonal takes each
+    entry squared, an off-diagonal the product of a row's two.  Cached per
+    mesh, as no coefficient changes it; the arrays are shared.
+    """
+    if mesh not in _BANDS:
+        G = mesh._free_grad
+        counts = np.diff(G.indptr)
+        samples = np.repeat(np.arange(counts.size), counts)
+        pairs = G.indptr[:-1][counts == 2]
+        band = [(samples, G.indices, G.data**2)]
+        for offset in (1, 2):
+            at = pairs[G.indices[pairs + 1] - G.indices[pairs] == offset]
+            band.append((samples[at], G.indices[at], G.data[at] * G.data[at + 1]))
+        _BANDS[mesh] = band
+    return _BANDS[mesh]
+
+
+class BandSolve:
+    """Exact solve of ``K(coeff) + diag(mass)`` on the free nodes of a
+    one-axis mesh: the build sums its :func:`band_pattern`, one
+    ``np.bincount`` per diagonal, and factors it as LDL^T in natural order
+    without pivoting (Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    2013, section 4.3); a solve is two substitutions.  Both loop in scalar
+    Python, which beats vectorized cyclic reduction on the 7-31 free nodes
+    of most one-axis solves.  A symmetric matrix is positive definite exactly
+    when every pivot is positive (Sylvester), so the build raises
+    :class:`IndefiniteEnergyError` on the first nonpositive pivot.
+    """
+
+    def __init__(self, mesh: Mesh, coeff: np.ndarray | None, mass: np.ndarray):
+        w = mesh.sample_weights if coeff is None else mesh.sample_weights * coeff
+        diagonal, near, far = (np.bincount(c, w[s] * g, mass.size) for s, c, g in band_pattern(mesh))
+        self.inv_pivots, self.near, self.far = [], [], []
+        # d1, d2: the last two pivots; l1 = L[i, i-1]; f1 = L[i+1, i-1]; f2 = L[i, i-2]
+        d1 = d2 = l1 = f1 = f2 = 0.0
+        for a, b, c in zip((diagonal + mass).tolist(), near.tolist(), far.tolist()):
+            d = a - d1 * l1 * l1 - d2 * f2 * f2
+            if not d > 0.0:
+                raise IndefiniteEnergyError(_NONPOSITIVE % "a leading free-node block (a nonpositive LDL^T pivot)")
+            l1, f1, f2, d1, d2 = (b - f1 * d1 * l1) / d, c / d, f1, d, d1
+            self.inv_pivots.append(1.0 / d)
+            self.near.append(l1)
+            self.far.append(f1)
+        # L[i, i-1] and L[i, i-2] by row, for the forward substitution
+        self.near_before = [0.0] + self.near[:-1]
+        self.far_before = [0.0, 0.0] + self.far[:-2]
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        y1 = y2 = 0.0
+        forward = []
+        for r, l, f in zip(rhs.tolist(), self.near_before, self.far_before):
+            y1, y2 = r - l * y1 - f * y2, y1
+            forward.append(y1)
+        x1 = x2 = 0.0
+        back = []
+        for y, s, l, f in zip(reversed(forward), reversed(self.inv_pivots), reversed(self.near), reversed(self.far)):
+            x1, x2 = y * s - l * x1 - f * x2, x1
+            back.append(x1)
+        return np.array(back[::-1])
+
+
 @lru_cache(maxsize=32)
 def axis_operator(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One axis of a mesh's box operator: the free-node
@@ -158,7 +180,7 @@ def axis_operator(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]
     are shared and read-only.
     """
     line = Mesh(interval(lo, hi), [n])
-    K, m = line.free_stiffness_dense(), line.weights[1:-1].copy()
+    K, m = line.energy_stiffness().toarray(), line.weights[1:-1].copy()
     K.flags.writeable = m.flags.writeable = False
     return K, m
 
@@ -434,35 +456,32 @@ class Preconditioner:
     Uses the same difference operators as the energy, so at p = 2 the
     preconditioned direction is a Newton step up to the inner tolerance; a
     per-sample ``coeff`` turns it into the lagged-coefficient metric of the
-    degenerate problem.  ``op`` is that free-node operator,
-    :meth:`Mesh.energy_stiffness` plus the mass diagonal: a dense array (from
-    :meth:`Mesh.free_stiffness_dense`) for a block of at most ``DENSE_MAX``
-    free nodes, which is inverted once here and applied as one product, an
-    exact solve for every role, and CSR above it.  On a multi-axis mesh at
-    ``coeff = None`` a :class:`TensorSolve` is built here; when it is
-    ``exact`` (``mass_coeff`` None, or constant on the free nodes and folded
-    into its ``sigma``), it is applied directly as well, with no CG, on
-    capped and uncapped meshes alike, and ``op`` is None, as nothing reads
-    it.  A lagged metric on a multi-axis mesh whose operator is two-cyclic
-    (:func:`two_colouring`: every uncapped mesh) is applied by a
-    :class:`ReducedSolve` built here, CG on its red Schur complement, to the
+    degenerate problem.  That free-node operator is
+    :meth:`Mesh.energy_stiffness` plus the mass diagonal.  Built here: on a
+    one-axis mesh a :class:`BandSolve`, exact for every role; on a multi-axis
+    mesh at ``coeff = None`` a :class:`TensorSolve`, exact when ``mass_coeff``
+    is None or constant on the free nodes and folded into its ``sigma``, on
+    capped and uncapped meshes alike.  ``exact`` says that ``apply`` applies
+    such a solve directly, with no CG; ``op``, the operator as CSR, is then
+    None, as nothing reads it.  A lagged metric on a multi-axis mesh whose
+    operator is two-cyclic (:func:`two_colouring`: every uncapped mesh) is
+    applied by a :class:`ReducedSolve`, CG on its red Schur complement, to the
     same residual contract.  Every other operator is applied by
-    :func:`conjugate_gradient` on ``op`` at unscaled relative residual ``rtol``
-    (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), preconditioned by one of
-    three operators built once here: :func:`block_inverses` on a one-axis
-    mesh; the :class:`TensorSolve` of ``K + shift M`` on a multi-axis mesh at
-    ``coeff = None``; and :func:`jacobi` for the lagged metrics of capped
-    multi-axis meshes.  Every action is deterministic.  ``mass_coeff`` is a
-    free-node vector, and :meth:`apply` maps a free-node vector, such as a
-    descent's plain-dot first variation, to a free-node vector, its
-    direction.  The operator is positive definite unless a negative
-    ``mass_coeff`` (the potential in the p = 2 Newton operator) makes the
-    energy form nonpositive.  Then :class:`IndefiniteEnergyError` is raised:
-    here when ``np.linalg.cholesky`` refuses a dense block, Jacobi scaling
-    meets a nonpositive diagonal entry (of ``op``, of its black block or of
-    its Schur complement) or the tensor solve of a mesh with no excluded node
-    a nonpositive denominator, and by CG in ``apply`` when it meets a
-    direction of nonpositive curvature.
+    :func:`conjugate_gradient` on ``op`` at unscaled relative residual
+    ``rtol`` (``METRIC_RTOL`` or ``NEWTON_RTOL`` by role), preconditioned by
+    the :class:`TensorSolve` of ``K + shift M`` at ``coeff = None`` and by
+    :func:`jacobi` for the lagged metrics of capped meshes.  Every action is
+    deterministic.  ``mass_coeff`` is a free-node vector, and :meth:`apply`
+    maps a free-node vector, such as a descent's plain-dot first variation,
+    to a free-node vector, its direction.  The operator is positive definite
+    unless a negative ``mass_coeff`` (the potential in the p = 2 Newton
+    operator) makes the energy form nonpositive.  Then
+    :class:`IndefiniteEnergyError` is raised: here when the band
+    factorization meets a nonpositive pivot, Jacobi scaling a nonpositive
+    diagonal entry (of ``op``, of its black block or of its Schur complement)
+    or the tensor solve of a mesh with no excluded node a nonpositive
+    denominator, and by CG in ``apply`` when it meets a direction of
+    nonpositive curvature.
     """
 
     def __init__(
@@ -475,24 +494,17 @@ class Preconditioner:
         mass_coeff: np.ndarray | None = None,
     ):
         mass = mesh.free_weights * (shift if mass_coeff is None else shift + mass_coeff)
-        self.rtol, self.op, self.inverses, self.exact = rtol, None, None, False
-        if mass.size <= DENSE_MAX:
-            self.op = mesh.free_stiffness_dense(coeff)
-            np.fill_diagonal(self.op, self.op.diagonal() + mass)
-            self.inverses = checked_inverses(self.op[None])
-            self.exact = True
-        elif coeff is None and mesh.domain.dims > 1:
+        self.rtol, self.op, self.exact = rtol, None, False
+        if mesh.domain.dims == 1:
+            self.precondition, self.exact = BandSolve(mesh, coeff, mass), True
+        elif coeff is None:
             self.precondition = TensorSolve(mesh, shift, mass_coeff)
             self.exact = self.precondition.exact
         if not self.exact:
             self.op = mesh.energy_stiffness(coeff) + sp.diags(mass)
-            if mesh.domain.dims == 1:
-                self.inverses = block_inverses(self.op)
-            elif coeff is not None:
+            if coeff is not None:
                 colours = two_colouring(mesh)
                 self.precondition = jacobi(self.op) if colours is None else ReducedSolve(self.op, *colours, rtol)
-        if self.inverses is not None:
-            self.precondition = partial(apply_blocks, self.inverses)
 
     def apply(self, rhs: np.ndarray) -> np.ndarray:
         """The solve ``op^-1 rhs`` of a free-node vector, a free-node vector."""

@@ -202,10 +202,6 @@ class Mesh:
         return self._free_grad.T
 
     @cached_property
-    def _free_grad_dense(self) -> np.ndarray:
-        return self._free_grad.toarray()
-
-    @cached_property
     def _stencil(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The axis-``a`` derivative at each node, as arrays of shape
         ``(dims,) + shape``: whether it reads the left and the right neighbor
@@ -301,15 +297,6 @@ class Mesh:
         if coeff is None:
             self._stiffness = A
         return A
-
-    def free_stiffness_dense(self, coeff: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`energy_stiffness` as a dense array, one BLAS product with a
-        dense copy of ``G_f`` that is cached here (``dims * n_nodes * n_free``
-        doubles), so meant for meshes with few free nodes.
-        """
-        w = self.sample_weights if coeff is None else self.sample_weights * coeff
-        G = self._free_grad_dense
-        return G.T @ (np.tile(w, self.domain.dims)[:, None] * G)
 
 
 def build_mesh(

@@ -423,22 +423,24 @@ class TestDualNorm:
         assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
 
     def test_signals_indefiniteness(self, mesh201):
-        # constant potential far above the first eigenvalue breaks positivity;
-        # at p = 2 it lies above the first eigenvalue of each 100-node block
-        # too (about (2 pi)^2), so Cholesky refuses the Newton operator's
-        # blocks when the first preconditioner is built
+        # a constant potential above the first eigenvalue (about pi^2) breaks
+        # positivity; at p = 2 the band factorization of the Newton operator
+        # meets a nonpositive pivot when the first preconditioner is built,
+        # at V = 50 and at V = 20, about twice the eigenvalue, alike
         f = ForcingTerm.manufactured(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
-        with pytest.raises(IndefiniteEnergyError, match="Cholesky refuses"):
-            dual_norm(f, Potential.constant(50.0), EnergyParams(p=2.0))
+        for potential in (50.0, 20.0):
+            with pytest.raises(IndefiniteEnergyError, match=r"LDL\^T pivot"):
+                dual_norm(f, Potential.constant(potential), EnergyParams(p=2.0))
 
-    def test_signals_indefiniteness_through_cg(self, mesh201):
-        # a potential between the first eigenvalue (about pi^2) and those of
-        # the 100-node blocks leaves every block positive definite; the
-        # block-preconditioned solve of the first Newton step meets the
-        # negative curvature of the whole operator
-        f = ForcingTerm.manufactured(mesh201, lambda x: np.sin(np.pi * x[:, 0]))
+    def test_signals_indefiniteness_through_cg(self):
+        # a varying potential of 10-30 on the punctured 9^3 box, whose first
+        # eigenvalue is about 8: the tensor solve of K + 1e-10 M preconditions
+        # CG on the Newton operator, and CG meets its negative curvature
+        mesh = build_mesh(box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3)
+        f = ForcingTerm.manufactured(mesh, lambda x: np.prod(np.cos(0.5 * np.pi * x), axis=1))
+        V = Potential.tabulated(20.0 * (1.0 + 0.5 * mesh.points[:, 0]))
         with pytest.raises(IndefiniteEnergyError, match="conjugate-gradient direction"):
-            dual_norm(f, Potential.constant(20.0), EnergyParams(p=2.0))
+            dual_norm(f, V, EnergyParams(p=2.0))
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
     @pytest.mark.parametrize("call", ["dual_norm", "minimize_phi", "continuation_solve"])

@@ -219,7 +219,6 @@ class TestStackedGradient:
         assert mesh.grad_adjoint(g).shape == (n_free,)
         mesh.energy_stiffness()
         mesh.energy_stiffness(rng.uniform(0.5, 2.0, mesh.n_nodes))
-        mesh.free_stiffness_dense()
         mesh.box_grad(_whole_box(mesh), rng.standard_normal(mesh.shape))
         for name in ("_grad_op", "_grad", "_grad_t"):
             assert not hasattr(mesh, name), name
@@ -305,29 +304,6 @@ class TestStackedGradient:
         assert mesh.energy_stiffness().shape == (n_free, n_free)
         ones = np.ones(mesh.n_nodes)
         assert mesh.energy_stiffness(ones) is not mesh.energy_stiffness(ones)
-
-
-# a 1D interval and a 2D strip (boundary only), a 3D box with a singular cap,
-# and the punctured 3D box and capped 4D strip of STACKED_MESHES
-FREE_NODE_MESHES = {
-    "interval": lambda: build_mesh(interval(0.0, 1.0), [33]),
-    "strip_2d": lambda: build_mesh(strip([(0.0, 1.0)], 1, 2.0), [9, 17]),
-    "capped_3d": lambda: build_mesh(
-        box((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), [9, 9, 9], singular_cap_radius=0.3, singular_axes=(0, 1)
-    ),
-    **STACKED_MESHES,
-}
-
-
-@pytest.mark.parametrize("name", sorted(FREE_NODE_MESHES))
-@pytest.mark.parametrize("with_coeff", [False, True])
-def test_dense_stiffness_is_the_sparse_one(name, with_coeff):
-    mesh = FREE_NODE_MESHES[name]()
-    coeff = np.random.default_rng(12).uniform(0.5, 2.0, mesh.n_nodes) if with_coeff else None
-    want = mesh.energy_stiffness(coeff).toarray()
-    got = mesh.free_stiffness_dense(coeff)
-    assert got.shape == want.shape == (np.count_nonzero(mesh.free_mask),) * 2
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestIntegrate:
